@@ -131,7 +131,7 @@ class DirectSolution:
     flows: dict[int, np.ndarray]
 
 
-def solve_direct(direct: DirectLp, backend: str | LpBackend = "builtin") -> DirectSolution:
+def solve_direct(direct: DirectLp, backend: str | LpBackend = "highs") -> DirectSolution:
     """Solve a direct formulation; per-owner edge flows come back keyed
     by commodity id (edge model) or source id (source model)."""
     backend = get_backend(backend)

@@ -18,7 +18,7 @@ import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .engine import SolveReport, SolverConfig, solve
+from .engine import SolveReport, SolverConfig, choose_strategy, solve
 from .errors import McflowError, ParseError
 from .instance import TNTP_COEFFICIENTS, Instance, parse_native, parse_tntp
 
@@ -91,10 +91,13 @@ def record_from_report(instance: Instance, config: SolverConfig,
     def clean(v):
         return None if v is None or not math.isfinite(v) else float(v)
     columns = report.peak_columns
+    strategy = config.strategy
+    if strategy == "auto" and config.formulation in ("tree", "path"):
+        strategy = choose_strategy(instance)   # the strategy that ran
     return RunRecord(
         instance=instance.name or "<unnamed>",
         formulation=config.formulation,
-        strategy=config.strategy,
+        strategy=strategy,
         status=report.status,
         objective=clean(report.objective),
         lower_bound=clean(report.lower_bound),
@@ -146,7 +149,7 @@ def run_suite(manifest: dict, output_dir: str | Path,
                          "name": ...}, ...],
           "formulations": ["tree", "path", ...],
           "tol": 1e-4, "timeout": 7200.0, "strategy": "auto",
-          "pricing": "full", "heuristic": "global", "backend": "builtin",
+          "pricing": "full", "heuristic": "global", "backend": "highs",
           "seed": 0, "threads": 1
         }
 
@@ -179,7 +182,7 @@ def run_suite(manifest: dict, output_dir: str | Path,
                 pricing_strategy=manifest.get("pricing", "full"),
                 heuristic_scope=manifest.get("heuristic", "global"),
                 seed=int(manifest.get("seed", 0)),
-                lp_backend=manifest.get("backend", "builtin"),
+                lp_backend=manifest.get("backend", "highs"),
                 threads=int(manifest.get("threads", 1)),
             )
             t0 = time.perf_counter()

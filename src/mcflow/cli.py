@@ -13,14 +13,13 @@ import sys
 import time
 from pathlib import Path
 
-from .baseline import build_edge_lp, build_source_lp, solve_direct
 from .bench import (append_record_csv, load_instance, record_from_report,
                     run_suite)
 from .decompose import SourceEdgeFlow, columns_to_source_flows, decompose_all
-from .engine import ColGenSolver, SolverConfig, solve
+from .engine import (ColGenSolver, SolverConfig, solve,
+                     solve_direct_formulation)
 from .errors import McflowError
 from .instance import Instance
-from .lp import OPTIMAL
 
 EXIT_OPTIMAL = 0
 EXIT_ERROR = 1
@@ -56,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["full", "bounded", "astar"])
     run.add_argument("--heuristic", default="global",
                      choices=["global", "per-source"])
-    run.add_argument("--backend", default="builtin", choices=["builtin", "highs"])
+    run.add_argument("--backend", default="highs", choices=["highs", "builtin"])
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--threads", type=int, default=1,
                      help="pricing fan-out; the master is never parallel")
@@ -100,21 +99,18 @@ def _solve_with_flows(instance: Instance, config: SolverConfig, want_flows: bool
             x = [master.solution.x[i] for i in master.active_column_ids]
             flows = columns_to_source_flows(instance, cols, x)
         return report, flows
-    report = solve(instance, config)
+    report, direct = solve_direct_formulation(instance, config)
     flows = None
     if want_flows and report.status == "optimal":
-        build = build_edge_lp if config.formulation == "edge-lp" else build_source_lp
-        direct = solve_direct(build(instance), config.lp_backend)
-        if direct.status == OPTIMAL:
-            merged: dict[int, dict[int, float]] = {}
-            for owner, per_edge in direct.flows.items():
-                source = owner if config.formulation == "source-lp" \
-                    else instance.commodities[owner].source
-                bucket = merged.setdefault(source, {})
-                for e, f in enumerate(per_edge):
-                    if f > 1e-12:
-                        bucket[e] = bucket.get(e, 0.0) + float(f)
-            flows = SourceEdgeFlow(merged)
+        merged: dict[int, dict[int, float]] = {}
+        for owner, per_edge in direct.flows.items():
+            source = owner if config.formulation == "source-lp" \
+                else instance.commodities[owner].source
+            bucket = merged.setdefault(source, {})
+            for e, f in enumerate(per_edge):
+                if f > 1e-12:
+                    bucket[e] = bucket.get(e, 0.0) + float(f)
+        flows = SourceEdgeFlow(merged)
     return report, flows
 
 

@@ -10,6 +10,10 @@ pricing sweep after a configured number of negative columns; whenever a
 sweep covers every owner the Lagrangian bound is refreshed. ``auto``
 picks pricing-easy when the instance has more commodities than nodes.
 
+The time left of ``timeout_seconds`` is passed to every master solve as
+its LP time limit, which HiGHS enforces; a solve stopped there ends the
+run with status ``timeout`` and the bounds found so far.
+
 Direct solves of the edge-based and source-based LPs are routed through
 the same entry point for convenience.
 """
@@ -22,8 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baseline import EDGE_LP, SOURCE_LP, build_edge_lp, build_source_lp, solve_direct
-from .errors import InfeasibleError, InputError
+from .baseline import (EDGE_LP, SOURCE_LP, DirectSolution, build_edge_lp,
+                       build_source_lp, solve_direct)
+from .errors import InfeasibleError, InputError, LpTimeLimit
 from .graph import HeuristicBounds, reverse_multi_target_bounds
 from .instance import Instance
 from .lp import INFEASIBLE as LP_INFEASIBLE
@@ -53,7 +58,7 @@ class SolverConfig:
     pricing_strategy: str = "full"      # full | bounded | astar
     heuristic_scope: str = "global"     # global | per-source
     seed: int = 0
-    lp_backend: str = "builtin"
+    lp_backend: str = "highs"
     threads: int = 1
     slack_policy: str = "auto"
     retire_after: int | None = None
@@ -204,18 +209,26 @@ class ColGenSolver:
             return self._report()
         self.peak_columns = self.master.pool_size
 
-        while self.status is None:
-            if time.perf_counter() - self._t0 > self.config.timeout_seconds:
-                self.status = TIMEOUT
-                break
-            if self.strategy == "master-easy":
-                self.run_master_easy_iteration()
-            else:
-                self.run_pricing_easy_iteration()
+        try:
+            while self.status is None:
+                if self._time_left() < 0.0:
+                    self.status = TIMEOUT
+                    break
+                if self.strategy == "master-easy":
+                    self.run_master_easy_iteration()
+                else:
+                    self.run_pricing_easy_iteration()
+        except LpTimeLimit as exc:
+            self.status = TIMEOUT
+            self.message = str(exc)
         return self._report()
 
+    def _time_left(self) -> float:
+        return self.config.timeout_seconds - (time.perf_counter() - self._t0)
+
     def _solve_and_check(self):
-        sol = self.master.solve_rmp(self.backend)
+        sol = self.master.solve_rmp(self.backend,
+                                    time_limit=max(0.0, self._time_left()))
         viol = self.master.violated_capacities()
         slack_ok = (sol.max_slack <= self._slack_tol
                     and sol.artificial <= self._slack_tol)
@@ -412,10 +425,14 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolveReport
     config.validate()
     if config.formulation in (TREE, PATH):
         return ColGenSolver(instance, config).run()
-    return _solve_direct_formulation(instance, config)
+    return solve_direct_formulation(instance, config)[0]
 
 
-def _solve_direct_formulation(instance: Instance, config: SolverConfig) -> SolveReport:
+def solve_direct_formulation(instance: Instance, config: SolverConfig
+                             ) -> tuple[SolveReport, DirectSolution]:
+    """Build and solve the edge-based or source-based LP once; returns
+    the report and the direct solution with its per-owner flows."""
+    config.validate()
     t0 = time.perf_counter()
     build = build_edge_lp if config.formulation == EDGE_LP else build_source_lp
     direct = build(instance)
@@ -423,11 +440,11 @@ def _solve_direct_formulation(instance: Instance, config: SolverConfig) -> Solve
     wall = time.perf_counter() - t0
     if sol.status == LP_INFEASIBLE:
         return SolveReport(INFEASIBLE, np.inf, np.inf, np.inf, wall_time=wall,
-                           message="direct LP is infeasible")
+                           message="direct LP is infeasible"), sol
     if sol.status != LP_OPTIMAL:
         return SolveReport(INFEASIBLE, np.nan, np.nan, np.inf, wall_time=wall,
-                           message=f"direct LP returned {sol.status}")
+                           message=f"direct LP returned {sol.status}"), sol
     it = IterationStat(sol.objective, elapsed=wall)
     return SolveReport(OPTIMAL, sol.objective, sol.objective, 0.0,
                        iterations=[it], active_rows=instance.network.edge_count,
-                       wall_time=wall)
+                       wall_time=wall), sol

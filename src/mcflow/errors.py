@@ -37,6 +37,10 @@ class BackendError(McflowError):
     """An LP backend failed or is unsuitable for the given problem size."""
 
 
+class LpTimeLimit(McflowError):
+    """An LP solve stopped at its time limit before reaching optimality."""
+
+
 class DecompositionError(McflowError):
     """Aggregated flows could not be decomposed into commodity paths."""
 

@@ -1,14 +1,18 @@
-"""Sparse LP interchange structure and the pluggable solver backends.
+"""Sparse LP interchange structure and the LP solvers.
 
-Every LP in the package is expressed as a :class:`SparseLp` (row/col/
-value triplets, row senses, nonnegative variables, minimization) and
-handed to an :class:`LpBackend`. Two backends ship:
+Direct LPs, and the restricted master when it is rebuilt for a solve,
+are expressed as a :class:`SparseLp` (row/col/value triplets, row
+senses, nonnegative variables, minimization) and handed to an
+:class:`LpBackend`. Two backends ship:
 
+* ``highs`` (the default): HiGHS through :class:`HighsModel`, the
+  package's one adapter around SciPy's bundled HiGHS bindings. The
+  restricted master keeps one :class:`HighsModel` alive for a whole
+  column generation run and grows it in place, so each re-solve starts
+  from the previous basis.
 * ``builtin``: the dense two-phase revised simplex from
-  :mod:`mcflow.simplex`. Always available, intended for restricted
-  master problems and desk-scale direct LPs.
-* ``highs``: the HiGHS solver behind :func:`scipy.optimize.linprog`,
-  for models too large to densify.
+  :mod:`mcflow.simplex`, kept as a solver that shares no code with
+  HiGHS; the restricted master rebuilds and cold-solves its LP on it.
 
 Both report duals in the same convention: equality duals are free,
 ``<=`` duals are nonpositive at optimality.
@@ -26,6 +30,7 @@ from .errors import BackendError, InternalError
 OPTIMAL = simplex.OPTIMAL
 INFEASIBLE = simplex.INFEASIBLE
 UNBOUNDED = simplex.UNBOUNDED
+TIME_LIMIT = "time_limit"
 
 # Densifying beyond these sizes is refused by the builtin backend.
 DEFAULT_MAX_NNZ = 2_000_000
@@ -94,7 +99,6 @@ class LpBackend:
     """Interface every LP backend implements."""
 
     name: str = "abstract"
-    supports_warm_start: bool = False
 
     def solve(self, lp: SparseLp) -> LpSolution:
         raise NotImplementedError
@@ -104,7 +108,6 @@ class SimplexBackend(LpBackend):
     """Adapter for the builtin dense revised simplex."""
 
     name = "builtin"
-    supports_warm_start = False
 
     def __init__(self, max_nnz: int = DEFAULT_MAX_NNZ,
                  max_dense_entries: int = DEFAULT_MAX_DENSE):
@@ -126,56 +129,154 @@ class SimplexBackend(LpBackend):
                           result.duals, result.duality_gap)
 
 
+class HighsModel:
+    """One HiGHS LP that grows in place and re-solves from its last basis.
+
+    ``min c.x  s.t.  rows (senses) rhs,  x >= 0``, where any column can
+    be fixed at zero and freed again. Rows are appended in CSR form over
+    the columns already present, columns in CSC form over the rows
+    already present; both take ``starts`` with one entry per new row or
+    column plus a final end offset, like SciPy's ``indptr``. HiGHS keeps
+    its basis across :meth:`solve` calls, so after columns, rows, costs
+    or bounds change the next solve starts from the previous optimum
+    instead of from scratch.
+
+    This wraps ``scipy.optimize._highspy._core``, the HiGHS binding that
+    SciPy >= 1.15 bundles. The module is private, so every use of it
+    stays in this class.
+    """
+
+    def __init__(self):
+        try:
+            from scipy.optimize._highspy._core import (HighsModelStatus,
+                                                       HighsStatus, _Highs,
+                                                       kHighsInf)
+        except ImportError as exc:  # pragma: no cover - depends on SciPy
+            raise BackendError("the 'highs' backend needs SciPy >= 1.15, "
+                               f"which bundles HiGHS bindings: {exc}") from None
+        self._status = HighsModelStatus
+        self._error = HighsStatus.kError
+        self._inf = kHighsInf
+        self._h = _Highs()
+        # HiGHS logs to stdout unless told otherwise.
+        self._h.setOptionValue("output_flag", False)
+        # Let HiGHS pick primal simplex when the kept basis is still primal
+        # feasible (after new columns or costs) and dual simplex otherwise
+        # (after new rows); its default always runs the dual simplex.
+        self._h.setOptionValue("simplex_strategy", 0)
+        self._rhs: list[float] = []
+        self._equality: list[bool] = []
+        self.num_cols = 0
+
+    @property
+    def num_rows(self) -> int:
+        return len(self._rhs)
+
+    def add_rows(self, senses, rhs, starts=None, indices=(), values=()) -> int:
+        """Append rows; returns the index of the first new row."""
+        rhs = np.asarray(rhs, dtype=np.float64)
+        n = rhs.size
+        equality = np.asarray(senses) == "E"
+        if starts is None:
+            starts = np.zeros(n + 1)
+        first = self.num_rows
+        self._check(self._h.addRows(n, np.where(equality, rhs, -self._inf), rhs,
+                                    len(values), *_sparse(starts, indices, values)))
+        self._rhs.extend(rhs.tolist())
+        self._equality.extend(equality.tolist())
+        return first
+
+    def add_cols(self, costs, starts=None, indices=(), values=()) -> int:
+        """Append free nonnegative columns; returns the index of the first."""
+        costs = np.asarray(costs, dtype=np.float64)
+        n = costs.size
+        if starts is None:
+            starts = np.zeros(n + 1)
+        first = self.num_cols
+        self._check(self._h.addCols(n, costs, np.zeros(n), np.full(n, self._inf),
+                                    len(values), *_sparse(starts, indices, values)))
+        self.num_cols += n
+        return first
+
+    def set_costs(self, cols, costs) -> None:
+        cols = np.asarray(cols, dtype=np.int32)
+        self._check(self._h.changeColsCost(cols.size, cols,
+                                           np.asarray(costs, dtype=np.float64)))
+
+    def set_fixed(self, cols, fixed: bool) -> None:
+        """Fix columns at zero (upper bound 0) or free them again."""
+        cols = np.asarray(cols, dtype=np.int32)
+        upper = np.full(cols.size, 0.0 if fixed else self._inf)
+        self._check(self._h.changeColsBounds(cols.size, cols,
+                                             np.zeros(cols.size), upper))
+
+    def solve(self, time_limit: float | None = None) -> LpSolution:
+        """Run HiGHS; a run stopped by ``time_limit`` (seconds) reports
+        :data:`TIME_LIMIT` with no solution."""
+        self._h.setOptionValue(
+            "time_limit", self._inf if time_limit is None else max(0.0, time_limit))
+        self._h.run()
+        status = self._h.getModelStatus()
+        empty = np.zeros(self.num_cols), np.zeros(self.num_rows)
+        if status == self._status.kModelEmpty:
+            # No columns: feasible exactly when x = () satisfies every row.
+            rhs = np.asarray(self._rhs)
+            equality = np.asarray(self._equality, dtype=bool)
+            if np.all(rhs[equality] == 0.0) and np.all(rhs[~equality] >= 0.0):
+                return LpSolution(OPTIMAL, 0.0, *empty)
+            return LpSolution(INFEASIBLE, np.inf, *empty)
+        if status == self._status.kTimeLimit:
+            return LpSolution(TIME_LIMIT, np.nan, *empty)
+        if status == self._status.kInfeasible:
+            return LpSolution(INFEASIBLE, np.inf, *empty)
+        if status == self._status.kUnbounded:
+            return LpSolution(UNBOUNDED, -np.inf, *empty)
+        if status != self._status.kOptimal:
+            raise BackendError(
+                f"HiGHS failed: {self._h.modelStatusToString(status)}")
+        solution = self._h.getSolution()
+        x = np.asarray(solution.col_value)
+        duals = np.asarray(solution.row_dual)
+        objective = float(self._h.getInfo().objective_function_value)
+        # Every upper bound is 0 or infinite, so bounds add nothing here.
+        dual_objective = float(duals @ np.asarray(self._rhs))
+        return LpSolution(OPTIMAL, objective, x, duals,
+                          abs(objective - dual_objective))
+
+    def _check(self, status) -> None:
+        if status == self._error:
+            raise BackendError("HiGHS rejected a model change")
+
+
+def _sparse(starts, indices, values):
+    """HiGHS's compressed-matrix arguments: starts without the end offset."""
+    return (np.asarray(starts[:-1], dtype=np.int32),
+            np.asarray(indices, dtype=np.int32),
+            np.asarray(values, dtype=np.float64))
+
+
 class HighsBackend(LpBackend):
-    """Adapter for HiGHS via :func:`scipy.optimize.linprog`."""
+    """Cold solves of a :class:`SparseLp` on a fresh :class:`HighsModel`."""
 
     name = "highs"
-    supports_warm_start = False
 
     def solve(self, lp: SparseLp) -> LpSolution:
         from scipy import sparse
-        from scipy.optimize import linprog
 
         lp.validate()
-        senses = np.asarray(lp.senses)
-        eq_idx = np.flatnonzero(senses == "E")
-        ub_idx = np.flatnonzero(senses == "L")
-        row_map = np.empty(lp.num_rows, dtype=np.int64)
-        row_map[eq_idx] = np.arange(eq_idx.size)
-        row_map[ub_idx] = np.arange(ub_idx.size)
-        is_eq = np.zeros(lp.num_rows, dtype=bool)
-        is_eq[eq_idx] = True
-
-        matrix = sparse.csr_matrix(
+        model = HighsModel()
+        model.add_rows(lp.senses, lp.rhs)
+        # COO to CSC sums duplicate entries, as SparseLp documents.
+        matrix = sparse.csc_matrix(
             (lp.vals, (lp.rows, lp.cols)), shape=(lp.num_rows, lp.num_cols))
-        A_eq = matrix[eq_idx] if eq_idx.size else None
-        A_ub = matrix[ub_idx] if ub_idx.size else None
-        res = linprog(lp.objective,
-                      A_ub=A_ub, b_ub=lp.rhs[ub_idx] if ub_idx.size else None,
-                      A_eq=A_eq, b_eq=lp.rhs[eq_idx] if eq_idx.size else None,
-                      bounds=(0, None), method="highs")
-        if res.status == 2:
-            return LpSolution(INFEASIBLE, np.inf, np.zeros(lp.num_cols),
-                              np.zeros(lp.num_rows))
-        if res.status == 3:
-            return LpSolution(UNBOUNDED, -np.inf, np.zeros(lp.num_cols),
-                              np.zeros(lp.num_rows))
-        if res.status != 0:
-            raise BackendError(f"HiGHS failed: {res.message}")
-        duals = np.zeros(lp.num_rows)
-        if eq_idx.size:
-            duals[eq_idx] = res.eqlin.marginals
-        if ub_idx.size:
-            duals[ub_idx] = res.ineqlin.marginals
-        dual_obj = float(duals @ lp.rhs)
-        return LpSolution(OPTIMAL, float(res.fun), np.asarray(res.x), duals,
-                          abs(float(res.fun) - dual_obj))
+        model.add_cols(lp.objective, matrix.indptr, matrix.indices, matrix.data)
+        return model.solve()
 
 
 _BACKENDS = {"builtin": SimplexBackend, "highs": HighsBackend}
 
 
-def get_backend(name: str | LpBackend = "builtin") -> LpBackend:
+def get_backend(name: str | LpBackend = "highs") -> LpBackend:
     """Resolve a backend by name; instances pass through unchanged."""
     if isinstance(name, LpBackend):
         return name

@@ -8,17 +8,28 @@ follows the row-count rule: demand rows when there are fewer of them
 than edges, capacity rows otherwise. Capacity duals are normalized to
 be nonpositive after every solve, so the adjusted pricing weights
 ``cost - mu`` stay nonnegative.
+
+On the ``highs`` backend the master keeps one :class:`HighsModel` for
+its whole life, created on the first solve. Each solve first brings that
+model up to date (new capacity rows with the coefficients of the
+columns already in it, new pool columns in one batch, retired columns
+fixed at zero, reactivated ones freed, escalated slack costs) and then
+lets HiGHS re-solve from the basis it kept. Other backends get the
+whole restriction rebuilt by :meth:`RestrictedMaster.build_lp` and
+solved cold.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, LpTimeLimit
 from .instance import Instance
-from .lp import INFEASIBLE, OPTIMAL, LpBackend, SparseLp, get_backend
+from .lp import (INFEASIBLE, OPTIMAL, TIME_LIMIT, HighsBackend, HighsModel,
+                 LpBackend, LpSolution, SparseLp, get_backend)
 
 PATH = "path"
 TREE = "tree"
@@ -171,6 +182,16 @@ class RestrictedMaster:
         self._active_set: set[int] = set()
         self._use_artificials = False
         self.solution: RmpSolution | None = None
+
+        # Live HiGHS model, built on the first solve (see _sync_model).
+        self._model: HighsModel | None = None
+        self._col_vars: list[int] = []      # model column of pool ids 0, 1, ...
+        self._cap_rows = 0                  # active_edges[:_cap_rows] are rows
+        self._pending_entries: dict[int, list[tuple[int, float]]] = {}
+        self._slack_vars: dict = {}
+        self._art_vars: dict[int, int] = {}
+        self._bounds_changed: set[int] = set()
+        self._costs_changed = False
         for e in initial_capacity_edges:
             self.add_capacity_rows([e])
 
@@ -194,6 +215,7 @@ class RestrictedMaster:
             if not self.column_active[existing]:
                 self.column_active[existing] = True
                 self._nonbasic_streak[existing] = 0
+                self._bounds_changed.add(existing)
             return existing
         cid = len(self.columns)
         self.columns.append(col)
@@ -265,6 +287,7 @@ class RestrictedMaster:
     def escalate_big_m(self, factor: float = 100.0) -> None:
         self.big_m *= factor
         self.demand_slack_costs = self.demand_slack_costs * factor
+        self._costs_changed = True
 
     # -- LP assembly and solve ----------------------------------------------
 
@@ -340,43 +363,155 @@ class RestrictedMaster:
         self._art_index = art_index
         return lp, col_ids
 
-    def solve_rmp(self, backend: str | LpBackend = "builtin") -> RmpSolution:
+    def solve_rmp(self, backend: str | LpBackend = "highs",
+                  time_limit: float | None = None) -> RmpSolution:
         """Solve the current restriction and normalize the duals.
 
         Capacity duals are clipped to be nonpositive (so the adjusted
         costs ``c - mu`` stay nonnegative) and inactive edges expose a
-        zero dual. If the backend reports infeasibility, artificial
-        variables priced above big-M are injected once and the solve is
-        repeated.
+        zero dual. If the LP is infeasible, artificial variables priced
+        above big-M are injected once and the solve is repeated.
+
+        On ``highs`` the live model is updated and re-solved warm, and
+        ``time_limit`` (seconds for this call) is a hard limit: HiGHS
+        stops there and :class:`LpTimeLimit` is raised. Other backends
+        rebuild the LP, solve it cold and ignore ``time_limit``.
         """
         backend = get_backend(backend)
-        lp, col_ids = self.build_lp()
-        sol = backend.solve(lp)
-        if sol.status == INFEASIBLE and not self._use_artificials:
-            self._use_artificials = True
+        if isinstance(backend, HighsBackend):
+            deadline = None if time_limit is None else time.perf_counter() + time_limit
+            sol = self._solve_model(deadline)
+            if sol.status == INFEASIBLE and not self._use_artificials:
+                self._use_artificials = True
+                sol = self._solve_model(deadline)
+            _check_rmp_solution(sol)
+            x = sol.x[self._col_vars]
+            x[~np.asarray(self.column_active, dtype=bool)] = 0.0
+            slack = {key: float(sol.x[j]) for key, j in self._slack_vars.items()}
+            artificial = sum(float(sol.x[j]) for j in self._art_vars.values())
+        else:
             lp, col_ids = self.build_lp()
             sol = backend.solve(lp)
-        if sol.status != OPTIMAL:
-            raise InternalError(f"restricted master solve returned {sol.status}")
-        if sol.duality_gap > 1e-7 * (1.0 + abs(sol.objective)):
-            raise InternalError(f"duality gap {sol.duality_gap} too large "
-                                f"for objective {sol.objective}")
+            if sol.status == INFEASIBLE and not self._use_artificials:
+                self._use_artificials = True
+                lp, col_ids = self.build_lp()
+                sol = backend.solve(lp)
+            _check_rmp_solution(sol)
+            x = np.zeros(len(self.columns))
+            x[col_ids] = sol.x[:len(col_ids)]
+            slack = {key: float(sol.x[j]) for key, j in self._slack_index.items()}
+            artificial = sum(float(sol.x[j]) for j in self._art_index.values())
 
-        x = np.zeros(len(self.columns))
-        for j, cid in enumerate(col_ids):
-            x[cid] = sol.x[j]
+        # Both layouts put the demand rows first and the capacity rows of
+        # active_edges after them, in order.
+        n_demand = len(self.owners)
         pi = {o: float(sol.duals[i]) for i, o in enumerate(self.owners)}
         mu = np.zeros(self.instance.network.edge_count)
-        n_demand = len(self.owners)
-        for i, e in enumerate(self.active_edges):
-            mu[e] = min(0.0, float(sol.duals[n_demand + i]))
-        slack = {key: float(sol.x[j]) for key, j in self._slack_index.items()}
+        if self.active_edges:
+            mu[self.active_edges] = np.minimum(0.0, sol.duals[n_demand:])
         max_slack = max(slack.values(), default=0.0)
-        artificial = sum(float(sol.x[j]) for j in self._art_index.values())
         self.solution = RmpSolution(sol.objective, x, pi, mu, slack,
                                     max_slack, artificial)
         self._update_retirement(x)
         return self.solution
+
+    # -- live HiGHS model ---------------------------------------------------
+
+    def _solve_model(self, deadline: float | None) -> LpSolution:
+        self._sync_model()
+        limit = None if deadline is None else deadline - time.perf_counter()
+        sol = self._model.solve(limit)
+        if sol.status == TIME_LIMIT:
+            raise LpTimeLimit("the restricted master LP reached its time limit")
+        return sol
+
+    def _sync_model(self) -> None:
+        """Bring the live model up to date with the pool and the rows.
+
+        Model layout: demand rows first, then capacity rows in
+        ``active_edges`` order; columns in order of insertion, so pool
+        columns, slacks and artificials interleave and are tracked by
+        index.
+        """
+        n_demand = len(self.owners)
+        if self._model is None:
+            self._model = HighsModel()
+            self._model.add_rows(["E"] * n_demand, self.demand_rhs)
+            if self.slack_policy == "demand":
+                first = self._model.add_cols(
+                    self.demand_slack_costs, np.arange(n_demand + 1),
+                    np.arange(n_demand), np.ones(n_demand))
+                for i, o in enumerate(self.owners):
+                    self._slack_vars[("demand", o)] = first + i
+        model = self._model
+
+        new_edges = self.active_edges[self._cap_rows:]
+        if new_edges:
+            starts, indices, values = [0], [], []
+            for e in new_edges:
+                for var, coef in self._pending_entries.pop(e, ()):
+                    indices.append(var)
+                    values.append(coef)
+                starts.append(len(indices))
+            first_row = model.add_rows(["L"] * len(new_edges),
+                                       self.instance.network.capacity[new_edges],
+                                       starts, indices, values)
+            self._cap_rows = len(self.active_edges)
+            if self.slack_policy == "edge":
+                n = len(new_edges)
+                first = model.add_cols(np.full(n, self.big_m), np.arange(n + 1),
+                                       np.arange(first_row, first_row + n),
+                                       np.full(n, -1.0))
+                for i, e in enumerate(new_edges):
+                    self._slack_vars[("edge", e)] = first + i
+
+        new_ids = range(len(self._col_vars), len(self.columns))
+        if new_ids:
+            cap_row = {e: n_demand + i for i, e in enumerate(self.active_edges)}
+            first = model.num_cols
+            starts, indices, values, costs = [0], [], [], []
+            for j, cid in enumerate(new_ids):
+                col = self.columns[cid]
+                costs.append(col.cost)
+                indices.append(self.owner_row[col.owner])
+                values.append(1.0)
+                for e, coef in zip(col.edges, col.coefs):
+                    r = cap_row.get(e)
+                    if r is None:
+                        # Kept until the edge's capacity row is added.
+                        self._pending_entries.setdefault(e, []).append((first + j, coef))
+                    else:
+                        indices.append(r)
+                        values.append(coef)
+                starts.append(len(indices))
+            model.add_cols(costs, starts, indices, values)
+            self._col_vars.extend(range(first, first + len(new_ids)))
+            self._bounds_changed.update(
+                cid for cid in new_ids if not self.column_active[cid])
+
+        if self._use_artificials and not self._art_vars:
+            first = model.add_cols(np.full(n_demand, 10.0 * self.big_m),
+                                   np.arange(n_demand + 1), np.arange(n_demand),
+                                   np.ones(n_demand))
+            self._art_vars = {o: first + i for i, o in enumerate(self.owners)}
+
+        if self._bounds_changed:
+            for fixed in (True, False):
+                cids = [c for c in self._bounds_changed
+                        if self.column_active[c] != fixed]
+                if cids:
+                    model.set_fixed([self._col_vars[c] for c in cids], fixed)
+            self._bounds_changed.clear()
+
+        if self._costs_changed:
+            slack_costs = [self.demand_slack_costs[self.owner_row[label]]
+                           if kind == "demand" else self.big_m
+                           for kind, label in self._slack_vars]
+            model.set_costs(list(self._slack_vars.values()), slack_costs)
+            if self._art_vars:
+                model.set_costs(list(self._art_vars.values()),
+                                np.full(n_demand, 10.0 * self.big_m))
+            self._costs_changed = False
 
     def _update_retirement(self, x: np.ndarray) -> None:
         if self.retire_after is None:
@@ -388,6 +523,7 @@ class RestrictedMaster:
                 self._nonbasic_streak[cid] += 1
                 if self._nonbasic_streak[cid] >= self.retire_after:
                     self.column_active[cid] = False
+                    self._bounds_changed.add(cid)
 
     def _require_solution(self) -> RmpSolution:
         if self.solution is None:
@@ -398,6 +534,14 @@ class RestrictedMaster:
         """Labels of slack variables above tolerance in the last solve."""
         sol = self._require_solution()
         return [key for key, v in sol.slack.items() if v > tol]
+
+
+def _check_rmp_solution(sol: LpSolution) -> None:
+    if sol.status != OPTIMAL:
+        raise InternalError(f"restricted master solve returned {sol.status}")
+    if sol.duality_gap > 1e-7 * (1.0 + abs(sol.objective)):
+        raise InternalError(f"duality gap {sol.duality_gap} too large "
+                            f"for objective {sol.objective}")
 
 
 def new_master(instance: Instance, mode: str, **kwargs) -> RestrictedMaster:

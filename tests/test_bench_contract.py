@@ -1,0 +1,41 @@
+"""The desk benchmark's output stays machine-readable.
+
+Runs ``perfbench/run.py`` briefly, untraced and traced, and checks the
+contract its readers rely on: every line of standard output except the
+``self-check:`` line is a JSON object, the last one reports a correct run
+with no failed solves and a finite number for every metric, and no traced
+library function has gone missing.
+"""
+
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_benchmark_output_is_well_formed(trace):
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "tight-master",
+         "--seed", "1", "--seconds", "1", "--trace", trace],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert "missing wrap targets" not in done.stderr
+    lines = [l for l in done.stdout.splitlines() if not l.startswith("self-check: ")]
+    assert lines
+    parsed = [json.loads(line) for line in lines]
+    assert all(isinstance(p, dict) for p in parsed)
+    result = parsed[-1]
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["attempted"] > 0
+    assert result["metrics"]
+    for name, metric in result["metrics"].items():
+        value = metric["value"]
+        assert isinstance(value, (int, float)) and not isinstance(value, bool), name
+        assert math.isfinite(value), name

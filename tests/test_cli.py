@@ -7,9 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from mcflow.bench import (CSV_HEADER, RunRecord, read_records_csv, run_suite,
-                          write_records_csv)
+import mcflow.baseline
+import mcflow.engine
+from mcflow.bench import (CSV_HEADER, RunRecord, read_records_csv,
+                          record_from_report, run_suite, write_records_csv)
 from mcflow.cli import (EXIT_INFEASIBLE, EXIT_OPTIMAL, EXIT_TIMEOUT, main)
+from mcflow.engine import SolverConfig, choose_strategy, solve
 from mcflow.instance import generate_random, write_native
 
 TRIANGLE_MCF = """\
@@ -102,6 +105,27 @@ class TestSolveCommand:
         assert totals[0] == pytest.approx(2.0)
         assert totals[1] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("formulation", ["source-lp", "edge-lp"])
+    def test_direct_lp_solved_once_with_flows(self, triangle_file, tmp_path,
+                                              monkeypatch, formulation):
+        calls = []
+        real = mcflow.baseline.solve_direct
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mcflow.baseline, "solve_direct", counting)
+        monkeypatch.setattr(mcflow.engine, "solve_direct", counting)
+        flows_file = tmp_path / "flows.txt"
+        assert main(["solve", "--quiet", "--formulation", formulation,
+                     "--decompose-flows", str(flows_file),
+                     str(triangle_file)]) == EXIT_OPTIMAL
+        assert len(calls) == 1
+        amounts = [float(l.split()[1]) for l in flows_file.read_text().splitlines()
+                   if not l.startswith("#")]
+        assert sum(amounts) == pytest.approx(3.0)
+
     def test_threads_flag(self, triangle_file):
         assert main(["solve", "--quiet", "--threads", "4",
                      str(triangle_file)]) == EXIT_OPTIMAL
@@ -123,6 +147,24 @@ class TestRunRecordCsv:
         write_records_csv([], path)
         with open(path) as f:
             assert next(csv.reader(f)) == CSV_HEADER
+
+
+class TestRecordFromReport:
+    def test_auto_records_the_resolved_strategy(self):
+        many = generate_random(10, 30, 50, 8, seed=0)
+        few = generate_random(60, 120, 10, 10, seed=0)
+        for inst in (many, few):
+            config = SolverConfig(formulation="tree", strategy="auto")
+            record = record_from_report(inst, config, solve(inst, config))
+            assert record.strategy == choose_strategy(inst)
+        assert {choose_strategy(many), choose_strategy(few)} == {
+            "pricing-easy", "master-easy"}
+
+    def test_explicit_strategy_kept(self):
+        inst = generate_random(10, 30, 50, 8, seed=0)
+        config = SolverConfig(formulation="path", strategy="master-easy")
+        record = record_from_report(inst, config, solve(inst, config))
+        assert record.strategy == "master-easy"
 
 
 class TestBench:

@@ -5,11 +5,12 @@ import random
 import numpy as np
 import pytest
 
-from mcflow.baseline import build_edge_lp, solve_direct
+from mcflow.baseline import build_edge_lp, build_source_lp, solve_direct
 from mcflow.engine import (ColGenSolver, SolveReport, SolverConfig,
                            choose_strategy, solve)
 from mcflow.graph import Network, dijkstra
 from mcflow.instance import Commodity, Instance, generate_random
+from mcflow.lp import HighsBackend
 
 
 def cfg(**kw):
@@ -191,3 +192,111 @@ class TestReport:
         assert r.peak_columns >= 1
         assert r.wall_time >= 0.0
         assert r.gap == 0.0
+
+
+def checked_against_cold_solves(solver):
+    """Make every master solve of ``solver`` compare its objective with a
+    cold HiGHS solve of the rebuilt restriction; returns the solve count."""
+    master = solver.master
+    real = master.solve_rmp
+    count = [0]
+
+    def checked(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        cold = HighsBackend().solve(master.build_lp()[0])
+        assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
+        count[0] += 1
+        return sol
+
+    master.solve_rmp = checked
+    return count
+
+
+class TestLiveMaster:
+    @pytest.mark.parametrize("form", ["tree", "path"])
+    @pytest.mark.parametrize("options", [
+        {}, {"slack_policy": "edge"}, {"retire_after": 1},
+        {"slack_policy": "edge", "retire_after": 1, "strategy": "master-easy"},
+    ])
+    def test_every_solve_matches_a_cold_solve(self, form, options):
+        inst = generate_random(12, 36, 14, 4, seed=21, tightness="tight")
+        solver = ColGenSolver(inst, cfg(formulation=form, **options))
+        count = checked_against_cold_solves(solver)
+        r = solver.run()
+        assert r.status == "optimal"
+        assert count[0] == r.iteration_count >= 3
+        oracle = solve_direct(build_source_lp(inst)).objective
+        assert r.objective == pytest.approx(oracle, rel=1e-6)
+
+    @pytest.mark.parametrize("form", ["tree", "path"])
+    def test_big_m_escalations_match_cold_solves(self, form):
+        net = Network(2, [(0, 1, 1.0, 1.0)])
+        inst = Instance.build(net, [Commodity(0, 1, 5.0)])
+        solver = ColGenSolver(inst, cfg(formulation=form))
+        count = checked_against_cold_solves(solver)
+        r = solver.run()
+        assert r.status == "infeasible"
+        assert solver._escalations_left == 0
+        assert count[0] == r.iteration_count
+
+
+class TestLpTimeLimit:
+    def test_engine_passes_the_time_left(self):
+        inst = generate_random(12, 36, 12, 4, seed=6, tightness="tight")
+        solver = ColGenSolver(inst, cfg(formulation="tree", timeout_seconds=50.0))
+        real = solver.master.solve_rmp
+        limits = []
+
+        def recording(backend, time_limit=None):
+            limits.append(time_limit)
+            return real(backend, time_limit=time_limit)
+
+        solver.master.solve_rmp = recording
+        assert solver.run().status == "optimal"
+        assert all(0.0 < t <= 50.0 for t in limits)
+        assert limits == sorted(limits, reverse=True)
+
+    def test_limit_inside_an_lp_ends_in_timeout(self):
+        inst = generate_random(20, 100, 80, 5, seed=7, tightness="tight")
+        solver = ColGenSolver(inst, cfg(formulation="tree"))
+        real = solver.master.solve_rmp
+        calls = []
+
+        def running_out(backend, time_limit=None):
+            # The fourth solve finds no time left: HiGHS must stop itself.
+            calls.append(time_limit)
+            return real(backend, time_limit=0.0 if len(calls) > 3 else time_limit)
+
+        solver.master.solve_rmp = running_out
+        r = solver.run()
+        assert r.status == "timeout"
+        assert len(calls) == 4
+        assert r.iteration_count == 3
+        assert "time limit" in r.message
+        oracle = solve_direct(build_source_lp(inst)).objective
+        assert r.lower_bound <= oracle + 1e-6 * abs(oracle)
+        assert r.objective >= oracle - 1e-6 * abs(oracle)
+
+
+def test_differential_grid_against_source_lp():
+    """{tree, path} x {master-easy, pricing-easy} x path kernels on HiGHS,
+    checked against the source-LP oracle on seeded random instances."""
+    runs = [("tree", "full")] + [("path", k) for k in ("full", "bounded", "astar")]
+    tightness = ("tight", "mixed", "loose")
+    for seed in range(30):
+        inst = generate_random(12 + seed % 5, 36 + seed % 9, 10 + seed % 8,
+                               3 + seed % 3, seed=500 + seed,
+                               tightness=tightness[seed % 3])
+        oracle = solve_direct(build_source_lp(inst), "highs")
+        assert oracle.status == "optimal"
+        for strategy in ("master-easy", "pricing-easy"):
+            for form, kernel in runs:
+                config = SolverConfig(formulation=form, pricing_strategy=kernel,
+                                      strategy=strategy, rel_tol=1e-6,
+                                      lp_backend="highs")
+                r = solve(inst, config)
+                where = (seed, strategy, form, kernel)
+                scale = max(1.0, abs(oracle.objective))
+                assert r.status == "optimal", where
+                assert abs(r.objective - oracle.objective) <= 1e-6 * scale, where
+                assert r.lower_bound <= oracle.objective + 1e-9 * scale, where

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from mcflow.errors import InputError
+from mcflow.errors import InputError, LpTimeLimit
 from mcflow.instance import generate_random
+from mcflow.lp import HighsBackend
 from mcflow.master import Column, RestrictedMaster, new_master, validate_column
+from mcflow.pricing import initial_columns
 
 TREE_COL = Column(owner=0, kind="tree", edges=(0, 1), coefs=(3.0, 2.0), cost=5.0)
 PATH_ABC = Column(owner=0, kind="path", edges=(0, 1), coefs=(1.0, 1.0), cost=2.0)
@@ -183,3 +185,92 @@ class TestRetirement:
         # Re-adding reactivates the retired column.
         m.add_column(PATH_AC)
         assert m.column_active == [True, True, True]
+
+
+def cold_objective(master):
+    """Objective of the master's current restriction, rebuilt and solved cold."""
+    return HighsBackend().solve(master.build_lp()[0]).objective
+
+
+def assert_matches_cold(master, sol):
+    assert sol.objective == pytest.approx(cold_objective(master), rel=1e-9)
+
+
+class TestLiveModel:
+    """The kept HiGHS model must always equal the rebuilt restriction."""
+
+    def test_built_lazily_and_kept(self, triangle):
+        m = new_master(triangle, "tree")
+        assert m._model is None
+        m.add_column(TREE_COL)
+        m.solve_rmp()
+        model = m._model
+        assert model is not None
+        m.add_capacity_rows([1])
+        m.solve_rmp()
+        assert m._model is model
+
+    def test_updates_match_cold_solves(self, triangle_capped):
+        # Edge slack policy and no columns: the demand rows are infeasible
+        # until artificials are injected.
+        m = new_master(triangle_capped, "path", slack_policy="edge", retire_after=1)
+        sol = m.solve_rmp()
+        assert sol.artificial > 0.0
+        assert_matches_cold(m, sol)
+        for col in (PATH_ABC, PATH_AB, PATH_AC):
+            m.add_column(col)
+            assert_matches_cold(m, m.solve_rmp())
+        # a->c is dearer than a->b->c while b->c is uncapped: it retires.
+        assert m.column_active == [True, True, False]
+        m.add_capacity_rows([1])
+        sol = m.solve_rmp()
+        assert sol.max_slack == pytest.approx(1.0)
+        assert_matches_cold(m, sol)
+        m.escalate_big_m()
+        assert_matches_cold(m, m.solve_rmp())
+        m.add_column(PATH_AC)            # reactivates the retired column
+        assert m.column_active == [True, True, True]
+        sol = m.solve_rmp()
+        assert sol.objective == pytest.approx(6.0)
+        assert_matches_cold(m, sol)
+        m.add_capacity_rows([0, 2])
+        assert_matches_cold(m, m.solve_rmp())
+
+    def test_escalation_reprices_slacks(self, triangle):
+        m = new_master(triangle, "tree")
+        before = m.solve_rmp().objective
+        m.escalate_big_m(10.0)
+        sol = m.solve_rmp()
+        assert sol.objective == pytest.approx(10.0 * before)
+        assert_matches_cold(m, sol)
+
+    def test_builtin_and_highs_masters_agree(self):
+        inst = generate_random(12, 30, 10, 3, seed=2, tightness="tight")
+        masters = {b: new_master(inst, "tree") for b in ("builtin", "highs")}
+        for m in masters.values():
+            for col in initial_columns(inst, "tree"):
+                m.add_column(col)
+        for _ in range(6):
+            sols = {b: m.solve_rmp(b) for b, m in masters.items()}
+            assert sols["highs"].objective == pytest.approx(
+                sols["builtin"].objective, rel=1e-9)
+            viol = masters["highs"].violated_capacities()
+            if not viol:
+                break
+            for m in masters.values():
+                m.add_capacity_rows(viol)
+
+
+class TestTimeLimit:
+    def test_near_zero_limit_stops_a_large_master(self):
+        inst = generate_random(100, 400, 2500, 40, seed=4, tightness="tight")
+        m = new_master(inst, "path")
+        for col in initial_columns(inst, "path"):
+            m.add_column(col)
+        m.add_capacity_rows(range(inst.network.edge_count))
+        assert m.pool_size >= 2000
+        with pytest.raises(LpTimeLimit):
+            m.solve_rmp(time_limit=1e-6)
+        # The model stays usable, and a later solve without a limit finishes.
+        sol = m.solve_rmp()
+        assert_matches_cold(m, sol)
