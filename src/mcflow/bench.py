@@ -150,7 +150,7 @@ def run_suite(manifest: dict, output_dir: str | Path,
           "formulations": ["tree", "path", ...],
           "tol": 1e-4, "timeout": 7200.0, "strategy": "auto",
           "pricing": "full", "heuristic": "global", "backend": "highs",
-          "seed": 0, "threads": 1
+          "seed": 0
         }
 
     Missing instance files are listed and skipped with a warning.
@@ -183,7 +183,6 @@ def run_suite(manifest: dict, output_dir: str | Path,
                 heuristic_scope=manifest.get("heuristic", "global"),
                 seed=int(manifest.get("seed", 0)),
                 lp_backend=manifest.get("backend", "highs"),
-                threads=int(manifest.get("threads", 1)),
             )
             t0 = time.perf_counter()
             try:

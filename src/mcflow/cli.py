@@ -57,8 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["global", "per-source"])
     run.add_argument("--backend", default="highs", choices=["highs", "builtin"])
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--threads", type=int, default=1,
-                     help="pricing fan-out; the master is never parallel")
     run.add_argument("--json", dest="json_file", help="write the RunRecord here")
     run.add_argument("--csv", dest="csv_file", help="append a CSV row here")
     run.add_argument("--decompose-flows", dest="flows_file",
@@ -81,7 +79,6 @@ def _config_from_args(args) -> SolverConfig:
         heuristic_scope=args.heuristic,
         seed=args.seed,
         lp_backend=args.backend,
-        threads=args.threads,
     )
 
 

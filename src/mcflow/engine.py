@@ -21,7 +21,6 @@ the same entry point for convenience.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +58,7 @@ class SolverConfig:
     heuristic_scope: str = "global"     # global | per-source
     seed: int = 0
     lp_backend: str = "highs"
-    threads: int = 1
+    threads: int = 1                    # no effect: pricing is one kernel call per round
     slack_policy: str = "auto"
     retire_after: int | None = None
     initial_capacity_edges: tuple[int, ...] = ()
@@ -80,6 +79,8 @@ class SolverConfig:
             raise InputError("column_limit must be at least 1")
         if self.filter_epsilon is not None and self.filter_epsilon < 0:
             raise InputError("filter_epsilon must be nonnegative")
+        if self.threads < 1:
+            raise InputError("threads must be at least 1")
 
 
 @dataclass
@@ -169,8 +170,7 @@ class ColGenSolver:
         self.filter_active = self.strategy == "master-easy"
         self.pending_edges: set[int] = set()
         self._escalations_left = config.max_big_m_escalations
-        self._bounds_global: HeuristicBounds | None = None
-        self._bounds_per_source: dict[int, HeuristicBounds] = {}
+        self._bounds: HeuristicBounds | dict[int, HeuristicBounds] | None = None
         self._t0 = 0.0
         if self.mode == PATH and config.pricing_strategy == "astar":
             self._prepare_bounds()
@@ -184,16 +184,11 @@ class ColGenSolver:
         net = self.instance.network
         if self.config.heuristic_scope == "global":
             sinks = {t for g in self.instance.groups for t in g.sink_demands}
-            self._bounds_global = reverse_multi_target_bounds(net, net.cost, sinks)
+            self._bounds = reverse_multi_target_bounds(net, net.cost, sinks)
         else:
-            for g in self.instance.groups:
-                self._bounds_per_source[g.source] = reverse_multi_target_bounds(
-                    net, net.cost, set(g.sink_demands))
-
-    def _bounds_for(self, source: int) -> HeuristicBounds | None:
-        if self.config.heuristic_scope == "global":
-            return self._bounds_global
-        return self._bounds_per_source.get(source)
+            self._bounds = {g.source: reverse_multi_target_bounds(
+                                net, net.cost, set(g.sink_demands))
+                            for g in self.instance.groups}
 
     # -- main loop -----------------------------------------------------------
 
@@ -315,71 +310,33 @@ class ColGenSolver:
     # -- pricing -------------------------------------------------------------
 
     def _price_round(self, owners=None, limit: int | None = None):
-        """Price groups in source order.
+        """Price groups in source order, all in one pricing call.
 
         Returns (columns, min_reduced_cost, runs, complete). ``owners``
         restricts pricing to those owners (the master-easy filter);
-        ``limit`` stops the sweep once that many columns were found.
-        Unpriced owners map to None.
+        ``limit`` stops the sweep after the group that brings the
+        columns found to that many. Unpriced owners map to None.
         """
         sol = self.master.solution
         duals = DualSnapshot(pi=dict(sol.pi), mu=sol.mu)
         weights = adjusted_weights(self.instance.network, sol.mu)
         tolerance = 1e-9 * (1.0 + abs(sol.objective))
-        min_rc: dict[int, float | None] = {o: None for o in self.owner_weights}
-        columns = []
-        runs = 0
-
-        groups = self.instance.groups
-        if owners is not None:
-            if self.mode == TREE:
+        if self.mode == TREE:
+            groups = self.instance.groups
+            if owners is not None:
                 groups = [g for g in groups if g.source in owners]
-            else:
-                groups = [g for g in groups if any(k in owners for k in g.members)]
-
-        def price_one(group):
-            if self.mode == TREE:
-                return price_tree(self.instance, group, duals,
-                                  tolerance=tolerance, weights=weights)
-            members = None if owners is None else \
-                [k for k in group.members if k in owners]
-            return price_paths(self.instance, group, duals,
-                               strategy=self.config.pricing_strategy,
-                               bounds=self._bounds_for(group.source),
-                               tolerance=tolerance, weights=weights,
-                               members=members)
-
-        threads = max(1, self.config.threads)
-        found = 0
-        stop = False
-        if threads == 1:
-            for group in groups:
-                outcome = price_one(group)
-                runs += outcome.stats.runs
-                columns.extend(outcome.columns)
-                min_rc.update(outcome.min_reduced_cost)
-                found += len(outcome.columns)
-                if limit is not None and found >= limit:
-                    stop = True
-                    break
+            outcome = price_tree(self.instance, groups, duals, tolerance=tolerance,
+                                 weights=weights, column_limit=limit)
         else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                chunk = max(1, 4 * threads)
-                for lo in range(0, len(groups), chunk):
-                    batch = groups[lo:lo + chunk]
-                    for outcome in pool.map(price_one, batch):
-                        if stop:
-                            break
-                        runs += outcome.stats.runs
-                        columns.extend(outcome.columns)
-                        min_rc.update(outcome.min_reduced_cost)
-                        found += len(outcome.columns)
-                        if limit is not None and found >= limit:
-                            stop = True
-                    if stop:
-                        break
+            outcome = price_paths(self.instance, self.instance.groups, duals,
+                                  strategy=self.config.pricing_strategy,
+                                  bounds=self._bounds, tolerance=tolerance,
+                                  weights=weights, members=owners,
+                                  column_limit=limit)
+        min_rc: dict[int, float | None] = {o: None for o in self.owner_weights}
+        min_rc.update(outcome.min_reduced_cost)
         complete = all(v is not None for v in min_rc.values())
-        return columns, min_rc, runs, complete
+        return outcome.columns, min_rc, outcome.stats.runs, complete
 
     def _add_columns(self, columns) -> int:
         added = 0

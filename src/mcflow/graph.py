@@ -1,24 +1,32 @@
 """Directed-graph storage and the shortest-path kernels used by pricing.
 
 The graph is an immutable compressed adjacency structure (forward and
-reverse) built once per instance. Every shortest-path run owns private
-scratch labels, so a single :class:`Network` and any
-:class:`HeuristicBounds` can be shared freely across concurrent pricing
-workers.
+reverse) built once per instance, plus an index of its distinct
+(tail, head) pairs built on the first kernel call. Every kernel runs
+SciPy's compiled ``scipy.sparse.csgraph.dijkstra``: a call builds one
+sparse matrix from its weight vector, keeping per (tail, head) pair the
+cheapest parallel edge (ties go to the smallest edge id) and dropping
+self-loops, and runs Dijkstra from one source or from a whole batch of
+sources at once. Zero weights are kept as explicit entries, which
+csgraph treats as edges. Predecessor nodes are mapped back to edge ids
+through the pair index.
 
-Distances use 64-bit floats with ``math.inf`` as the explicit
-"unreached" sentinel; the kernels never do arithmetic on the sentinel.
-Heap ties are broken by node id so identical inputs always produce
-identical shortest-path trees.
+A kernel given an int source returns 1-D labels; given a sequence of
+sources it returns one row per source, as csgraph does with its own
+``indices``. Distances use 64-bit floats with ``math.inf`` as the
+"unreached" sentinel. Among equally short paths through different
+nodes, the tree keeps whichever csgraph found first; identical inputs
+always produce identical trees.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .errors import InputError, InternalError
 
@@ -41,7 +49,7 @@ class Network:
     """
 
     __slots__ = ("node_count", "edge_count", "tail", "head", "cost", "capacity",
-                 "_out_start", "_out_edges", "_in_start", "_in_edges")
+                 "_out_start", "_out_edges", "_in_start", "_in_edges", "_pairs")
 
     def __init__(self, node_count: int, edges):
         if node_count < 1:
@@ -71,6 +79,7 @@ class Network:
         self.capacity = capacity
         self._out_start, self._out_edges = _build_csr(tail, node_count)
         self._in_start, self._in_edges = _build_csr(head, node_count)
+        self._pairs: _PairIndex | None = None
         for a in (self.tail, self.head, self.cost, self.capacity,
                   self._out_start, self._out_edges, self._in_start, self._in_edges):
             a.setflags(write=False)
@@ -82,6 +91,13 @@ class Network:
     def in_edges(self, v: int) -> np.ndarray:
         """Edge ids entering node v, ordered by edge id."""
         return self._in_edges[self._in_start[v]:self._in_start[v + 1]]
+
+    def _pair_index(self) -> "_PairIndex":
+        """The (tail, head) pair index of the kernels, built on first use so
+        that instances never priced do not pay for it."""
+        if self._pairs is None:
+            self._pairs = _PairIndex.build(self.tail, self.head, self.node_count)
+        return self._pairs
 
     def check_node(self, v: int) -> int:
         if not 0 <= v < self.node_count:
@@ -102,27 +118,100 @@ def _build_csr(node_of_edge: np.ndarray, node_count: int):
     return start, order
 
 
+@dataclass(frozen=True)
+class _PairIndex:
+    """The distinct (tail, head) pairs of the non-loop edges.
+
+    Pairs are sorted by ``key = tail * node_count + head``, which is also
+    the row-major order of a CSR matrix, so pair i is stored entry i.
+    ``edges`` lists the non-loop edge ids sorted by (key, edge id),
+    ``start[i]`` is where pair i's parallel edges begin in it and
+    ``pair_of[j]`` is the pair of ``edges[j]``.
+    """
+
+    node_count: int
+    keys: np.ndarray
+    tails: np.ndarray
+    heads: np.ndarray       # int32, the CSR column indices
+    indptr: np.ndarray      # int32, the CSR row offsets
+    edges: np.ndarray
+    start: np.ndarray
+    pair_of: np.ndarray
+
+    @staticmethod
+    def build(tail: np.ndarray, head: np.ndarray, node_count: int) -> "_PairIndex":
+        edges = np.flatnonzero(tail != head)
+        keys = tail[edges] * node_count + head[edges]
+        order = np.lexsort((edges, keys))
+        edges, keys = edges[order], keys[order]
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        start = np.flatnonzero(first)
+        pair_keys = keys[start]
+        tails = pair_keys // node_count
+        index = _PairIndex(node_count, pair_keys, tails,
+                           (pair_keys % node_count).astype(np.int32),
+                           _offsets(tails, node_count), edges, start,
+                           np.cumsum(first) - 1)
+        for a in vars(index).values():
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+        return index
+
+    def cheapest(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per pair, the lowest weight and the smallest edge id carrying it."""
+        wp = w[self.edges]
+        if self.start.size == wp.size:      # no parallel edges
+            return wp, self.edges
+        best = np.minimum.reduceat(wp, self.start)
+        hit = np.flatnonzero(wp == best[self.pair_of])
+        first = np.ones(hit.size, dtype=bool)
+        first[1:] = self.pair_of[hit[1:]] != self.pair_of[hit[:-1]]
+        return best, self.edges[hit[first]]
+
+    def matrix(self, weights: np.ndarray, keep: np.ndarray | None = None) -> csr_matrix:
+        """CSR matrix holding ``weights`` per pair, optionally only the kept
+        pairs; zero weights stay stored entries."""
+        n = self.node_count
+        if keep is None:
+            return csr_matrix((weights, self.heads, self.indptr), shape=(n, n))
+        return csr_matrix((weights[keep], self.heads[keep],
+                           _offsets(self.tails[keep], n)), shape=(n, n))
+
+
+def _offsets(rows: np.ndarray, node_count: int) -> np.ndarray:
+    """int32 CSR row offsets for entries sorted by row."""
+    indptr = np.zeros(node_count + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=node_count), out=indptr[1:])
+    return indptr
+
+
 @dataclass
 class SptResult:
-    """Labels produced by one shortest-path run.
+    """Labels produced by one shortest-path run from one or more sources.
+
+    A run from an int source holds 1-D per-node arrays; a run from a
+    sequence of sources holds one row per source.
 
     Attributes:
-        dist: Per-node distance; ``math.inf`` marks unreached nodes.
-            For nodes that are not settled the value is a tentative
-            upper bound, not a final label.
-        parent_edge: Per-node incoming tree edge id, -1 for the source
-            and unreached nodes. Parent edges of settled nodes form a
-            forest rooted at the source.
-        settled: Per-node flag; True exactly for nodes whose label is
-            final.
-        order: Node ids in settle order (non-decreasing distance; the
-            tail of a settled node's parent edge always precedes it).
+        dist: Distance labels of settled nodes; ``math.inf`` for every
+            other node.
+        parent_edge: Incoming tree edge id of settled nodes, -1 for the
+            source and every node that is not settled. Parent edges of
+            settled nodes form a tree rooted at the source.
+        settled: True exactly for nodes whose label is final and below
+            the run's stop key.
     """
 
     dist: np.ndarray
     parent_edge: np.ndarray
     settled: np.ndarray
-    order: list[int]
+
+    @property
+    def order(self) -> np.ndarray:
+        """Flat indices of the settled (source, node) pairs, row-major;
+        node ids for a single-source run."""
+        return np.flatnonzero(self.settled)
 
 
 @dataclass(frozen=True)
@@ -146,8 +235,79 @@ def _check_weights(net: Network, w: np.ndarray) -> np.ndarray:
     return w
 
 
+def _check_sources(net: Network, sources) -> int | np.ndarray:
+    """An int source stays an int; a sequence becomes an int64 array."""
+    if np.ndim(sources) == 0:
+        return net.check_node(int(sources))
+    src = np.asarray(sources, dtype=np.int64).reshape(-1)
+    bad = np.flatnonzero((src < 0) | (src >= net.node_count))
+    if bad.size:
+        net.check_node(int(src[bad[0]]))
+    return src
+
+
+def _stop_keys(net: Network, sources, dest_duals) -> np.ndarray:
+    """Per source, the largest dual of its destinations: a 0-d array for
+    an int source, else one entry per source."""
+    per_source = [dest_duals] if np.ndim(sources) == 0 else list(dest_duals)
+    if len(per_source) != np.size(sources):
+        raise InputError(f"{len(per_source)} destination maps for "
+                         f"{np.size(sources)} sources")
+    keys = np.empty(len(per_source))
+    for i, duals in enumerate(per_source):
+        if not duals:
+            raise InputError("dest_duals must be nonempty")
+        for t in duals:
+            net.check_node(t)
+        keys[i] = max(duals.values())
+    return keys.reshape(np.shape(sources))
+
+
+def _shortest_paths(net: Network, matrix: csr_matrix, pair_edges: np.ndarray,
+                    sources, limit: float = INF):
+    """One csgraph call; returns distances and parent edge ids."""
+    dist, pred = _csgraph_dijkstra(matrix, directed=True, indices=sources,
+                                   return_predecessors=True, limit=limit)
+    parent = np.full(pred.shape, -1, dtype=np.int64)
+    has = pred >= 0
+    node = np.broadcast_to(np.arange(net.node_count), pred.shape)
+    keys = pred[has].astype(np.int64) * net.node_count + node[has]
+    parent[has] = pair_edges[np.searchsorted(net._pair_index().keys, keys)]
+    return dist, parent
+
+
+def tree_levels(net: Network, parent_edge: np.ndarray):
+    """Group the non-root nodes of shortest-path trees by depth.
+
+    Returns ``(up, levels)``: ``up`` maps each flat index of
+    ``parent_edge`` to the flat index of its tree parent (-1 for roots
+    and unreached nodes), and ``levels[d]`` holds the flat indices of
+    the nodes at depth d + 1, so every parent of ``levels[d]`` is a root
+    or in ``levels[d - 1]``. Depths come from pointer jumping, which
+    needs log2(depth) vectorized passes.
+    """
+    pe = parent_edge.reshape(-1)
+    n = net.node_count
+    idx = np.flatnonzero(pe >= 0)
+    up = np.full(pe.size, -1, dtype=np.int64)
+    up[idx] = idx - idx % n + net.tail[pe[idx]]
+    depth = (pe >= 0).astype(np.int64)
+    anc = up.copy()
+    live = idx
+    while live.size:
+        a = anc[live]
+        depth[live] += depth[a]
+        anc[live] = anc[a]
+        live = live[anc[live] >= 0]
+    node_depth = depth[idx]
+    ordered = idx[np.argsort(node_depth, kind="stable")]
+    counts = np.bincount(node_depth)[1:] if idx.size else np.zeros(0, dtype=np.int64)
+    return up, np.split(ordered, np.cumsum(counts)[:-1])
+
+
 def spt_path(net: Network, spt: SptResult, v: int) -> list[int]:
-    """Edge ids of the tree path from the run's source to settled node v."""
+    """Edge ids of the tree path from a single-source run's source to
+    settled node v."""
     if not spt.settled[v]:
         raise InternalError(f"node {v} is not settled; no final path exists")
     edges: list[int] = []
@@ -159,173 +319,134 @@ def spt_path(net: Network, spt: SptResult, v: int) -> list[int]:
     return edges
 
 
-def dijkstra(net: Network, w: np.ndarray, source: int,
-             targets=None) -> SptResult:
-    """Single-source shortest paths under nonnegative weights.
+def dijkstra(net: Network, w: np.ndarray, sources) -> SptResult:
+    """Shortest paths under nonnegative weights from one or many sources.
 
     Args:
         net: The network.
         w: Per-edge nonnegative weights.
-        source: Start node.
-        targets: Optional set of node ids; the run may stop as soon as
-            all of them are settled.
+        sources: Start node, or a sequence of start nodes (one result
+            row each).
 
     Returns:
-        Exact distance labels from ``source``; unreached nodes carry inf.
+        Exact distance labels; every reachable node is settled and
+        unreached nodes carry inf.
     """
     w = _check_weights(net, w)
-    source = net.check_node(source)
-    remaining = None
-    if targets is not None:
-        remaining = {net.check_node(t) for t in targets}
-
-    dist = np.full(net.node_count, INF)
-    parent = np.full(net.node_count, -1, dtype=np.int64)
-    settled = np.zeros(net.node_count, dtype=bool)
-    order: list[int] = []
-    dist[source] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    head, tail = net.head, net.tail
-    while heap:
-        d, v = heapq.heappop(heap)
-        if settled[v] or d > dist[v]:
-            continue
-        assert d < INF, "sentinel distance reached the heap"
-        settled[v] = True
-        order.append(v)
-        if remaining is not None:
-            remaining.discard(v)
-            if not remaining:
-                break
-        for e in net.out_edges(v):
-            u = head[e]
-            if u == v:
-                continue
-            nd = d + w[e]
-            if nd < dist[u]:
-                dist[u] = nd
-                parent[u] = e
-                heapq.heappush(heap, (nd, int(u)))
-            elif nd == dist[u] and not settled[u] and 0 <= parent[u] and e < parent[u]:
-                parent[u] = e
-    return SptResult(dist, parent, settled, order)
+    sources = _check_sources(net, sources)
+    pairs = net._pair_index()
+    weights, pair_edges = pairs.cheapest(w)
+    dist, parent = _shortest_paths(net, pairs.matrix(weights), pair_edges, sources)
+    return SptResult(dist, parent, np.isfinite(dist))
 
 
-def dijkstra_bounded(net: Network, w: np.ndarray, source: int,
-                     dest_duals: dict[int, float]) -> SptResult:
-    """Dijkstra with the early stop test for single-source pricing.
+def dijkstra_bounded(net: Network, w: np.ndarray, sources,
+                     dest_duals) -> SptResult:
+    """Dijkstra with the early stop test for pricing.
 
-    The run terminates as soon as the current extract-min key reaches
-    ``max(dest_duals.values())``: past that point no destination can be
-    settled at a distance below its dual, so no further negative
-    classification is possible. Labels of nodes settled before the stop
-    are identical to a full run.
+    A source's run settles exactly the nodes at distance below its stop
+    key ``max(dest_duals.values())``: past that key no destination can
+    be settled at a distance below its dual, so no further negative
+    classification is possible. Labels of settled nodes are identical
+    to a full run. One csgraph call serves all sources, limited at the
+    largest stop key.
 
     Args:
-        dest_duals: Nonempty map destination node -> dual value. A
+        sources: Start node, or a sequence of start nodes.
+        dest_duals: For an int source, a nonempty map destination node
+            -> dual value; for a sequence, one such map per source. A
             destination t is classified negative iff it is settled with
             ``dist[t] < dest_duals[t]``.
     """
-    if not dest_duals:
-        raise InputError("dest_duals must be nonempty")
     w = _check_weights(net, w)
-    source = net.check_node(source)
-    remaining = {net.check_node(t) for t in dest_duals}
-    stop_key = max(dest_duals.values())
-
-    dist = np.full(net.node_count, INF)
-    parent = np.full(net.node_count, -1, dtype=np.int64)
-    settled = np.zeros(net.node_count, dtype=bool)
-    order: list[int] = []
-    dist[source] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    head = net.head
-    while heap:
-        d, v = heapq.heappop(heap)
-        if settled[v] or d > dist[v]:
-            continue
-        if d >= stop_key:
-            break
-        assert d < INF, "sentinel distance reached the heap"
-        settled[v] = True
-        order.append(v)
-        remaining.discard(v)
-        if not remaining:
-            break
-        for e in net.out_edges(v):
-            u = head[e]
-            if u == v:
-                continue
-            nd = d + w[e]
-            if nd < dist[u]:
-                dist[u] = nd
-                parent[u] = e
-                heapq.heappush(heap, (nd, int(u)))
-            elif nd == dist[u] and not settled[u] and 0 <= parent[u] and e < parent[u]:
-                parent[u] = e
-    return SptResult(dist, parent, settled, order)
+    sources = _check_sources(net, sources)
+    keys = _stop_keys(net, sources, dest_duals)
+    pairs = net._pair_index()
+    weights, pair_edges = pairs.cheapest(w)
+    dist, parent = _shortest_paths(net, pairs.matrix(weights), pair_edges,
+                                   sources, limit=max(0.0, float(keys.max())))
+    return _settled_only(dist, parent, dist < keys[..., None])
 
 
-def astar(net: Network, w: np.ndarray, source: int,
-          dest_duals: dict[int, float], bounds: HeuristicBounds) -> SptResult:
+def _settled_only(dist: np.ndarray, parent: np.ndarray,
+                  settled: np.ndarray) -> SptResult:
+    """Clear the labels of nodes that are not settled, so a row does not
+    depend on how far the shared limit let csgraph run past its key."""
+    dist[~settled] = INF
+    parent[~settled] = -1
+    return SptResult(dist, parent, settled)
+
+
+def _check_consistency(net: Network, w: np.ndarray, h: np.ndarray) -> None:
+    """Raise naming the first edge with h(tail) > w + h(head) among edges
+    whose endpoints both have finite bounds."""
+    ht, hh = h[net.tail], h[net.head]
+    with np.errstate(invalid="ignore"):
+        bad = (net.tail != net.head) & np.isfinite(ht) & np.isfinite(hh) \
+            & (ht > w + hh + 1e-9 * (1.0 + np.abs(ht)))
+    if bad.any():
+        e = int(np.flatnonzero(bad)[0])
+        raise InternalError(
+            f"inconsistent heuristic on edge {e}: "
+            f"h({net.tail[e]})={ht[e]!r} > w={w[e]!r} + h({net.head[e]})={hh[e]!r}")
+
+
+def astar(net: Network, w: np.ndarray, sources, dest_duals,
+          bounds: HeuristicBounds) -> SptResult:
     """A* with keys f(v) = g(v) + h(v) and the same stop test as
     :func:`dijkstra_bounded`.
 
-    Requires ``bounds`` admissible and consistent for ``w``; consistency
-    is checked during relaxation and a violation raises
-    :class:`InternalError` naming the offending edge. With ``h == 0``
-    the run is identical to :func:`dijkstra_bounded`. Nodes with
-    ``h == inf`` cannot reach any bounded destination and are skipped.
+    Runs as Dijkstra on the potential-reduced weights
+    ``w + h(head) - h(tail)`` limited at ``key - h(source)``; a node is
+    settled iff it is reached and ``g(v) + h(v)`` is below its source's
+    stop key, where ``g`` is recomputed along the tree from ``w`` so
+    settled labels equal a full run's. Requires ``bounds`` admissible
+    and consistent for ``w``; a violation raises :class:`InternalError`
+    naming the first offending edge. Nodes with ``h == inf`` cannot
+    reach any bounded destination and are never reached.
     """
-    if not dest_duals:
-        raise InputError("dest_duals must be nonempty")
     w = _check_weights(net, w)
-    source = net.check_node(source)
+    sources = _check_sources(net, sources)
+    keys = _stop_keys(net, sources, dest_duals)
     h = np.asarray(bounds.h, dtype=np.float64)
     if h.shape != (net.node_count,):
         raise InputError(f"heuristic has shape {h.shape}, expected ({net.node_count},)")
-    remaining = {net.check_node(t) for t in dest_duals}
-    stop_key = max(dest_duals.values())
+    _check_consistency(net, w, h)
 
-    dist = np.full(net.node_count, INF)
-    parent = np.full(net.node_count, -1, dtype=np.int64)
-    settled = np.zeros(net.node_count, dtype=bool)
-    order: list[int] = []
-    heap: list[tuple[float, int]] = []
-    if not math.isinf(h[source]):
-        dist[source] = 0.0
-        heap.append((float(h[source]), source))
-    head = net.head
-    while heap:
-        f, v = heapq.heappop(heap)
-        if f >= stop_key:
-            break
-        if settled[v] or f > dist[v] + h[v]:
-            continue
-        settled[v] = True
-        order.append(v)
-        remaining.discard(v)
-        if not remaining:
-            break
-        g = dist[v]
-        for e in net.out_edges(v):
-            u = head[e]
-            if u == v:
-                continue
-            if math.isinf(h[u]):
-                continue
-            if h[v] > w[e] + h[u] + 1e-9 * (1.0 + abs(h[v])):
-                raise InternalError(
-                    f"inconsistent heuristic on edge {e}: "
-                    f"h({v})={h[v]!r} > w={w[e]!r} + h({u})={h[u]!r}")
-            nd = g + w[e]
-            if nd < dist[u]:
-                dist[u] = nd
-                parent[u] = e
-                heapq.heappush(heap, (nd + h[u], int(u)))
-            elif nd == dist[u] and not settled[u] and 0 <= parent[u] and e < parent[u]:
-                parent[u] = e
-    return SptResult(dist, parent, settled, order)
+    src = np.atleast_1d(sources)
+    lim = np.atleast_1d(keys) - h[src]      # -inf where h(source) = inf
+    run = np.flatnonzero(lim > 0)
+    dist = np.full((src.size, net.node_count), INF)
+    parent = np.full(dist.shape, -1, dtype=np.int64)
+    settled = np.zeros(dist.shape, dtype=bool)
+    if run.size:
+        pairs = net._pair_index()
+        weights, pair_edges = pairs.cheapest(w)
+        h_tail, h_head = h[pairs.tails], h[pairs.heads]
+        keep = np.isfinite(h_tail) & np.isfinite(h_head)
+        reduced = np.zeros_like(weights)
+        reduced[keep] = np.maximum(weights[keep] + h_head[keep] - h_tail[keep], 0.0)
+        # Reach slightly past the limit, so rounding in the reduced
+        # distances cannot hide a node whose g + h is below the key.
+        limit = float(lim[run].max())
+        limit += 1e-9 * (1.0 + limit + float(np.abs(h[src[run]]).max()))
+        _, parent[run] = _shortest_paths(net, pairs.matrix(reduced, keep),
+                                         pair_edges, src[run], limit=limit)
+        up, levels = tree_levels(net, parent)
+        flat = dist.reshape(-1)
+        flat[run * net.node_count + src[run]] = 0.0
+        pe = parent.reshape(-1)
+        for level in levels:
+            flat[level] = flat[up[level]] + w[pe[level]]
+        settled = dist + h < keys.reshape(-1, 1)
+        # f is nondecreasing along tree paths up to rounding; settling
+        # the ancestors of settled nodes keeps every settled path whole.
+        flags = settled.reshape(-1)
+        for level in reversed(levels):
+            flags[up[level][flags[level]]] = True
+    if np.ndim(sources) == 0:
+        return _settled_only(dist[0], parent[0], settled[0])
+    return _settled_only(dist, parent, settled)
 
 
 def reverse_multi_target_bounds(net: Network, w: np.ndarray,
@@ -341,26 +462,12 @@ def reverse_multi_target_bounds(net: Network, w: np.ndarray,
     dests = sorted({net.check_node(t) for t in destinations})
     if not dests:
         raise InputError("destinations must be nonempty")
-    dist = np.full(net.node_count, INF)
-    settled = np.zeros(net.node_count, dtype=bool)
-    heap: list[tuple[float, int]] = []
-    for t in dests:
-        dist[t] = 0.0
-        heap.append((0.0, t))
-    heapq.heapify(heap)
-    tail = net.tail
-    while heap:
-        d, v = heapq.heappop(heap)
-        if settled[v] or d > dist[v]:
-            continue
-        settled[v] = True
-        for e in net.in_edges(v):
-            u = tail[e]
-            if u == v:
-                continue
-            nd = d + w[e]
-            if nd < dist[u]:
-                dist[u] = nd
-                heapq.heappush(heap, (nd, int(u)))
+    # The entering edges of each node, parallel edges and self-loops
+    # included: csgraph relaxes every stored entry on its own, so parallel
+    # entries act as parallel edges, and a self-loop never improves a label.
+    n = net.node_count
+    reverse = csr_matrix((w[net._in_edges], net.tail[net._in_edges].astype(np.int32),
+                          net._in_start.astype(np.int32)), shape=(n, n))
+    dist = _csgraph_dijkstra(reverse, directed=True, indices=dests, min_only=True)
     dist.setflags(write=False)
     return HeuristicBounds(dist)

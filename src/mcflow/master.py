@@ -200,15 +200,10 @@ class RestrictedMaster:
     def add_column(self, col: Column) -> int:
         """Add a column to the pool; exact duplicates are dropped.
 
-        Returns the pool id of the (possibly preexisting) column.
+        Returns the pool id of the (possibly preexisting) column. A
+        duplicate only reactivates the pooled column, which was checked
+        when it entered, so each pool column is validated exactly once.
         """
-        validate_column(col, self.instance)
-        if col.owner not in self.owner_row:
-            raise InternalError(f"no demand row for owner {col.owner}")
-        if self.mode == PATH and col.kind != PATH:
-            raise InputError("path master only accepts path columns")
-        if self.mode == TREE and col.kind != TREE:
-            raise InputError("tree master only accepts tree columns")
         key = col.support_key
         existing = self._by_key.get(key)
         if existing is not None:
@@ -217,6 +212,13 @@ class RestrictedMaster:
                 self._nonbasic_streak[existing] = 0
                 self._bounds_changed.add(existing)
             return existing
+        validate_column(col, self.instance)
+        if col.owner not in self.owner_row:
+            raise InternalError(f"no demand row for owner {col.owner}")
+        if self.mode == PATH and col.kind != PATH:
+            raise InputError("path master only accepts path columns")
+        if self.mode == TREE and col.kind != TREE:
+            raise InputError("tree master only accepts tree columns")
         cid = len(self.columns)
         self.columns.append(col)
         self.column_active.append(True)

@@ -4,7 +4,9 @@ Runs ``perfbench/run.py`` briefly, untraced and traced, and checks the
 contract its readers rely on: every line of standard output except the
 ``self-check:`` line is a JSON object, the last one reports a correct run
 with no failed solves and a finite number for every metric, and no traced
-library function has gone missing.
+library function has gone missing. A traced run must also show the
+shortest-path kernel at work, so a kernel that stays importable but is no
+longer called cannot read 0 unnoticed.
 """
 
 import json
@@ -39,3 +41,7 @@ def test_benchmark_output_is_well_formed(trace):
         value = metric["value"]
         assert isinstance(value, (int, float)) and not isinstance(value, bool), name
         assert math.isfinite(value), name
+    if trace == "1":
+        for name in ("graph.dijkstra.calls", "graph.settled_nodes.tree",
+                     "graph.self_s.tree"):
+            assert result["metrics"][name]["value"] > 0, name

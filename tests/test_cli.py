@@ -126,9 +126,70 @@ class TestSolveCommand:
                    if not l.startswith("#")]
         assert sum(amounts) == pytest.approx(3.0)
 
-    def test_threads_flag(self, triangle_file):
-        assert main(["solve", "--quiet", "--threads", "4",
-                     str(triangle_file)]) == EXIT_OPTIMAL
+
+FAULT_CASES = {
+    # Node 4 has no entering edge, so commodity 1 -> 4 cannot be routed.
+    "unreachable-sink": ("""\
+p mcf 4 3 2
+a 1 2 1.0 10.0
+a 2 3 1.0 10.0
+a 4 1 1.0 10.0
+d 1 3 1.0
+d 1 4 1.0
+""", "infeasible", None),
+    # A cheap low-capacity copy of 1 -> 2 next to a dearer one: one unit
+    # takes the cheap copy and two units the dear one.
+    "parallel-edge": ("""\
+p mcf 3 4 2
+a 1 2 2.0 10.0
+a 1 2 1.0 1.0
+a 2 3 1.0 10.0
+a 1 3 5.0 10.0
+d 1 3 2.0
+d 1 2 1.0
+""", "optimal", 7.0),
+    "self-loop": ("""\
+p mcf 3 4 2
+a 1 2 1.0 10.0
+a 2 2 0.0 10.0
+a 2 3 1.0 10.0
+a 1 3 3.0 10.0
+d 1 3 2.0
+d 1 2 1.0
+""", "optimal", 5.0),
+    # 1 -> 2 is free; 2 -> 3 carries one of the two units bound for 3.
+    "zero-cost-edge": ("""\
+p mcf 3 3 2
+a 1 2 0.0 10.0
+a 2 3 1.0 1.0
+a 1 3 3.0 10.0
+d 1 3 2.0
+d 1 2 1.0
+""", "optimal", 4.0),
+}
+
+SOLVE_KINDS = [("tree", "full"), ("path", "full"), ("path", "bounded"),
+               ("path", "astar")]
+
+
+class TestFaultCases:
+    @pytest.mark.parametrize("case", sorted(FAULT_CASES))
+    @pytest.mark.parametrize("formulation,pricing", SOLVE_KINDS)
+    def test_documented_status_and_exit_code(self, tmp_path, case, formulation,
+                                             pricing):
+        text, status, objective = FAULT_CASES[case]
+        path = tmp_path / f"{case}.mcf"
+        path.write_text(text)
+        json_file = tmp_path / "run.json"
+        code = main(["solve", "--quiet", "--formulation", formulation,
+                     "--pricing", pricing, "--tol", "1e-9",
+                     "--json", str(json_file), str(path)])
+        payload = json.loads(json_file.read_text())
+        assert payload["status"] == status
+        assert code == {"optimal": EXIT_OPTIMAL,
+                        "infeasible": EXIT_INFEASIBLE}[status]
+        if objective is not None:
+            assert payload["objective"] == pytest.approx(objective, rel=1e-9)
 
 
 class TestRunRecordCsv:

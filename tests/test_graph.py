@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from mcflow.errors import InputError
-from mcflow.graph import (Network, astar, dijkstra, dijkstra_bounded,
-                          reverse_multi_target_bounds, spt_path)
+from mcflow.graph import (HeuristicBounds, Network, astar, dijkstra,
+                          dijkstra_bounded, reverse_multi_target_bounds,
+                          spt_path)
 
 INF = math.inf
 
@@ -78,7 +79,7 @@ class TestDijkstra:
         assert all(spt.dist[v] == 0.0 for v in range(3))
 
     def test_triangle_with_target(self, triangle_net):
-        spt = dijkstra(triangle_net, triangle_net.cost, 0, targets={2})
+        spt = dijkstra(triangle_net, triangle_net.cost, 0)
         assert spt.dist[2] == 2.0
         assert spt_path(triangle_net, spt, 2) == [0, 1]
 
@@ -236,3 +237,121 @@ class TestReverseBounds:
             h_all = reverse_multi_target_bounds(net, w, all_dest)
             h_sub = reverse_multi_target_bounds(net, w, sub)
             assert np.all(h_all.h <= h_sub.h + 1e-12)
+
+
+def rich_network(rng, max_nodes=40):
+    """Random graph with parallel edges, self-loops, zero weights and
+    nodes no edge enters."""
+    n = rng.randint(3, max_nodes)
+    cut = rng.randint(1, n - 1)        # nodes >= cut are never entered
+    edges = []
+    for _ in range(rng.randint(n, 4 * n)):
+        t, h = rng.randrange(n), rng.randrange(cut)
+        cost = 0.0 if rng.random() < 0.2 else rng.uniform(0.0, 10.0)
+        edges.append((t, h, cost, 1.0))
+        if rng.random() < 0.2:
+            edges.append((t, h, rng.choice([cost, cost + 1.0]), 1.0))
+        if rng.random() < 0.1:
+            edges.append((t, t, rng.uniform(0.0, 1.0), 1.0))
+    return Network(n, edges)
+
+
+def rich_cases(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        net = rich_network(rng)
+        w = np.array([0.0 if rng.random() < 0.2 else rng.uniform(0.0, 5.0)
+                      for _ in range(net.edge_count)])
+        sources = rng.sample(range(net.node_count), rng.randint(1, net.node_count))
+        duals = [{rng.randrange(net.node_count): rng.uniform(0.0, 12.0)
+                  for _ in range(rng.randint(1, 4))} for _ in sources]
+        yield net, w, sources, duals
+
+
+def assert_row_equals(batched, i, single):
+    assert np.array_equal(batched.dist[i], single.dist)
+    assert np.array_equal(batched.parent_edge[i], single.parent_edge)
+    assert np.array_equal(batched.settled[i], single.settled)
+
+
+class TestBatchedKernels:
+    def test_rows_match_bellman_ford(self):
+        for net, w, sources, _ in rich_cases(1, 40):
+            spt = dijkstra(net, w, sources)
+            assert spt.dist.shape == (len(sources), net.node_count)
+            for i, s in enumerate(sources):
+                oracle = bellman_ford(net, w, s)
+                for v in range(net.node_count):
+                    if oracle[v] == INF:
+                        assert not spt.settled[i, v] and spt.dist[i, v] == INF
+                    else:
+                        assert spt.dist[i, v] == pytest.approx(oracle[v], abs=1e-12)
+                        e = spt.parent_edge[i, v]
+                        if v != s:
+                            assert net.head[e] == v and net.tail[e] != v
+                            assert spt.dist[i, v] == \
+                                spt.dist[i, net.tail[e]] + w[e]
+
+    def test_each_row_equals_its_single_source_run(self):
+        for net, w, sources, duals in rich_cases(2, 40):
+            h = reverse_multi_target_bounds(net, w, {t for d in duals for t in d})
+            full = dijkstra(net, w, sources)
+            fast = dijkstra_bounded(net, w, sources, duals)
+            star = astar(net, w, sources, duals, h)
+            for i, s in enumerate(sources):
+                assert_row_equals(full, i, dijkstra(net, w, s))
+                assert_row_equals(fast, i, dijkstra_bounded(net, w, s, duals[i]))
+                assert_row_equals(star, i, astar(net, w, s, duals[i], h))
+                expected = {t for t, pi in duals[i].items()
+                            if full.settled[i, t] and full.dist[i, t] < pi}
+                for spt in (fast, star):
+                    got = {t for t, pi in duals[i].items()
+                           if spt.settled[i, t] and spt.dist[i, t] < pi}
+                    assert got == expected
+                    for t in got:
+                        assert spt.dist[i, t] == full.dist[i, t]
+            assert len(star.order) <= len(full.order)
+            assert len(fast.order) == int(fast.settled.sum())
+
+    def test_reverse_bounds_match_bellman_ford(self):
+        for net, w, _, duals in rich_cases(3, 15):
+            dests = {t for d in duals for t in d}
+            h = reverse_multi_target_bounds(net, w, dests).h
+            for v in range(net.node_count):
+                dist = bellman_ford(net, w, v)
+                assert h[v] == pytest.approx(min(dist[t] for t in dests), abs=1e-12)
+
+    def test_parallel_edge_ties_pick_smallest_id(self):
+        net = Network(3, [(0, 1, 2.0, 1.0), (0, 1, 1.0, 1.0), (0, 1, 1.0, 1.0),
+                          (1, 2, 0.0, 1.0), (1, 2, 0.0, 1.0), (1, 1, 0.0, 1.0)])
+        spt = dijkstra(net, net.cost, [0, 1])
+        assert spt.parent_edge.tolist() == [[-1, 1, 3], [-1, -1, 3]]
+        assert spt.dist[0].tolist() == [0.0, 1.0, 1.0]
+        # Heavier weights on the first copies move the choice, not the id rule.
+        w = np.array([1.0, 1.0, 1.0, 0.5, 0.0, 0.0])
+        assert dijkstra(net, w, 0).parent_edge.tolist() == [-1, 0, 4]
+
+    def test_zero_weight_edges_are_edges(self):
+        net = Network(3, [(0, 1, 0.0, 1.0), (1, 2, 0.0, 1.0)])
+        spt = dijkstra(net, net.cost, 0)
+        assert spt.settled.all() and spt.dist.tolist() == [0.0, 0.0, 0.0]
+        assert spt_path(net, spt, 2) == [0, 1]
+        assert reverse_multi_target_bounds(net, net.cost, {2}).h.tolist() == [0.0] * 3
+
+    def test_stop_key_is_strict_per_source(self, line_net):
+        spt = dijkstra_bounded(line_net, line_net.cost, [0, 1],
+                               [{2: 1.0}, {2: 1.5}])
+        assert spt.settled.tolist() == [[True, False, False],
+                                        [False, True, True]]
+
+    def test_heuristic_slack_within_tolerance_keeps_paths_whole(self):
+        # h(1) exceeds w(1, 2) + h(2) by less than the consistency
+        # tolerance, so f(1) = 3 + 1e-10 lies above the stop key while its
+        # descendants 2 and 3 (f = 3) lie below it; node 1 must be
+        # settled too, or the path to 3 would lose its first edge.
+        net = Network(4, [(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0), (2, 3, 1.0, 1.0)])
+        h = HeuristicBounds(np.array([2.0, 2.0 + 1e-10, 1.0, 0.0]))
+        spt = astar(net, net.cost, 0, {3: 3.0 + 5e-11}, h)
+        assert spt.settled.all()
+        assert spt_path(net, spt, 3) == [0, 1, 2]
+        assert spt.dist.tolist() == [0.0, 1.0, 2.0, 3.0]

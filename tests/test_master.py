@@ -64,6 +64,39 @@ class TestAddColumn:
         with pytest.raises(InputError, match="cost"):
             validate_column(bad, triangle)
 
+    @pytest.mark.parametrize("formulation", ["tree", "path"])
+    def test_each_pool_column_validated_once(self, monkeypatch, formulation):
+        import mcflow.master
+        from mcflow.engine import ColGenSolver, SolverConfig
+        calls = []
+        real = mcflow.master.validate_column
+
+        def spy(col, instance):
+            calls.append(col.support_key)
+            real(col, instance)
+
+        monkeypatch.setattr(mcflow.master, "validate_column", spy)
+        inst = generate_random(12, 36, 14, 4, seed=1, tightness="tight")
+        # Retiring columns after one nonbasic solve makes pricing offer
+        # pooled columns again.
+        solver = ColGenSolver(inst, SolverConfig(formulation=formulation,
+                                                 rel_tol=1e-7, retire_after=1))
+        added = []
+        real_add = solver.master.add_column
+        solver.master.add_column = lambda col: added.append(col) or real_add(col)
+        assert solver.run().status == "optimal"
+        assert len(added) > solver.master.pool_size   # duplicates were offered
+        assert len(calls) == solver.master.pool_size
+        assert len(set(calls)) == len(calls)
+
+    def test_malformed_column_with_new_key_raises(self, triangle):
+        m = new_master(triangle, "path")
+        m.add_column(PATH_ABC)
+        bad = Column(owner=0, kind="path", edges=(1,), coefs=(1.0,), cost=1.0)
+        with pytest.raises(InputError, match="contiguous"):
+            m.add_column(bad)
+        assert m.pool_size == 1
+
 
 class TestSolveRmp:
     def test_single_tree_column(self, triangle):

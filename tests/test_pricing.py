@@ -316,3 +316,81 @@ class TestInitialColumns:
         with pytest.raises(InfeasibleError) as err:
             initial_columns(inst, "path")
         assert err.value.owners == (1,)
+
+
+def column_key(out):
+    return ([(c.owner, c.edges, c.coefs, c.cost) for c in out.columns],
+            out.min_reduced_cost, out.stats.runs, out.stats.early_stops)
+
+
+class TestBatchedPricing:
+    def test_block_size_does_not_change_columns(self, monkeypatch):
+        import mcflow.pricing
+        from mcflow.graph import reverse_multi_target_bounds
+        rng = random.Random(8)
+        for seed in range(6):
+            inst = generate_random(15, 45, 40, 7, seed=seed, tightness="mixed")
+            net = inst.network
+            mu = np.array([-rng.uniform(0, 2) if rng.random() < 0.3 else 0.0
+                           for _ in range(net.edge_count)])
+            pi = {k: rng.uniform(0, 30) for k in range(len(inst.commodities))}
+            path_duals = DualSnapshot(pi=pi, mu=mu)
+            tree_duals = DualSnapshot(
+                pi={g.source: rng.uniform(0, 300) for g in inst.groups}, mu=mu)
+            sinks = {t for g in inst.groups for t in g.sink_demands}
+            bounds = reverse_multi_target_bounds(net, net.cost, sinks)
+
+            def run_all():
+                runs = [column_key(price_tree(inst, inst.groups, tree_duals,
+                                              column_limit=limit))
+                        for limit in (None, 1, 4)]
+                for strategy in ("full", "bounded", "astar"):
+                    for limit in (None, 3, 12):
+                        runs.append(column_key(price_paths(
+                            inst, inst.groups, path_duals, strategy=strategy,
+                            bounds=bounds, column_limit=limit)))
+                seeds = [initial_columns(inst, m) for m in ("tree", "path")]
+                return runs, seeds
+
+            expected = run_all()
+            # Two sources, then one, per kernel call instead of all in one.
+            for per_call in (2, 1):
+                monkeypatch.setattr(mcflow.pricing, "SOURCE_BLOCK_ENTRIES",
+                                    per_call * net.node_count)
+                assert run_all() == expected
+            monkeypatch.undo()
+
+    def test_column_limit_stops_after_the_group_that_reaches_it(self):
+        inst = generate_random(12, 36, 30, 6, seed=2, tightness="loose")
+        duals = DualSnapshot(pi={k: 1e3 for k in range(30)},
+                             mu=np.zeros(inst.network.edge_count))
+        out = price_paths(inst, inst.groups, duals, column_limit=1)
+        first = inst.groups[0]
+        assert [c.owner for c in out.columns] == list(first.members)
+        assert set(out.min_reduced_cost) == set(first.members)
+        assert out.stats.runs == 1
+
+    def test_vectorized_tree_flows_conserve_flow(self):
+        # Zero-cost and parallel edges make many trees tie.
+        rng = random.Random(13)
+        for seed in range(8):
+            base = generate_random(16, 50, 30, 6, seed=seed)
+            net0 = base.network
+            edges = [(int(net0.tail[e]), int(net0.head[e]),
+                      0.0 if rng.random() < 0.3 else float(net0.cost[e]), 1.0)
+                     for e in range(net0.edge_count)]
+            edges += [edges[rng.randrange(len(edges))] for _ in range(10)]
+            net = Network(net0.node_count, edges)
+            inst = Instance.build(net, base.commodities)
+            for col, g in zip(initial_columns(inst, "tree"), inst.groups):
+                inflow, outflow = {}, {}
+                for e, f in zip(col.edges, col.coefs):
+                    t, h = int(net.tail[e]), int(net.head[e])
+                    outflow[t] = outflow.get(t, 0.0) + f
+                    inflow[h] = inflow.get(h, 0.0) + f
+                assert inflow.get(g.source, 0.0) == 0.0
+                assert outflow[g.source] == pytest.approx(g.total_demand)
+                for v in set(inflow) | set(outflow):
+                    if v != g.source:
+                        assert inflow.get(v, 0.0) - outflow.get(v, 0.0) == \
+                            pytest.approx(g.sink_demands.get(v, 0.0))
