@@ -149,8 +149,7 @@ def run_suite(manifest: dict, output_dir: str | Path,
                          "name": ...}, ...],
           "formulations": ["tree", "path", ...],
           "tol": 1e-4, "timeout": 7200.0, "strategy": "auto",
-          "pricing": "full", "heuristic": "global", "backend": "highs",
-          "seed": 0
+          "pricing": "full", "heuristic": "global", "backend": "highs"
         }
 
     Missing instance files are listed and skipped with a warning.
@@ -181,7 +180,6 @@ def run_suite(manifest: dict, output_dir: str | Path,
                 strategy=manifest.get("strategy", "auto"),
                 pricing_strategy=manifest.get("pricing", "full"),
                 heuristic_scope=manifest.get("heuristic", "global"),
-                seed=int(manifest.get("seed", 0)),
                 lp_backend=manifest.get("backend", "highs"),
             )
             t0 = time.perf_counter()

@@ -56,7 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--heuristic", default="global",
                      choices=["global", "per-source"])
     run.add_argument("--backend", default="highs", choices=["highs", "builtin"])
-    run.add_argument("--seed", type=int, default=0)
     run.add_argument("--json", dest="json_file", help="write the RunRecord here")
     run.add_argument("--csv", dest="csv_file", help="append a CSV row here")
     run.add_argument("--decompose-flows", dest="flows_file",
@@ -77,7 +76,6 @@ def _config_from_args(args) -> SolverConfig:
         strategy=args.strategy,
         pricing_strategy=args.pricing,
         heuristic_scope=args.heuristic,
-        seed=args.seed,
         lp_backend=args.backend,
     )
 

@@ -10,6 +10,10 @@ pricing sweep after a configured number of negative columns; whenever a
 sweep covers every owner the Lagrangian bound is refreshed. ``auto``
 picks pricing-easy when the instance has more commodities than nodes.
 
+While every capacity dual is zero, the pricing weights are the original
+edge costs the seed columns were priced under, so such a round takes its
+outcome from the seed columns instead of running a kernel.
+
 The time left of ``timeout_seconds`` is passed to every master solve as
 its LP time limit, which HiGHS enforces; a solve stopped there ends the
 run with status ``timeout`` and the bounds found so far.
@@ -33,9 +37,10 @@ from .instance import Instance
 from .lp import INFEASIBLE as LP_INFEASIBLE
 from .lp import OPTIMAL as LP_OPTIMAL
 from .lp import get_backend
-from .master import PATH, TREE, RestrictedMaster, new_master
-from .pricing import (DualSnapshot, adjusted_weights, initial_columns,
-                      lagrangian_bound, price_paths, price_tree)
+from .master import PATH, TREE, Column, RestrictedMaster, new_master
+from .pricing import (DualSnapshot, PricingOutcome, adjusted_weights,
+                      initial_columns, lagrangian_bound, price_paths,
+                      price_tree)
 
 OPTIMAL = "optimal"
 TIMEOUT = "timeout"
@@ -56,12 +61,10 @@ class SolverConfig:
     filter_epsilon: float | None = None  # master-easy: drop filter below this yield
     pricing_strategy: str = "full"      # full | bounded | astar
     heuristic_scope: str = "global"     # global | per-source
-    seed: int = 0
     lp_backend: str = "highs"
     threads: int = 1                    # no effect: pricing is one kernel call per round
     slack_policy: str = "auto"
     retire_after: int | None = None
-    initial_capacity_edges: tuple[int, ...] = ()
     max_big_m_escalations: int = 3
 
     def validate(self) -> None:
@@ -151,7 +154,6 @@ class ColGenSolver:
         self.backend = get_backend(config.lp_backend)
         self.master: RestrictedMaster = new_master(
             instance, self.mode, slack_policy=config.slack_policy,
-            initial_capacity_edges=config.initial_capacity_edges,
             retire_after=config.retire_after)
         if self.mode == PATH:
             self.owner_weights = {k: c.demand
@@ -171,6 +173,8 @@ class ColGenSolver:
         self.pending_edges: set[int] = set()
         self._escalations_left = config.max_big_m_escalations
         self._bounds: HeuristicBounds | dict[int, HeuristicBounds] | None = None
+        # Seed column per owner: its pricing column while mu is all zero.
+        self._seeds: dict[int, Column] = {}
         self._t0 = 0.0
         if self.mode == PATH and config.pricing_strategy == "astar":
             self._prepare_bounds()
@@ -195,8 +199,7 @@ class ColGenSolver:
     def run(self) -> SolveReport:
         self._t0 = time.perf_counter()
         try:
-            for col in initial_columns(self.instance, self.mode):
-                self.master.add_column(col)
+            self._seed_pool()
         except InfeasibleError as exc:
             self.status = INFEASIBLE
             self.message = str(exc)
@@ -217,6 +220,11 @@ class ColGenSolver:
             self.status = TIMEOUT
             self.message = str(exc)
         return self._report()
+
+    def _seed_pool(self) -> None:
+        seeds = initial_columns(self.instance, self.mode)
+        self._seeds = {col.owner: col for col in seeds}
+        self.master.add_column(seeds)
 
     def _time_left(self) -> float:
         return self.config.timeout_seconds - (time.perf_counter() - self._t0)
@@ -310,7 +318,7 @@ class ColGenSolver:
     # -- pricing -------------------------------------------------------------
 
     def _price_round(self, owners=None, limit: int | None = None):
-        """Price groups in source order, all in one pricing call.
+        """Price groups in source order.
 
         Returns (columns, min_reduced_cost, runs, complete). ``owners``
         restricts pricing to those owners (the master-easy filter);
@@ -318,34 +326,60 @@ class ColGenSolver:
         columns found to that many. Unpriced owners map to None.
         """
         sol = self.master.solution
-        duals = DualSnapshot(pi=dict(sol.pi), mu=sol.mu)
-        weights = adjusted_weights(self.instance.network, sol.mu)
         tolerance = 1e-9 * (1.0 + abs(sol.objective))
-        if self.mode == TREE:
-            groups = self.instance.groups
-            if owners is not None:
-                groups = [g for g in groups if g.source in owners]
-            outcome = price_tree(self.instance, groups, duals, tolerance=tolerance,
-                                 weights=weights, column_limit=limit)
-        else:
-            outcome = price_paths(self.instance, self.instance.groups, duals,
-                                  strategy=self.config.pricing_strategy,
-                                  bounds=self._bounds, tolerance=tolerance,
-                                  weights=weights, members=owners,
-                                  column_limit=limit)
+        price = self._price_kernel if sol.mu.any() else self._price_seeds
+        outcome = price(sol, tolerance, owners, limit)
         min_rc: dict[int, float | None] = {o: None for o in self.owner_weights}
         min_rc.update(outcome.min_reduced_cost)
         complete = all(v is not None for v in min_rc.values())
         return outcome.columns, min_rc, outcome.stats.runs, complete
 
+    def _price_kernel(self, sol, tolerance: float, owners, limit) -> PricingOutcome:
+        """One pricing call for all groups priced."""
+        duals = DualSnapshot(pi=dict(sol.pi), mu=sol.mu)
+        weights = adjusted_weights(self.instance.network, sol.mu)
+        if self.mode == TREE:
+            groups = self.instance.groups
+            if owners is not None:
+                groups = [g for g in groups if g.source in owners]
+            return price_tree(self.instance, groups, duals, tolerance=tolerance,
+                              weights=weights, column_limit=limit)
+        return price_paths(self.instance, self.instance.groups, duals,
+                           strategy=self.config.pricing_strategy,
+                           bounds=self._bounds, tolerance=tolerance,
+                           weights=weights, members=owners, column_limit=limit)
+
+    def _price_seeds(self, sol, tolerance: float, owners, limit) -> PricingOutcome:
+        """The kernel's outcome when mu is all zero, without the kernel.
+
+        The weights then equal the original costs the seed columns were
+        priced under, so each owner's cheapest column is its seed and
+        the reduced cost is its cost minus the owner's dual. Owners,
+        group order and the column limit are honoured as the kernels do.
+        """
+        out = PricingOutcome()
+        for g in self.instance.groups:
+            members = [g.source] if self.mode == TREE else g.members
+            if owners is not None:
+                members = [o for o in members if o in owners]
+            if not members:
+                continue
+            out.stats.runs += 1
+            for o in members:
+                col = self._seeds[o]
+                reduced = col.cost - sol.pi[o]
+                if reduced < -tolerance:
+                    out.columns.append(col)
+                out.min_reduced_cost[o] = min(reduced, 0.0)
+            if limit is not None and len(out.columns) >= limit:
+                break
+        return out
+
     def _add_columns(self, columns) -> int:
-        added = 0
-        for col in columns:
-            before = self.master.pool_size
-            self.master.add_column(col)
-            added += self.master.pool_size - before
+        before = self.master.pool_size
+        self.master.add_column(columns)
         self.peak_columns = max(self.peak_columns, self.master.pool_size)
-        return added
+        return self.master.pool_size - before
 
     # -- reporting -----------------------------------------------------------
 

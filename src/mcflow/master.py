@@ -9,20 +9,34 @@ than edges, capacity rows otherwise. Capacity duals are normalized to
 be nonpositive after every solve, so the adjusted pricing weights
 ``cost - mu`` stay nonnegative.
 
+Columns enter the pool in batches: :meth:`RestrictedMaster.add_column`
+takes one column or a sequence of them. Duplicates, of pooled columns
+or within the batch, are found by support key first; the new columns
+are then checked together by :func:`validate_columns`, which raises for
+the first bad column in batch order, and a batch with a bad column
+changes nothing. The coefficients of all pooled columns live in one
+flat entry store: parallel ``(edge, coef, column)`` arrays in pool
+order, each column's entries in its own edge order, appended once per
+batch. Every reader uses array operations on that store: edge flows
+are one weighted ``bincount``, :meth:`~RestrictedMaster.owners_touching`
+masks the entries, and the LP coefficients are the entries whose edge
+has a capacity row, found through an edge -> capacity-row index array.
+
 On the ``highs`` backend the master keeps one :class:`HighsModel` for
 its whole life, created on the first solve. Each solve first brings that
-model up to date (new capacity rows with the coefficients of the
-columns already in it, new pool columns in one batch, retired columns
-fixed at zero, reactivated ones freed, escalated slack costs) and then
-lets HiGHS re-solve from the basis it kept. Other backends get the
-whole restriction rebuilt by :meth:`RestrictedMaster.build_lp` and
-solved cold.
+model up to date (new capacity rows with the entries of the columns
+already in it, new pool columns in one batch, retired columns fixed at
+zero, reactivated ones freed, escalated slack costs) and then lets
+HiGHS re-solve from the basis it kept. Other backends get the whole
+restriction rebuilt by :meth:`RestrictedMaster.build_lp` and solved
+cold. Both get the same coefficients in the same order.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -61,60 +75,190 @@ class Column:
         return (self.kind, self.owner, tuple(sorted(self.edges)))
 
 
-def validate_column(col: Column, instance: Instance) -> None:
-    """Check the structural invariants of a column; raise on violation."""
+class _Batch:
+    """A batch of columns as flat entry arrays, and the first failed check
+    of every column, checks added in the validator's order."""
+
+    def __init__(self, cols: list[Column], net):
+        self.cols = cols
+        self.n = len(cols)
+        self.lengths = np.array([len(c.edges) for c in cols], dtype=np.int64)
+        total = self.total = int(self.lengths.sum())
+        self.edges = np.fromiter(chain.from_iterable(c.edges for c in cols),
+                                 np.int64, total)
+        self.coefs = np.fromiter(chain.from_iterable(c.coefs for c in cols),
+                                 np.float64, total)
+        self.owner = np.array([c.owner for c in cols], dtype=np.int64)
+        self.col_of = np.repeat(np.arange(self.n), self.lengths)
+        self.start = np.cumsum(self.lengths) - self.lengths
+        # Unknown edges read as edge 0 where an edge's data is looked up.
+        self.unknown = (self.edges < 0) | (self.edges >= net.edge_count)
+        self.known_edges = np.where(self.unknown, 0, self.edges)
+        self.tail = net.tail[self.known_edges]
+        self.head = net.head[self.known_edges]
+        self.failed = np.full(self.n, -1)
+        self.messages = []
+
+    def any_entry(self, entries: np.ndarray) -> np.ndarray:
+        """Columns with any of the given entries (a mask or indices)."""
+        hit = np.zeros(self.n, dtype=bool)
+        hit[self.col_of[entries]] = True
+        return hit
+
+    def first_entry(self, mask: np.ndarray, i: int) -> int:
+        """Position in column ``i`` of its first entry flagged by ``mask``."""
+        lo = self.start[i]
+        return int(np.flatnonzero(mask[lo:lo + self.lengths[i]])[0])
+
+    def check(self, bad: np.ndarray, message) -> None:
+        """``bad`` flags the columns failing this check; ``message(i)``
+        is the error text for column ``i``."""
+        self.failed[(self.failed < 0) & bad] = len(self.messages)
+        self.messages.append(message)
+
+    def raise_first(self) -> None:
+        bad = np.flatnonzero(self.failed >= 0)
+        if bad.size:
+            i = int(bad[0])
+            raise InputError(self.messages[self.failed[i]](i))
+
+
+def validate_columns(cols, instance: Instance):
+    """Check the structural invariants of a batch of columns.
+
+    Raises :class:`InputError` for the first bad column in batch order,
+    with the message of the first check it fails; a column whose
+    coefficient count differs from its edge count is reported before
+    any other check runs. Every column must have no repeated and no
+    unknown edge, and a cost equal to its coefficients times the edge
+    costs. A path column must walk from its commodity's source to its
+    sink with unit coefficients and no node twice. A tree column must be
+    owned by a source, have positive coefficients, enter every node at
+    most once, never enter the root, and connect every node to the root.
+
+    Returns the batch's entries as flat arrays ``(lengths, edges,
+    coefs)``: per column its edge count, then every column's edges and
+    coefficients in batch order.
+    """
+    cols = list(cols)
+    for col in cols:
+        if len(col.coefs) != len(col.edges):
+            raise InputError(f"column has {len(col.edges)} edges but "
+                             f"{len(col.coefs)} coefficients")
     net = instance.network
-    if len(col.edges) != len(set(col.edges)):
-        raise InputError(f"column repeats edges: {col.edges}")
-    if not col.edges:
-        raise InputError("column has empty support")
-    for e in col.edges:
-        if not 0 <= e < net.edge_count:
-            raise InputError(f"column references unknown edge {e}")
-    recomputed = float(sum(c * net.cost[e] for e, c in zip(col.edges, col.coefs)))
-    if abs(recomputed - col.cost) > 1e-9 * (1.0 + abs(recomputed)):
-        raise InputError(f"column cost {col.cost} differs from recomputed {recomputed}")
-    if col.kind == PATH:
-        k = col.owner
-        if not 0 <= k < len(instance.commodities):
-            raise InputError(f"path column owner {k} is not a commodity")
-        com = instance.commodities[k]
-        if any(c != 1.0 for c in col.coefs):
-            raise InputError("path column coefficients must all equal 1")
-        seen = {com.source}
-        at = com.source
-        for e in col.edges:
-            if net.tail[e] != at:
-                raise InputError(f"path column edges are not contiguous at edge {e}")
-            at = int(net.head[e])
-            if at in seen:
-                raise InputError(f"path column revisits node {at}")
-            seen.add(at)
-        if at != com.sink:
-            raise InputError(f"path column ends at {at}, expected sink {com.sink}")
-    elif col.kind == TREE:
-        sources = {g.source for g in instance.groups}
-        if col.owner not in sources:
-            raise InputError(f"tree column owner {col.owner} is not a source")
-        if any(c <= 0 for c in col.coefs):
-            raise InputError("tree column coefficients must be positive")
-        heads = [int(net.head[e]) for e in col.edges]
-        if len(set(heads)) != len(heads):
-            raise InputError("tree column support has a node with in-degree > 1")
-        if col.owner in heads:
-            raise InputError("tree column support re-enters the root")
-        parent = {int(net.head[e]): int(net.tail[e]) for e in col.edges}
-        for v in heads:
-            chain = set()
-            u = v
-            while u != col.owner:
-                if u in chain or u not in parent:
-                    raise InputError(f"tree column support is disconnected or "
-                                     f"cyclic at node {v}")
-                chain.add(u)
-                u = parent[u]
-    else:
-        raise InputError(f"unknown column kind {col.kind!r}")
+    b = _Batch(cols, net)
+    if not b.n:
+        return b.lengths, b.edges, b.coefs
+    edges, col_of = b.edges, b.col_of
+    order = np.lexsort((edges, col_of))
+    repeated = (edges[order][1:] == edges[order][:-1]) & \
+        (col_of[order][1:] == col_of[order][:-1])
+    b.check(b.any_entry(order[1:][repeated]),
+            lambda i: f"column repeats edges: {cols[i].edges}")
+    b.check(b.lengths == 0, lambda i: "column has empty support")
+    b.check(b.any_entry(b.unknown), lambda i: "column references unknown edge "
+            f"{cols[i].edges[b.first_entry(b.unknown, i)]}")
+    if not b.total:
+        b.raise_first()             # every column is empty
+    # Summed in entry order, as the column's own sum would be.
+    recomputed = np.bincount(col_of, weights=b.coefs * net.cost[b.known_edges],
+                             minlength=b.n)
+    cost = np.array([c.cost for c in cols], dtype=np.float64)
+    b.check(np.abs(recomputed - cost) > 1e-9 * (1.0 + np.abs(recomputed)),
+            lambda i: f"column cost {cols[i].cost} differs from recomputed "
+                      f"{float(recomputed[i])}")
+    is_path = np.array([c.kind == PATH for c in cols])
+    is_tree = np.array([c.kind == TREE for c in cols])
+    b.check(~(is_path | is_tree), lambda i: f"unknown column kind {cols[i].kind!r}")
+    if is_path.any():
+        _check_paths(b, is_path, instance)
+    if is_tree.any():
+        _check_trees(b, is_tree, instance)
+    b.raise_first()
+    return b.lengths, b.edges, b.coefs
+
+
+def _check_paths(b: _Batch, is_path: np.ndarray, instance: Instance) -> None:
+    """Path checks. The walk starts at the source; entry j must leave the
+    node the walk is at (the source, or the head of entry j - 1) and
+    reach a node the walk has not visited."""
+    cols, head = b.cols, b.head
+    commodities = instance.commodities
+    known = (b.owner >= 0) & (b.owner < len(commodities))
+    b.check(is_path & ~known,
+            lambda i: f"path column owner {cols[i].owner} is not a commodity")
+    b.check(is_path & b.any_entry(b.coefs != 1.0),
+            lambda i: "path column coefficients must all equal 1")
+    k = np.where(known, b.owner, 0).tolist()
+    source = np.array([commodities[j].source for j in k], dtype=np.int64)
+    sink = np.array([commodities[j].sink for j in k], dtype=np.int64)
+    nonempty = b.lengths > 0
+    at = np.empty_like(head)
+    at[1:] = head[:-1]
+    at[b.start[nonempty]] = source[nonempty]
+    jump = b.tail != at
+    # A node is revisited when it occurs earlier in the column's node
+    # sequence: its source (position -1), then the head of every edge.
+    nodes = np.concatenate([source, head])
+    column = np.concatenate([np.arange(b.n), b.col_of])
+    position = np.concatenate([np.full(b.n, -1), np.arange(b.total) - b.start[b.col_of]])
+    order = np.lexsort((position, nodes, column))
+    seen = np.zeros(b.n + b.total, dtype=bool)
+    seen[order[1:]] = (nodes[order][1:] == nodes[order][:-1]) & \
+        (column[order][1:] == column[order][:-1])
+    stray = jump | seen[b.n:]
+
+    def walk_message(i: int) -> str:
+        j = b.first_entry(stray, i)
+        if jump[b.start[i] + j]:
+            return f"path column edges are not contiguous at edge {cols[i].edges[j]}"
+        return f"path column revisits node {int(head[b.start[i] + j])}"
+
+    b.check(is_path & b.any_entry(stray), walk_message)
+    last = head[np.maximum(b.start + b.lengths - 1, 0)]
+    b.check(is_path & (last != sink),
+            lambda i: f"path column ends at {int(last[i])}, expected sink "
+                      f"{commodities[cols[i].owner].sink}")
+
+
+def _check_trees(b: _Batch, is_tree: np.ndarray, instance: Instance) -> None:
+    """Tree checks; connectivity follows parent entries by pointer jumping."""
+    cols, head, tail, total = b.cols, b.head, b.tail, b.total
+    nodes = instance.network.node_count
+    is_source = np.zeros(nodes, dtype=bool)
+    is_source[[g.source for g in instance.groups]] = True
+    owner_ok = (b.owner >= 0) & (b.owner < nodes)
+    b.check(is_tree & ~(owner_ok & is_source[np.where(owner_ok, b.owner, 0)]),
+            lambda i: f"tree column owner {cols[i].owner} is not a source")
+    b.check(is_tree & b.any_entry(b.coefs <= 0),
+            lambda i: "tree column coefficients must be positive")
+    key = b.col_of * nodes + head
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    b.check(is_tree & b.any_entry(order[1:][key[1:] == key[:-1]]),
+            lambda i: "tree column support has a node with in-degree > 1")
+    root = b.owner[b.col_of]
+    b.check(is_tree & b.any_entry(head == root),
+            lambda i: "tree column support re-enters the root")
+    # An entry's parent is the entry of its column whose head is its tail;
+    # slots total and total + 1 stand for the root and a missing parent.
+    # After r rounds of pointer jumping every entry has followed 2^r
+    # parent steps, and no chain to the root is longer than its column.
+    want = b.col_of * nodes + tail
+    found = np.minimum(np.searchsorted(key, want), total - 1)
+    up = np.where(key[found] == want, order[found], total + 1)
+    up = np.concatenate([np.where(tail == root, total, up), [total, total + 1]])
+    for _ in range(int(b.lengths.max()).bit_length()):
+        up = up[up]
+    loose = up[:total] != total
+    b.check(is_tree & b.any_entry(loose),
+            lambda i: "tree column support is disconnected or cyclic at node "
+                      f"{int(head[b.start[i] + b.first_entry(loose, i)])}")
+
+
+def validate_column(col: Column, instance: Instance) -> None:
+    """Check one column; see :func:`validate_columns`."""
+    validate_columns([col], instance)
 
 
 @dataclass
@@ -135,7 +279,7 @@ class RestrictedMaster:
 
     def __init__(self, instance: Instance, mode: str, *,
                  slack_policy: str = "auto", big_m: float | None = None,
-                 initial_capacity_edges=(), retire_after: int | None = None):
+                 retire_after: int | None = None):
         if mode not in (PATH, TREE):
             raise InputError(f"unknown master mode {mode!r}")
         self.instance = instance
@@ -173,75 +317,112 @@ class RestrictedMaster:
         self.retire_after = retire_after
 
         self.columns: list[Column] = []
-        self.column_active: list[bool] = []
-        self._nonbasic_streak: list[int] = []
         self._by_key: dict[tuple, int] = {}
-        self.edge_owners: dict[int, set[int]] = {}
+        # Per pool column: cost, demand row, active flag, nonbasic streak.
+        self._cost = np.zeros(0)
+        self._row = np.zeros(0, dtype=np.int64)
+        self._active = np.zeros(0, dtype=bool)
+        self._streak = np.zeros(0, dtype=np.int64)
+        # The entry store: one (edge, coef, column) triple per column edge.
+        self._edge = np.zeros(0, dtype=np.int64)
+        self._coef = np.zeros(0)
+        self._col = np.zeros(0, dtype=np.int64)
 
         self.active_edges: list[int] = []
-        self._active_set: set[int] = set()
+        # Per edge: its position in active_edges, or -1 without a row.
+        self._cap_pos = np.full(net.edge_count, -1, dtype=np.int64)
         self._use_artificials = False
         self.solution: RmpSolution | None = None
 
         # Live HiGHS model, built on the first solve (see _sync_model).
         self._model: HighsModel | None = None
-        self._col_vars: list[int] = []      # model column of pool ids 0, 1, ...
+        self._col_vars = np.zeros(0, dtype=np.int64)  # model column per pool id
         self._cap_rows = 0                  # active_edges[:_cap_rows] are rows
-        self._pending_entries: dict[int, list[tuple[int, float]]] = {}
         self._slack_vars: dict = {}
         self._art_vars: dict[int, int] = {}
         self._bounds_changed: set[int] = set()
         self._costs_changed = False
-        for e in initial_capacity_edges:
-            self.add_capacity_rows([e])
 
     # -- column pool --------------------------------------------------------
 
-    def add_column(self, col: Column) -> int:
-        """Add a column to the pool; exact duplicates are dropped.
+    def add_column(self, cols: Column | list[Column]) -> int | list[int]:
+        """Add one column or a sequence of columns to the pool.
 
-        Returns the pool id of the (possibly preexisting) column. A
-        duplicate only reactivates the pooled column, which was checked
-        when it entered, so each pool column is validated exactly once.
+        Returns the pool id of each column, one int for one column. An
+        exact duplicate of a pooled or earlier column gets that column's
+        id and only reactivates it, so each pool column is validated
+        exactly once. The new columns are validated together; if one is
+        bad, nothing is added or reactivated.
         """
-        key = col.support_key
-        existing = self._by_key.get(key)
-        if existing is not None:
-            if not self.column_active[existing]:
-                self.column_active[existing] = True
-                self._nonbasic_streak[existing] = 0
-                self._bounds_changed.add(existing)
-            return existing
-        validate_column(col, self.instance)
-        if col.owner not in self.owner_row:
-            raise InternalError(f"no demand row for owner {col.owner}")
-        if self.mode == PATH and col.kind != PATH:
-            raise InputError("path master only accepts path columns")
-        if self.mode == TREE and col.kind != TREE:
-            raise InputError("tree master only accepts tree columns")
-        cid = len(self.columns)
-        self.columns.append(col)
-        self.column_active.append(True)
-        self._nonbasic_streak.append(0)
-        self._by_key[key] = cid
-        for e in col.edges:
-            self.edge_owners.setdefault(int(e), set()).add(col.owner)
-        return cid
+        single = isinstance(cols, Column)
+        batch = [cols] if single else list(cols)
+        first = len(self.columns)
+        ids, new, keys, revived = [], [], {}, []
+        for col in batch:
+            key = col.support_key
+            cid = self._by_key.get(key)
+            if cid is None:
+                cid = keys.get(key)
+                if cid is None:
+                    cid = keys[key] = first + len(new)
+                    new.append(col)
+            elif not self._active[cid]:
+                revived.append(cid)
+            ids.append(cid)
+        if new:
+            self._append(new, keys)
+        if revived:
+            self._active[revived] = True
+            self._streak[revived] = 0
+            self._bounds_changed.update(revived)
+        return ids[0] if single else ids
+
+    def _append(self, new: list[Column], keys: dict[tuple, int]) -> None:
+        """Validate new columns and append them and their entries."""
+        # A column's owner and kind are checked after its structure: the
+        # first column failing them ends the batch the validator sees, so
+        # the error raised is always the first bad column's first failure.
+        wrong = next((i for i, col in enumerate(new)
+                      if col.owner not in self.owner_row or col.kind != self.mode),
+                     None)
+        checked = new if wrong is None else new[:wrong + 1]
+        lengths, edges, coefs = validate_columns(checked, self.instance)
+        if wrong is not None:
+            col = new[wrong]
+            if col.owner not in self.owner_row:
+                raise InternalError(f"no demand row for owner {col.owner}")
+            raise InputError(f"{self.mode} master only accepts {self.mode} columns")
+        first = len(self.columns)
+        count = len(new)
+        self.columns.extend(new)
+        self._by_key.update(keys)
+        self._cost = np.concatenate([self._cost, [c.cost for c in new]])
+        self._row = np.concatenate([self._row, [self.owner_row[c.owner] for c in new]])
+        self._active = np.concatenate([self._active, np.ones(count, dtype=bool)])
+        self._streak = np.concatenate([self._streak, np.zeros(count, dtype=np.int64)])
+        self._edge = np.concatenate([self._edge, edges])
+        self._coef = np.concatenate([self._coef, coefs])
+        self._col = np.concatenate(
+            [self._col, np.repeat(np.arange(first, first + count), lengths)])
 
     @property
     def pool_size(self) -> int:
         return len(self.columns)
 
     @property
+    def column_active(self) -> list[bool]:
+        return self._active.tolist()
+
+    @property
     def active_column_ids(self) -> list[int]:
-        return [i for i, a in enumerate(self.column_active) if a]
+        return np.flatnonzero(self._active).tolist()
 
     def owners_touching(self, edges) -> set[int]:
         """Owners whose pooled columns use any of the given edges."""
-        hit: set[int] = set()
-        for e in edges:
-            hit |= self.edge_owners.get(int(e), set())
-        return hit
+        hit = np.zeros(self.instance.network.edge_count, dtype=bool)
+        hit[[int(e) for e in edges]] = True
+        cols = np.unique(self._col[hit[self._edge]])
+        return {self.owners[r] for r in np.unique(self._row[cols]).tolist()}
 
     # -- capacity rows ------------------------------------------------------
 
@@ -252,24 +433,21 @@ class RestrictedMaster:
             e = int(e)
             if not 0 <= e < net.edge_count:
                 raise InputError(f"unknown edge {e}")
-            if e in self._active_set:
-                continue
-            self.active_edges.append(e)
-            self._active_set.add(e)
+            if self._cap_pos[e] < 0:
+                self._cap_pos[e] = len(self.active_edges)
+                self.active_edges.append(e)
 
     def aggregate_edge_flows(self, x: np.ndarray | None = None) -> np.ndarray:
-        """Total flow per edge implied by the given (or last) primal."""
+        """Total flow per edge implied by the given (or last) primal.
+
+        Only active columns with positive flow count; entries are summed
+        in pool order.
+        """
         if x is None:
             x = self._require_solution().x
-        flows = np.zeros(self.instance.network.edge_count)
-        for cid, col in enumerate(self.columns):
-            if not self.column_active[cid]:
-                continue
-            xv = x[cid]
-            if xv <= 0.0:
-                continue
-            flows[list(col.edges)] += np.asarray(col.coefs) * xv
-        return flows
+        flow = np.where(self._active & (x > 0.0), x, 0.0)
+        return np.bincount(self._edge, weights=self._coef * flow[self._col],
+                           minlength=self.instance.network.edge_count)
 
     def violated_capacities(self, x: np.ndarray | None = None) -> list[int]:
         """Inactive edges whose aggregated flow exceeds capacity.
@@ -278,13 +456,10 @@ class RestrictedMaster:
         descending (ties by edge id for determinism).
         """
         net = self.instance.network
-        flows = self.aggregate_edge_flows(x)
+        over = self.aggregate_edge_flows(x) - net.capacity
         tol = VIOLATION_ABS + VIOLATION_REL * net.capacity
-        over = flows - net.capacity
-        hits = [(float(over[e]), int(e)) for e in np.flatnonzero(over > tol)
-                if int(e) not in self._active_set]
-        hits.sort(key=lambda t: (-t[0], t[1]))
-        return [e for _, e in hits]
+        hits = np.flatnonzero((over > tol) & (self._cap_pos < 0))
+        return hits[np.lexsort((hits, -over[hits]))].tolist()
 
     def escalate_big_m(self, factor: float = 100.0) -> None:
         self.big_m *= factor
@@ -292,6 +467,34 @@ class RestrictedMaster:
         self._costs_changed = True
 
     # -- LP assembly and solve ----------------------------------------------
+
+    def _column_matrix(self, ids: np.ndarray):
+        """The LP coefficients of pool columns ``ids`` (ascending) in CSC
+        form ``(starts, indices, values)`` over the demand rows and the
+        active capacity rows: per column its demand row, then its entries
+        on edges with a row, in the column's edge order."""
+        if not ids.size:
+            return np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
+        lo = np.searchsorted(self._col, ids[0])
+        local = np.full(self.pool_size - ids[0], -1)
+        local[ids - ids[0]] = np.arange(ids.size)
+        j = local[self._col[lo:] - ids[0]]
+        row = self._cap_pos[self._edge[lo:]]
+        keep = (j >= 0) & (row >= 0)
+        j = j[keep]
+        counts = np.bincount(j, minlength=ids.size)
+        starts = np.zeros(ids.size + 1, dtype=np.int64)
+        np.cumsum(counts + 1, out=starts[1:])
+        indices = np.empty(starts[-1], dtype=np.int64)
+        values = np.empty(starts[-1])
+        indices[starts[:-1]] = self._row[ids]
+        values[starts[:-1]] = 1.0
+        # An entry goes after its column's demand entry and earlier entries.
+        rank = np.arange(j.size) - (np.cumsum(counts) - counts)[j]
+        at = starts[j] + 1 + rank
+        indices[at] = len(self.owners) + row[keep]
+        values[at] = self._coef[lo:][keep]
+        return starts, indices, values
 
     def build_lp(self) -> tuple[SparseLp, list[int]]:
         """Assemble the current restriction as a SparseLp.
@@ -301,52 +504,27 @@ class RestrictedMaster:
         """
         n_demand = len(self.owners)
         n_cap = len(self.active_edges)
-        cap_row = {e: n_demand + i for i, e in enumerate(self.active_edges)}
-        col_ids = self.active_column_ids
-
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        obj: list[float] = []
-        for j, cid in enumerate(col_ids):
-            col = self.columns[cid]
-            obj.append(col.cost)
-            rows.append(self.owner_row[col.owner])
-            cols.append(j)
-            vals.append(1.0)
-            for e, coef in zip(col.edges, col.coefs):
-                r = cap_row.get(int(e))
-                if r is not None:
-                    rows.append(r)
-                    cols.append(j)
-                    vals.append(float(coef))
-        n = len(col_ids)
-        slack_index: dict = {}
+        ids = np.flatnonzero(self._active)
+        starts, indices, values = self._column_matrix(ids)
         if self.slack_policy == "demand":
-            for i in range(n_demand):
-                slack_index[("demand", self.owners[i])] = n
-                rows.append(i)
-                cols.append(n)
-                vals.append(1.0)
-                obj.append(float(self.demand_slack_costs[i]))
-                n += 1
+            labels = [("demand", o) for o in self.owners]
+            extra = [(np.arange(n_demand), 1.0, self.demand_slack_costs)]
         else:
-            for i, e in enumerate(self.active_edges):
-                slack_index[("edge", e)] = n
-                rows.append(n_demand + i)
-                cols.append(n)
-                vals.append(-1.0)
-                obj.append(self.big_m)
-                n += 1
+            labels = [("edge", e) for e in self.active_edges]
+            extra = [(n_demand + np.arange(n_cap), -1.0, np.full(n_cap, self.big_m))]
+        slack_index = {label: ids.size + i for i, label in enumerate(labels)}
         art_index: dict = {}
         if self._use_artificials:
-            for i in range(n_demand):
-                art_index[self.owners[i]] = n
-                rows.append(i)
-                cols.append(n)
-                vals.append(1.0)
-                obj.append(10.0 * self.big_m)
-                n += 1
+            first = ids.size + len(labels)
+            art_index = {o: first + i for i, o in enumerate(self.owners)}
+            extra.append((np.arange(n_demand), 1.0, np.full(n_demand, 10.0 * self.big_m)))
+        # One variable per extra row, each with a single entry.
+        rows = [indices] + [r for r, _, _ in extra]
+        vals = [values] + [np.full(r.size, v) for r, v, _ in extra]
+        obj = [self._cost[ids]] + [c for _, _, c in extra]
+        n = ids.size + sum(r.size for r, _, _ in extra)
+        cols = np.concatenate([np.repeat(np.arange(ids.size), np.diff(starts)),
+                               np.arange(ids.size, n)])
 
         senses = ["E"] * n_demand + ["L"] * n_cap
         rhs = np.concatenate([self.demand_rhs,
@@ -354,16 +532,16 @@ class RestrictedMaster:
                               if n_cap else np.zeros(0)])
         lp = SparseLp(
             num_cols=n,
-            objective=np.array(obj),
+            objective=np.concatenate(obj),
             senses=senses,
             rhs=rhs,
-            rows=np.array(rows, dtype=np.int64),
-            cols=np.array(cols, dtype=np.int64),
-            vals=np.array(vals, dtype=np.float64),
+            rows=np.concatenate(rows),
+            cols=cols,
+            vals=np.concatenate(vals),
         )
         self._slack_index = slack_index
         self._art_index = art_index
-        return lp, col_ids
+        return lp, ids.tolist()
 
     def solve_rmp(self, backend: str | LpBackend = "highs",
                   time_limit: float | None = None) -> RmpSolution:
@@ -388,7 +566,7 @@ class RestrictedMaster:
                 sol = self._solve_model(deadline)
             _check_rmp_solution(sol)
             x = sol.x[self._col_vars]
-            x[~np.asarray(self.column_active, dtype=bool)] = 0.0
+            x[~self._active] = 0.0
             slack = {key: float(sol.x[j]) for key, j in self._slack_vars.items()}
             artificial = sum(float(sol.x[j]) for j in self._art_vars.values())
         else:
@@ -446,18 +624,22 @@ class RestrictedMaster:
                 for i, o in enumerate(self.owners):
                     self._slack_vars[("demand", o)] = first + i
         model = self._model
+        synced = self._col_vars.size
 
         new_edges = self.active_edges[self._cap_rows:]
         if new_edges:
-            starts, indices, values = [0], [], []
-            for e in new_edges:
-                for var, coef in self._pending_entries.pop(e, ()):
-                    indices.append(var)
-                    values.append(coef)
-                starts.append(len(indices))
+            # Entries of the columns already in the model, per new row in
+            # row order and within a row in pool order.
+            end = np.searchsorted(self._col, synced)
+            pos = self._cap_pos[self._edge[:end]]
+            keep = np.flatnonzero(pos >= self._cap_rows)
+            keep = keep[np.argsort(pos[keep], kind="stable")]
+            starts = np.searchsorted(pos[keep], np.arange(self._cap_rows,
+                                                          len(self.active_edges) + 1))
             first_row = model.add_rows(["L"] * len(new_edges),
                                        self.instance.network.capacity[new_edges],
-                                       starts, indices, values)
+                                       starts, self._col_vars[self._col[keep]],
+                                       self._coef[keep])
             self._cap_rows = len(self.active_edges)
             if self.slack_policy == "edge":
                 n = len(new_edges)
@@ -467,29 +649,12 @@ class RestrictedMaster:
                 for i, e in enumerate(new_edges):
                     self._slack_vars[("edge", e)] = first + i
 
-        new_ids = range(len(self._col_vars), len(self.columns))
-        if new_ids:
-            cap_row = {e: n_demand + i for i, e in enumerate(self.active_edges)}
-            first = model.num_cols
-            starts, indices, values, costs = [0], [], [], []
-            for j, cid in enumerate(new_ids):
-                col = self.columns[cid]
-                costs.append(col.cost)
-                indices.append(self.owner_row[col.owner])
-                values.append(1.0)
-                for e, coef in zip(col.edges, col.coefs):
-                    r = cap_row.get(e)
-                    if r is None:
-                        # Kept until the edge's capacity row is added.
-                        self._pending_entries.setdefault(e, []).append((first + j, coef))
-                    else:
-                        indices.append(r)
-                        values.append(coef)
-                starts.append(len(indices))
-            model.add_cols(costs, starts, indices, values)
-            self._col_vars.extend(range(first, first + len(new_ids)))
-            self._bounds_changed.update(
-                cid for cid in new_ids if not self.column_active[cid])
+        if synced < self.pool_size:
+            ids = np.arange(synced, self.pool_size)
+            first = model.add_cols(self._cost[ids], *self._column_matrix(ids))
+            self._col_vars = np.concatenate([self._col_vars,
+                                             np.arange(first, first + ids.size)])
+            self._bounds_changed.update(ids[~self._active[ids]].tolist())
 
         if self._use_artificials and not self._art_vars:
             first = model.add_cols(np.full(n_demand, 10.0 * self.big_m),
@@ -498,11 +663,12 @@ class RestrictedMaster:
             self._art_vars = {o: first + i for i, o in enumerate(self.owners)}
 
         if self._bounds_changed:
+            changed = np.fromiter(self._bounds_changed, np.int64,
+                                  len(self._bounds_changed))
             for fixed in (True, False):
-                cids = [c for c in self._bounds_changed
-                        if self.column_active[c] != fixed]
-                if cids:
-                    model.set_fixed([self._col_vars[c] for c in cids], fixed)
+                cids = changed[self._active[changed] != fixed]
+                if cids.size:
+                    model.set_fixed(self._col_vars[cids], fixed)
             self._bounds_changed.clear()
 
         if self._costs_changed:
@@ -518,14 +684,13 @@ class RestrictedMaster:
     def _update_retirement(self, x: np.ndarray) -> None:
         if self.retire_after is None:
             return
-        for cid in self.active_column_ids:
-            if x[cid] > 1e-12:
-                self._nonbasic_streak[cid] = 0
-            else:
-                self._nonbasic_streak[cid] += 1
-                if self._nonbasic_streak[cid] >= self.retire_after:
-                    self.column_active[cid] = False
-                    self._bounds_changed.add(cid)
+        basic = x > 1e-12
+        idle = self._active & ~basic
+        self._streak[basic] = 0
+        self._streak[idle] += 1
+        retire = idle & (self._streak >= self.retire_after)
+        self._active[retire] = False
+        self._bounds_changed.update(np.flatnonzero(retire).tolist())
 
     def _require_solution(self) -> RmpSolution:
         if self.solution is None:

@@ -5,8 +5,8 @@ contract its readers rely on: every line of standard output except the
 ``self-check:`` line is a JSON object, the last one reports a correct run
 with no failed solves and a finite number for every metric, and no traced
 library function has gone missing. A traced run must also show the
-shortest-path kernel at work, so a kernel that stays importable but is no
-longer called cannot read 0 unnoticed.
+shortest-path kernel and the column pool at work, so a kernel or a pool
+that stays importable but is no longer called cannot read 0 unnoticed.
 """
 
 import json
@@ -43,5 +43,6 @@ def test_benchmark_output_is_well_formed(trace):
         assert math.isfinite(value), name
     if trace == "1":
         for name in ("graph.dijkstra.calls", "graph.settled_nodes.tree",
-                     "graph.self_s.tree"):
+                     "graph.self_s.tree", "master.add_column.calls",
+                     "master.violated_capacities.s"):
             assert result["metrics"][name]["value"] > 0, name

@@ -166,6 +166,22 @@ a 1 3 3.0 10.0
 d 1 3 2.0
 d 1 2 1.0
 """, "optimal", 4.0),
+    # 1 -> 2 can carry nothing, so both units take the dear direct edge.
+    "zero-capacity-edge": ("""\
+p mcf 3 3 1
+a 1 2 1.0 0.0
+a 2 3 1.0 10.0
+a 1 3 4.0 10.0
+d 1 3 2.0
+""", "optimal", 8.0),
+    # Every route to 3 carries at most one of the five units.
+    "capacity-infeasible": ("""\
+p mcf 3 3 1
+a 1 2 1.0 1.0
+a 2 3 1.0 1.0
+a 1 3 4.0 1.0
+d 1 3 5.0
+""", "infeasible", None),
 }
 
 SOLVE_KINDS = [("tree", "full"), ("path", "full"), ("path", "bounded"),

@@ -1,5 +1,6 @@
 """Engine tests: termination, strategy behavior, bounds, determinism."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -192,6 +193,52 @@ class TestReport:
         assert r.peak_columns >= 1
         assert r.wall_time >= 0.0
         assert r.gap == 0.0
+
+
+class TestSeedRound:
+    """While mu is all zero a round prices from the seed columns; it must
+    give exactly what the kernel gives."""
+
+    @pytest.mark.parametrize("form,kernel", [
+        ("tree", "full"), ("path", "full"), ("path", "bounded"), ("path", "astar")])
+    def test_seed_round_equals_kernel_round(self, monkeypatch, form, kernel):
+        rng = random.Random(11)
+        priced = cut = 0
+        for seed in range(8):
+            inst = generate_random(14, 44, 24, 4, seed=seed, tightness="mixed")
+            solver = ColGenSolver(inst, cfg(formulation=form, pricing_strategy=kernel))
+            solver._seed_pool()
+            sol = solver.master.solve_rmp()
+            assert not sol.mu.any()
+            # Duals around the seed costs, so that some owners price out.
+            pi = {o: col.cost * rng.uniform(0.8, 1.3)
+                  for o, col in solver._seeds.items()}
+            solver.master.solution = dataclasses.replace(sol, pi=pi)
+            owners = list(solver.owner_weights)
+            for subset in (None, set(rng.sample(owners, len(owners) // 2))):
+                for limit in (None, 1, 3):
+                    seeded = solver._price_round(owners=subset, limit=limit)
+                    with monkeypatch.context() as m:
+                        m.setattr(solver, "_price_seeds", solver._price_kernel)
+                        assert solver._price_round(owners=subset, limit=limit) == seeded
+                    priced += len(seeded[0])
+                    cut += limit is not None and seeded[2] < len(inst.groups)
+        assert priced > 0 and cut > 0
+
+    @pytest.mark.parametrize("form,kernel", [
+        ("tree", "full"), ("path", "full"), ("path", "bounded"), ("path", "astar")])
+    def test_loose_solve_prices_without_the_kernel(self, monkeypatch, form, kernel):
+        import mcflow.engine
+        calls = []
+        for name in ("price_tree", "price_paths"):
+            real = getattr(mcflow.engine, name)
+            monkeypatch.setattr(mcflow.engine, name,
+                                lambda *a, real=real, **kw: calls.append(a) or real(*a, **kw))
+        inst = generate_random(14, 44, 40, 4, seed=3, tightness="loose")
+        r = solve(inst, cfg(formulation=form, pricing_strategy=kernel))
+        assert r.status == "optimal"
+        assert r.objective == pytest.approx(r.lower_bound, rel=1e-9)
+        assert calls == []
 
 
 def checked_against_cold_solves(solver):

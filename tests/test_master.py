@@ -69,13 +69,14 @@ class TestAddColumn:
         import mcflow.master
         from mcflow.engine import ColGenSolver, SolverConfig
         calls = []
-        real = mcflow.master.validate_column
+        real = mcflow.master.validate_columns
 
-        def spy(col, instance):
-            calls.append(col.support_key)
-            real(col, instance)
+        def spy(cols, instance):
+            cols = list(cols)
+            calls.extend(col.support_key for col in cols)
+            return real(cols, instance)
 
-        monkeypatch.setattr(mcflow.master, "validate_column", spy)
+        monkeypatch.setattr(mcflow.master, "validate_columns", spy)
         inst = generate_random(12, 36, 14, 4, seed=1, tightness="tight")
         # Retiring columns after one nonbasic solve makes pricing offer
         # pooled columns again.
@@ -83,7 +84,7 @@ class TestAddColumn:
                                                  rel_tol=1e-7, retire_after=1))
         added = []
         real_add = solver.master.add_column
-        solver.master.add_column = lambda col: added.append(col) or real_add(col)
+        solver.master.add_column = lambda cols: added.extend(cols) or real_add(cols)
         assert solver.run().status == "optimal"
         assert len(added) > solver.master.pool_size   # duplicates were offered
         assert len(calls) == solver.master.pool_size
