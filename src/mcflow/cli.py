@@ -142,7 +142,9 @@ def cmd_solve(args) -> int:
         if record.objective is not None:
             print(f"objective    {record.objective:.10g}")
         if record.lower_bound is not None:
-            print(f"lower bound  {record.lower_bound:.10g}  gap {record.gap:.3g}")
+            # A run stopped before its first feasible master has no gap.
+            gap = "" if record.gap is None else f"  gap {record.gap:.3g}"
+            print(f"lower bound  {record.lower_bound:.10g}{gap}")
         print(f"iterations   {record.iterations}  columns {record.columns_generated}"
               f"  active rows {record.rows_activated}")
         print(f"wall time    {record.wall_time_s:.3f}s  "

@@ -4,11 +4,17 @@ separation, and pricing until the relative gap closes.
 Two balancing strategies are available. ``master-easy`` re-optimizes
 the master whenever violated capacity rows exist before any pricing,
 and prices only owners whose pooled columns touch newly added rows
-(dropping that filter once it yields too little). ``pricing-easy``
-attempts row separation and pricing in every iteration, stopping a
-pricing sweep after a configured number of negative columns; whenever a
-sweep covers every owner the Lagrangian bound is refreshed. ``auto``
-picks pricing-easy when the instance has more commodities than nodes.
+(dropping that filter once a filtered round adds fewer than
+ε = max(|S|/100, 1) columns). ``pricing-easy`` attempts row separation
+and pricing in every iteration, stopping a pricing sweep after the group
+that brings the columns found to N = max(|S|, 100); whenever a sweep
+covers every owner the Lagrangian bound is refreshed. ``auto`` picks
+pricing-easy when the instance has more commodities than nodes. Here
+|S| is the number of sources.
+
+Every column the master pools stays in the restriction for the whole
+solve. When pricing finds nothing while slack remains, big-M is
+escalated up to three times before the instance is declared infeasible.
 
 While every capacity dual is zero, the pricing weights are the original
 edge costs the seed columns were priced under, so such a round takes its
@@ -16,7 +22,9 @@ outcome from the seed columns instead of running a kernel.
 
 The time left of ``timeout_seconds`` is passed to every master solve as
 its LP time limit, which HiGHS enforces; a solve stopped there ends the
-run with status ``timeout`` and the bounds found so far.
+run with status ``timeout`` and the bounds found so far. The budget is
+also checked before every iteration, which ends a run whose pricing
+round used up the time left; either way the report's message says why.
 
 Direct solves of the edge-based and source-based LPs are routed through
 the same entry point for convenience.
@@ -48,6 +56,9 @@ INFEASIBLE = "infeasible"
 
 FORMULATIONS = (TREE, PATH, SOURCE_LP, EDGE_LP)
 
+# Big-M escalations tried before slack left at the end means infeasible.
+BIG_M_ESCALATIONS = 3
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -57,15 +68,10 @@ class SolverConfig:
     rel_tol: float = 1e-4
     timeout_seconds: float = 7200.0
     strategy: str = "auto"              # auto | master-easy | pricing-easy
-    column_limit: int | None = None     # pricing-easy: stop after this many columns
-    filter_epsilon: float | None = None  # master-easy: drop filter below this yield
     pricing_strategy: str = "full"      # full | bounded | astar
     heuristic_scope: str = "global"     # global | per-source
     lp_backend: str = "highs"
     threads: int = 1                    # no effect: pricing is one kernel call per round
-    slack_policy: str = "auto"
-    retire_after: int | None = None
-    max_big_m_escalations: int = 3
 
     def validate(self) -> None:
         if self.formulation not in FORMULATIONS:
@@ -78,10 +84,6 @@ class SolverConfig:
             raise InputError(f"unknown pricing strategy {self.pricing_strategy!r}")
         if self.heuristic_scope not in ("global", "per-source"):
             raise InputError(f"unknown heuristic scope {self.heuristic_scope!r}")
-        if self.column_limit is not None and self.column_limit < 1:
-            raise InputError("column_limit must be at least 1")
-        if self.filter_epsilon is not None and self.filter_epsilon < 0:
-            raise InputError("filter_epsilon must be nonnegative")
         if self.threads < 1:
             raise InputError("threads must be at least 1")
 
@@ -148,13 +150,10 @@ class ColGenSolver:
         if self.strategy == "auto":
             self.strategy = choose_strategy(instance)
         n_sources = len(instance.groups)
-        self.column_limit = config.column_limit or max(n_sources, 100)
-        self.filter_epsilon = config.filter_epsilon if config.filter_epsilon is not None \
-            else max(n_sources / 100.0, 1.0)
+        self.column_limit = max(n_sources, 100)
+        self.filter_epsilon = max(n_sources / 100.0, 1.0)
         self.backend = get_backend(config.lp_backend)
-        self.master: RestrictedMaster = new_master(
-            instance, self.mode, slack_policy=config.slack_policy,
-            retire_after=config.retire_after)
+        self.master: RestrictedMaster = new_master(instance, self.mode)
         if self.mode == PATH:
             self.owner_weights = {k: c.demand
                                   for k, c in enumerate(instance.commodities)}
@@ -171,7 +170,7 @@ class ColGenSolver:
         self.infeasible_owners: tuple = ()
         self.filter_active = self.strategy == "master-easy"
         self.pending_edges: set[int] = set()
-        self._escalations_left = config.max_big_m_escalations
+        self._escalations_left = BIG_M_ESCALATIONS
         self._bounds: HeuristicBounds | dict[int, HeuristicBounds] | None = None
         # Seed column per owner: its pricing column while mu is all zero.
         self._seeds: dict[int, Column] = {}
@@ -211,6 +210,8 @@ class ColGenSolver:
             while self.status is None:
                 if self._time_left() < 0.0:
                     self.status = TIMEOUT
+                    self.message = (f"the time budget of {self.config.timeout_seconds:g}"
+                                    " s ran out between iterations")
                     break
                 if self.strategy == "master-easy":
                     self.run_master_easy_iteration()
@@ -413,7 +414,6 @@ class ColGenSolver:
 def solve(instance: Instance, config: SolverConfig | None = None) -> SolveReport:
     """Solve an instance with any of the four formulations."""
     config = config or SolverConfig()
-    config.validate()
     if config.formulation in (TREE, PATH):
         return ColGenSolver(instance, config).run()
     return solve_direct_formulation(instance, config)[0]

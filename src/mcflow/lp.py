@@ -8,8 +8,8 @@ senses, nonnegative variables, minimization) and handed to an
 * ``highs`` (the default): HiGHS through :class:`HighsModel`, the
   package's one adapter around SciPy's bundled HiGHS bindings. The
   restricted master keeps one :class:`HighsModel` alive for a whole
-  column generation run and grows it in place, so each re-solve starts
-  from the previous basis.
+  column generation run and only ever appends rows and columns to it
+  or changes costs, so each re-solve starts from the previous basis.
 * ``builtin``: the dense two-phase revised simplex from
   :mod:`mcflow.simplex`, kept as a solver that shares no code with
   HiGHS; the restricted master rebuilds and cold-solves its LP on it.
@@ -132,13 +132,12 @@ class SimplexBackend(LpBackend):
 class HighsModel:
     """One HiGHS LP that grows in place and re-solves from its last basis.
 
-    ``min c.x  s.t.  rows (senses) rhs,  x >= 0``, where any column can
-    be fixed at zero and freed again. Rows are appended in CSR form over
-    the columns already present, columns in CSC form over the rows
-    already present; both take ``starts`` with one entry per new row or
-    column plus a final end offset, like SciPy's ``indptr``. HiGHS keeps
-    its basis across :meth:`solve` calls, so after columns, rows, costs
-    or bounds change the next solve starts from the previous optimum
+    ``min c.x  s.t.  rows (senses) rhs,  x >= 0``. Rows are appended in
+    CSR form over the columns already present, columns in CSC form over
+    the rows already present; both take ``starts`` with one entry per
+    new row or column plus a final end offset, like SciPy's ``indptr``.
+    HiGHS keeps its basis across :meth:`solve` calls, so after columns,
+    rows or costs change the next solve starts from the previous optimum
     instead of from scratch.
 
     This wraps ``scipy.optimize._highspy._core``, the HiGHS binding that
@@ -203,13 +202,6 @@ class HighsModel:
         self._check(self._h.changeColsCost(cols.size, cols,
                                            np.asarray(costs, dtype=np.float64)))
 
-    def set_fixed(self, cols, fixed: bool) -> None:
-        """Fix columns at zero (upper bound 0) or free them again."""
-        cols = np.asarray(cols, dtype=np.int32)
-        upper = np.full(cols.size, 0.0 if fixed else self._inf)
-        self._check(self._h.changeColsBounds(cols.size, cols,
-                                             np.zeros(cols.size), upper))
-
     def solve(self, time_limit: float | None = None) -> LpSolution:
         """Run HiGHS; a run stopped by ``time_limit`` (seconds) reports
         :data:`TIME_LIMIT` with no solution."""
@@ -238,7 +230,7 @@ class HighsModel:
         x = np.asarray(solution.col_value)
         duals = np.asarray(solution.row_dual)
         objective = float(self._h.getInfo().objective_function_value)
-        # Every upper bound is 0 or infinite, so bounds add nothing here.
+        # No column has a finite upper bound, so bounds add nothing here.
         dual_objective = float(duals @ np.asarray(self._rhs))
         return LpSolution(OPTIMAL, objective, x, duals,
                           abs(objective - dual_objective))

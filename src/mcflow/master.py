@@ -14,7 +14,9 @@ takes one column or a sequence of them. Duplicates, of pooled columns
 or within the batch, are found by support key first; the new columns
 are then checked together by :func:`validate_columns`, which raises for
 the first bad column in batch order, and a batch with a bad column
-changes nothing. The coefficients of all pooled columns live in one
+changes nothing. Every pooled column stays in the restriction for the
+whole solve, so the restriction's columns are the pool ids ``0 ..
+pool_size - 1``. The coefficients of all pooled columns live in one
 flat entry store: parallel ``(edge, coef, column)`` arrays in pool
 order, each column's entries in its own edge order, appended once per
 batch. Every reader uses array operations on that store: edge flows
@@ -25,11 +27,10 @@ has a capacity row, found through an edge -> capacity-row index array.
 On the ``highs`` backend the master keeps one :class:`HighsModel` for
 its whole life, created on the first solve. Each solve first brings that
 model up to date (new capacity rows with the entries of the columns
-already in it, new pool columns in one batch, retired columns fixed at
-zero, reactivated ones freed, escalated slack costs) and then lets
-HiGHS re-solve from the basis it kept. Other backends get the whole
-restriction rebuilt by :meth:`RestrictedMaster.build_lp` and solved
-cold. Both get the same coefficients in the same order.
+already in it, new pool columns in one batch, escalated slack costs)
+and then lets HiGHS re-solve from the basis it kept. Other backends get
+the whole restriction rebuilt by :meth:`RestrictedMaster.build_lp` and
+solved cold. Both get the same coefficients in the same order.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ TREE = "tree"
 # kept well below the optimality tolerance so lazy rows never mask the gap.
 VIOLATION_ABS = 1e-6
 VIOLATION_REL = 1e-9
+
+# Each big-M escalation multiplies every slack price by this factor.
+BIG_M_FACTOR = 100.0
 
 
 @dataclass(frozen=True)
@@ -256,11 +260,6 @@ def _check_trees(b: _Batch, is_tree: np.ndarray, instance: Instance) -> None:
                       f"{int(head[b.start[i] + b.first_entry(loose, i)])}")
 
 
-def validate_column(col: Column, instance: Instance) -> None:
-    """Check one column; see :func:`validate_columns`."""
-    validate_columns([col], instance)
-
-
 @dataclass
 class RmpSolution:
     """Primal/dual snapshot of the latest restricted master solve."""
@@ -277,9 +276,7 @@ class RmpSolution:
 class RestrictedMaster:
     """Mutable restricted master problem. Single-threaded by contract."""
 
-    def __init__(self, instance: Instance, mode: str, *,
-                 slack_policy: str = "auto", big_m: float | None = None,
-                 retire_after: int | None = None):
+    def __init__(self, instance: Instance, mode: str):
         if mode not in (PATH, TREE):
             raise InputError(f"unknown master mode {mode!r}")
         self.instance = instance
@@ -292,19 +289,12 @@ class RestrictedMaster:
             self.owners = [g.source for g in instance.groups]
             self.demand_rhs = np.ones(len(instance.groups))
         self.owner_row = {o: i for i, o in enumerate(self.owners)}
-        if slack_policy == "auto":
-            slack_policy = "demand" if len(self.owners) < net.edge_count else "edge"
-        if slack_policy not in ("demand", "edge"):
-            raise InputError(f"unknown slack policy {slack_policy!r}")
-        self.slack_policy = slack_policy
+        self.slack_policy = "demand" if len(self.owners) < net.edge_count else "edge"
         total_cost = float(net.cost.sum())
-        if big_m is None:
-            if mode == TREE:
-                total_demand = float(sum(c.demand for c in instance.commodities))
-                big_m = total_cost * total_demand
-            else:
-                big_m = total_cost
-        self.big_m = max(1.0, float(big_m))
+        big_m = total_cost
+        if mode == TREE:
+            big_m *= float(sum(c.demand for c in instance.commodities))
+        self.big_m = max(1.0, big_m)
         # Demand-row slack prices: one unit of convexity slack stands for the
         # whole group's demand, so its penalty scales with that demand. This
         # keeps the tree and path masters exactly equivalent LPs whenever
@@ -314,15 +304,12 @@ class RestrictedMaster:
                 [max(1.0, total_cost * g.total_demand) for g in instance.groups])
         else:
             self.demand_slack_costs = np.full(len(self.owners), self.big_m)
-        self.retire_after = retire_after
 
         self.columns: list[Column] = []
         self._by_key: dict[tuple, int] = {}
-        # Per pool column: cost, demand row, active flag, nonbasic streak.
+        # Per pool column: cost and demand row.
         self._cost = np.zeros(0)
         self._row = np.zeros(0, dtype=np.int64)
-        self._active = np.zeros(0, dtype=bool)
-        self._streak = np.zeros(0, dtype=np.int64)
         # The entry store: one (edge, coef, column) triple per column edge.
         self._edge = np.zeros(0, dtype=np.int64)
         self._coef = np.zeros(0)
@@ -340,7 +327,6 @@ class RestrictedMaster:
         self._cap_rows = 0                  # active_edges[:_cap_rows] are rows
         self._slack_vars: dict = {}
         self._art_vars: dict[int, int] = {}
-        self._bounds_changed: set[int] = set()
         self._costs_changed = False
 
     # -- column pool --------------------------------------------------------
@@ -350,14 +336,14 @@ class RestrictedMaster:
 
         Returns the pool id of each column, one int for one column. An
         exact duplicate of a pooled or earlier column gets that column's
-        id and only reactivates it, so each pool column is validated
-        exactly once. The new columns are validated together; if one is
-        bad, nothing is added or reactivated.
+        id and changes nothing, so each pool column is validated exactly
+        once. The new columns are validated together; if one is bad,
+        nothing is added.
         """
         single = isinstance(cols, Column)
         batch = [cols] if single else list(cols)
         first = len(self.columns)
-        ids, new, keys, revived = [], [], {}, []
+        ids, new, keys = [], [], {}
         for col in batch:
             key = col.support_key
             cid = self._by_key.get(key)
@@ -366,15 +352,9 @@ class RestrictedMaster:
                 if cid is None:
                     cid = keys[key] = first + len(new)
                     new.append(col)
-            elif not self._active[cid]:
-                revived.append(cid)
             ids.append(cid)
         if new:
             self._append(new, keys)
-        if revived:
-            self._active[revived] = True
-            self._streak[revived] = 0
-            self._bounds_changed.update(revived)
         return ids[0] if single else ids
 
     def _append(self, new: list[Column], keys: dict[tuple, int]) -> None:
@@ -398,8 +378,6 @@ class RestrictedMaster:
         self._by_key.update(keys)
         self._cost = np.concatenate([self._cost, [c.cost for c in new]])
         self._row = np.concatenate([self._row, [self.owner_row[c.owner] for c in new]])
-        self._active = np.concatenate([self._active, np.ones(count, dtype=bool)])
-        self._streak = np.concatenate([self._streak, np.zeros(count, dtype=np.int64)])
         self._edge = np.concatenate([self._edge, edges])
         self._coef = np.concatenate([self._coef, coefs])
         self._col = np.concatenate(
@@ -410,12 +388,9 @@ class RestrictedMaster:
         return len(self.columns)
 
     @property
-    def column_active(self) -> list[bool]:
-        return self._active.tolist()
-
-    @property
     def active_column_ids(self) -> list[int]:
-        return np.flatnonzero(self._active).tolist()
+        """Pool ids of the columns in the restriction: every pooled column."""
+        return list(range(self.pool_size))
 
     def owners_touching(self, edges) -> set[int]:
         """Owners whose pooled columns use any of the given edges."""
@@ -440,12 +415,12 @@ class RestrictedMaster:
     def aggregate_edge_flows(self, x: np.ndarray | None = None) -> np.ndarray:
         """Total flow per edge implied by the given (or last) primal.
 
-        Only active columns with positive flow count; entries are summed
-        in pool order.
+        Only columns with positive flow count; entries are summed in
+        pool order.
         """
         if x is None:
             x = self._require_solution().x
-        flow = np.where(self._active & (x > 0.0), x, 0.0)
+        flow = np.where(x > 0.0, x, 0.0)
         return np.bincount(self._edge, weights=self._coef * flow[self._col],
                            minlength=self.instance.network.edge_count)
 
@@ -461,33 +436,30 @@ class RestrictedMaster:
         hits = np.flatnonzero((over > tol) & (self._cap_pos < 0))
         return hits[np.lexsort((hits, -over[hits]))].tolist()
 
-    def escalate_big_m(self, factor: float = 100.0) -> None:
-        self.big_m *= factor
-        self.demand_slack_costs = self.demand_slack_costs * factor
+    def escalate_big_m(self) -> None:
+        """Raise every slack price (and with it big-M) a hundredfold."""
+        self.big_m *= BIG_M_FACTOR
+        self.demand_slack_costs = self.demand_slack_costs * BIG_M_FACTOR
         self._costs_changed = True
 
     # -- LP assembly and solve ----------------------------------------------
 
-    def _column_matrix(self, ids: np.ndarray):
-        """The LP coefficients of pool columns ``ids`` (ascending) in CSC
-        form ``(starts, indices, values)`` over the demand rows and the
-        active capacity rows: per column its demand row, then its entries
-        on edges with a row, in the column's edge order."""
-        if not ids.size:
-            return np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
-        lo = np.searchsorted(self._col, ids[0])
-        local = np.full(self.pool_size - ids[0], -1)
-        local[ids - ids[0]] = np.arange(ids.size)
-        j = local[self._col[lo:] - ids[0]]
+    def _column_matrix(self, first: int = 0):
+        """The LP coefficients of pool columns ``first ..`` in CSC form
+        ``(starts, indices, values)`` over the demand rows and the active
+        capacity rows: per column its demand row, then its entries on
+        edges with a row, in the column's edge order."""
+        n = self.pool_size - first
+        lo = np.searchsorted(self._col, first)
         row = self._cap_pos[self._edge[lo:]]
-        keep = (j >= 0) & (row >= 0)
-        j = j[keep]
-        counts = np.bincount(j, minlength=ids.size)
-        starts = np.zeros(ids.size + 1, dtype=np.int64)
+        keep = row >= 0
+        j = self._col[lo:][keep] - first
+        counts = np.bincount(j, minlength=n)
+        starts = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts + 1, out=starts[1:])
         indices = np.empty(starts[-1], dtype=np.int64)
         values = np.empty(starts[-1])
-        indices[starts[:-1]] = self._row[ids]
+        indices[starts[:-1]] = self._row[first:]
         values[starts[:-1]] = 1.0
         # An entry goes after its column's demand entry and earlier entries.
         rank = np.arange(j.size) - (np.cumsum(counts) - counts)[j]
@@ -500,31 +472,32 @@ class RestrictedMaster:
         """Assemble the current restriction as a SparseLp.
 
         Returns the LP and the pool ids of the LP's column variables in
-        order. Variable layout: columns, then slacks, then artificials.
+        order, which are all pool ids. Variable layout: columns, then
+        slacks, then artificials.
         """
         n_demand = len(self.owners)
         n_cap = len(self.active_edges)
-        ids = np.flatnonzero(self._active)
-        starts, indices, values = self._column_matrix(ids)
+        n_pool = self.pool_size
+        starts, indices, values = self._column_matrix()
         if self.slack_policy == "demand":
             labels = [("demand", o) for o in self.owners]
             extra = [(np.arange(n_demand), 1.0, self.demand_slack_costs)]
         else:
             labels = [("edge", e) for e in self.active_edges]
             extra = [(n_demand + np.arange(n_cap), -1.0, np.full(n_cap, self.big_m))]
-        slack_index = {label: ids.size + i for i, label in enumerate(labels)}
+        slack_index = {label: n_pool + i for i, label in enumerate(labels)}
         art_index: dict = {}
         if self._use_artificials:
-            first = ids.size + len(labels)
+            first = n_pool + len(labels)
             art_index = {o: first + i for i, o in enumerate(self.owners)}
             extra.append((np.arange(n_demand), 1.0, np.full(n_demand, 10.0 * self.big_m)))
         # One variable per extra row, each with a single entry.
         rows = [indices] + [r for r, _, _ in extra]
         vals = [values] + [np.full(r.size, v) for r, v, _ in extra]
-        obj = [self._cost[ids]] + [c for _, _, c in extra]
-        n = ids.size + sum(r.size for r, _, _ in extra)
-        cols = np.concatenate([np.repeat(np.arange(ids.size), np.diff(starts)),
-                               np.arange(ids.size, n)])
+        obj = [self._cost] + [c for _, _, c in extra]
+        n = n_pool + sum(r.size for r, _, _ in extra)
+        cols = np.concatenate([np.repeat(np.arange(n_pool), np.diff(starts)),
+                               np.arange(n_pool, n)])
 
         senses = ["E"] * n_demand + ["L"] * n_cap
         rhs = np.concatenate([self.demand_rhs,
@@ -541,7 +514,7 @@ class RestrictedMaster:
         )
         self._slack_index = slack_index
         self._art_index = art_index
-        return lp, ids.tolist()
+        return lp, list(range(n_pool))
 
     def solve_rmp(self, backend: str | LpBackend = "highs",
                   time_limit: float | None = None) -> RmpSolution:
@@ -566,7 +539,6 @@ class RestrictedMaster:
                 sol = self._solve_model(deadline)
             _check_rmp_solution(sol)
             x = sol.x[self._col_vars]
-            x[~self._active] = 0.0
             slack = {key: float(sol.x[j]) for key, j in self._slack_vars.items()}
             artificial = sum(float(sol.x[j]) for j in self._art_vars.values())
         else:
@@ -577,8 +549,7 @@ class RestrictedMaster:
                 lp, col_ids = self.build_lp()
                 sol = backend.solve(lp)
             _check_rmp_solution(sol)
-            x = np.zeros(len(self.columns))
-            x[col_ids] = sol.x[:len(col_ids)]
+            x = sol.x[:len(col_ids)]
             slack = {key: float(sol.x[j]) for key, j in self._slack_index.items()}
             artificial = sum(float(sol.x[j]) for j in self._art_index.values())
 
@@ -592,7 +563,6 @@ class RestrictedMaster:
         max_slack = max(slack.values(), default=0.0)
         self.solution = RmpSolution(sol.objective, x, pi, mu, slack,
                                     max_slack, artificial)
-        self._update_retirement(x)
         return self.solution
 
     # -- live HiGHS model ---------------------------------------------------
@@ -650,26 +620,15 @@ class RestrictedMaster:
                     self._slack_vars[("edge", e)] = first + i
 
         if synced < self.pool_size:
-            ids = np.arange(synced, self.pool_size)
-            first = model.add_cols(self._cost[ids], *self._column_matrix(ids))
-            self._col_vars = np.concatenate([self._col_vars,
-                                             np.arange(first, first + ids.size)])
-            self._bounds_changed.update(ids[~self._active[ids]].tolist())
+            first = model.add_cols(self._cost[synced:], *self._column_matrix(synced))
+            self._col_vars = np.concatenate(
+                [self._col_vars, np.arange(first, first + self.pool_size - synced)])
 
         if self._use_artificials and not self._art_vars:
             first = model.add_cols(np.full(n_demand, 10.0 * self.big_m),
                                    np.arange(n_demand + 1), np.arange(n_demand),
                                    np.ones(n_demand))
             self._art_vars = {o: first + i for i, o in enumerate(self.owners)}
-
-        if self._bounds_changed:
-            changed = np.fromiter(self._bounds_changed, np.int64,
-                                  len(self._bounds_changed))
-            for fixed in (True, False):
-                cids = changed[self._active[changed] != fixed]
-                if cids.size:
-                    model.set_fixed(self._col_vars[cids], fixed)
-            self._bounds_changed.clear()
 
         if self._costs_changed:
             slack_costs = [self.demand_slack_costs[self.owner_row[label]]
@@ -680,17 +639,6 @@ class RestrictedMaster:
                 model.set_costs(list(self._art_vars.values()),
                                 np.full(n_demand, 10.0 * self.big_m))
             self._costs_changed = False
-
-    def _update_retirement(self, x: np.ndarray) -> None:
-        if self.retire_after is None:
-            return
-        basic = x > 1e-12
-        idle = self._active & ~basic
-        self._streak[basic] = 0
-        self._streak[idle] += 1
-        retire = idle & (self._streak >= self.retire_after)
-        self._active[retire] = False
-        self._bounds_changed.update(np.flatnonzero(retire).tolist())
 
     def _require_solution(self) -> RmpSolution:
         if self.solution is None:
@@ -711,6 +659,6 @@ def _check_rmp_solution(sol: LpSolution) -> None:
                             f"for objective {sol.objective}")
 
 
-def new_master(instance: Instance, mode: str, **kwargs) -> RestrictedMaster:
-    """Create a restricted master with the configured slack policy."""
-    return RestrictedMaster(instance, mode, **kwargs)
+def new_master(instance: Instance, mode: str) -> RestrictedMaster:
+    """Create the restricted master of an instance in the given mode."""
+    return RestrictedMaster(instance, mode)

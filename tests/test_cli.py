@@ -3,14 +3,17 @@
 import csv
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 import mcflow.baseline
 import mcflow.engine
-from mcflow.bench import (CSV_HEADER, RunRecord, read_records_csv,
-                          record_from_report, run_suite, write_records_csv)
+from mcflow.baseline import build_source_lp, solve_direct
+from mcflow.bench import (CSV_HEADER, RunRecord, load_instance,
+                          read_records_csv, record_from_report, run_suite,
+                          write_records_csv)
 from mcflow.cli import (EXIT_INFEASIBLE, EXIT_OPTIMAL, EXIT_TIMEOUT, main)
 from mcflow.engine import SolverConfig, choose_strategy, solve
 from mcflow.instance import generate_random, write_native
@@ -206,6 +209,45 @@ class TestFaultCases:
                         "infeasible": EXIT_INFEASIBLE}[status]
         if objective is not None:
             assert payload["objective"] == pytest.approx(objective, rel=1e-9)
+
+    @pytest.mark.parametrize("formulation,kernel", [("tree", "price_tree"),
+                                                    ("path", "price_paths")])
+    def test_timeout_during_pricing(self, tmp_path, monkeypatch, capsys,
+                                    formulation, kernel):
+        # The first kernel round sleeps through the whole budget; the LP
+        # time limit cannot stop it, the budget check after it must.
+        budget = 0.5
+        calls = []
+        real = getattr(mcflow.engine, kernel)
+
+        def slow(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                time.sleep(budget)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mcflow.engine, kernel, slow)
+        # Tight capacities: capacity duals become nonzero, so pricing
+        # runs the kernel instead of reusing the seed columns. Pricing-easy
+        # prices every owner before that, which gives a lower bound.
+        inst = generate_random(12, 36, 12, 4, seed=6, tightness="tight")
+        path = tmp_path / "tight.mcf"
+        with open(path, "w") as f:
+            write_native(inst, f)
+        json_file = tmp_path / "run.json"
+        code = main(["solve", "--formulation", formulation, "--strategy",
+                     "pricing-easy", "--timeout", str(budget),
+                     "--json", str(json_file), str(path)])
+        out, err = capsys.readouterr()
+        payload = json.loads(json_file.read_text())
+        assert len(calls) == 1
+        assert code == EXIT_TIMEOUT
+        assert payload["status"] == "timeout"
+        assert "Traceback" not in out + err
+        assert "note         the time budget of 0.5 s ran out" in out
+        oracle = solve_direct(build_source_lp(load_instance(str(path)))).objective
+        assert payload["lower_bound"] is not None
+        assert payload["lower_bound"] <= oracle + 1e-9 * abs(oracle)
 
 
 class TestRunRecordCsv:

@@ -1,11 +1,15 @@
 """Engine tests: termination, strategy behavior, bounds, determinism."""
 
+import ast
 import dataclasses
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mcflow.bench
+import mcflow.cli
 from mcflow.baseline import build_edge_lp, build_source_lp, solve_direct
 from mcflow.engine import (ColGenSolver, SolveReport, SolverConfig,
                            choose_strategy, solve)
@@ -62,6 +66,7 @@ class TestSolveBasics:
         inst = generate_random(20, 60, 25, 6, seed=3, tightness="tight")
         r = solve(inst, cfg(formulation="tree", timeout_seconds=0.0))
         assert r.status == "timeout"
+        assert r.message == "the time budget of 0 s ran out between iterations"
 
     def test_direct_formulations_routed(self, triangle_capped):
         for form in ("source-lp", "edge-lp"):
@@ -90,8 +95,10 @@ class TestChooseStrategy:
 class TestStrategies:
     def test_pricing_easy_column_limit(self):
         inst = generate_random(12, 36, 12, 6, seed=5, tightness="tight")
-        r = solve(inst, cfg(formulation="tree", strategy="pricing-easy",
-                            column_limit=1))
+        solver = ColGenSolver(inst, cfg(formulation="tree", strategy="pricing-easy"))
+        assert solver.column_limit == 100       # N = max(|S|, 100)
+        solver.column_limit = 1
+        r = solver.run()
         assert r.status == "optimal"
         # No iteration may add more than one column.
         assert all(it.columns_added <= 1 for it in r.iterations)
@@ -259,15 +266,25 @@ def checked_against_cold_solves(solver):
     return count
 
 
+EDGE_SLACK_SIZE = (8, 16, 20, 4)
+
+
 class TestLiveMaster:
     @pytest.mark.parametrize("form", ["tree", "path"])
     @pytest.mark.parametrize("options", [
-        {}, {"slack_policy": "edge"}, {"retire_after": 1},
-        {"slack_policy": "edge", "retire_after": 1, "strategy": "master-easy"},
+        {},
+        # 20 path rows on 16 edges: the row-count rule picks edge slack.
+        {"size": EDGE_SLACK_SIZE},
+        {"strategy": "master-easy"},
+        {"size": EDGE_SLACK_SIZE, "strategy": "master-easy"},
     ])
     def test_every_solve_matches_a_cold_solve(self, form, options):
-        inst = generate_random(12, 36, 14, 4, seed=21, tightness="tight")
-        solver = ColGenSolver(inst, cfg(formulation=form, **options))
+        size = options.get("size", (12, 36, 14, 4))
+        inst = generate_random(*size, seed=21, tightness="tight")
+        solver = ColGenSolver(inst, cfg(formulation=form,
+                                        strategy=options.get("strategy", "auto")))
+        edge_slack = form == "path" and size == EDGE_SLACK_SIZE
+        assert solver.master.slack_policy == ("edge" if edge_slack else "demand")
         count = checked_against_cold_solves(solver)
         r = solver.run()
         assert r.status == "optimal"
@@ -323,6 +340,38 @@ class TestLpTimeLimit:
         oracle = solve_direct(build_source_lp(inst)).objective
         assert r.lower_bound <= oracle + 1e-6 * abs(oracle)
         assert r.objective >= oracle - 1e-6 * abs(oracle)
+
+
+def solver_config_keywords(path: Path, function: str) -> set[str]:
+    """Keywords passed to ``SolverConfig(...)`` inside ``function``."""
+    tree = ast.parse(path.read_text())
+    body = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    keywords = set()
+    for node in ast.walk(body):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "attr", getattr(func, "id", ""))
+            if name == "SolverConfig":
+                keywords.update(k.arg for k in node.keywords if k.arg)
+    return keywords
+
+
+def test_every_config_field_is_set_outside_tests():
+    """A SolverConfig field that only tests set is a knob nothing uses:
+    every field must be passed by the CLI, the suite runner or the desk
+    benchmark."""
+    callers = [(Path(mcflow.cli.__file__), "_config_from_args"),
+               (Path(mcflow.bench.__file__), "run_suite"),
+               (Path(__file__).resolve().parents[1] / "perfbench" / "run.py",
+                "solver_configs")]
+    passed = set()
+    for path, function in callers:
+        keywords = solver_config_keywords(path, function)
+        assert keywords, (path.name, function)
+        passed |= keywords
+    fields = {f.name for f in dataclasses.fields(SolverConfig)}
+    assert sorted(fields - passed) == []
 
 
 def test_differential_grid_against_source_lp():

@@ -4,15 +4,24 @@ import numpy as np
 import pytest
 
 from mcflow.errors import InputError, LpTimeLimit
-from mcflow.instance import generate_random
+from mcflow.instance import Commodity, Instance, generate_random
 from mcflow.lp import HighsBackend
-from mcflow.master import Column, RestrictedMaster, new_master, validate_column
+from mcflow.master import Column, RestrictedMaster, new_master, validate_columns
 from mcflow.pricing import initial_columns
 
 TREE_COL = Column(owner=0, kind="tree", edges=(0, 1), coefs=(3.0, 2.0), cost=5.0)
 PATH_ABC = Column(owner=0, kind="path", edges=(0, 1), coefs=(1.0, 1.0), cost=2.0)
 PATH_AC = Column(owner=0, kind="path", edges=(2,), coefs=(1.0,), cost=3.0)
 PATH_AB = Column(owner=1, kind="path", edges=(0,), coefs=(1.0,), cost=1.0)
+PATH_BC = Column(owner=2, kind="path", edges=(1,), coefs=(1.0,), cost=1.0)
+
+
+@pytest.fixture
+def triangle_three(triangle_capped):
+    """``triangle_capped`` plus k2: b->c demand 0.5. Three path rows on
+    three edges, so the row-count rule picks edge slack in path mode."""
+    return Instance.build(triangle_capped.network,
+                          [*triangle_capped.commodities, Commodity(1, 2, 0.5)])
 
 
 class TestNewMaster:
@@ -26,10 +35,12 @@ class TestNewMaster:
         assert len(m.owners) == 2
         assert list(m.demand_rhs) == [2.0, 1.0]
 
-    def test_slack_policy_rule(self, triangle):
-        # 2 path rows < 3 edges -> demand slack; forcing edge policy works too.
+    def test_slack_policy_rule(self, triangle, triangle_three):
+        # 2 path rows < 3 edges -> demand slack; 3 path rows on 3 edges ->
+        # edge slack; 2 tree rows (sources a and b) -> demand slack.
         assert new_master(triangle, "path").slack_policy == "demand"
-        assert new_master(triangle, "path", slack_policy="edge").slack_policy == "edge"
+        assert new_master(triangle_three, "path").slack_policy == "edge"
+        assert new_master(triangle_three, "tree").slack_policy == "demand"
 
     def test_big_m_values(self, triangle):
         path_m = new_master(triangle, "path")
@@ -57,12 +68,12 @@ class TestAddColumn:
         # Edges out of order do not form a contiguous path.
         bad = Column(owner=0, kind="path", edges=(1, 0), coefs=(1.0, 1.0), cost=2.0)
         with pytest.raises(InputError, match="contiguous"):
-            validate_column(bad, triangle)
+            validate_columns([bad], triangle)
 
     def test_cost_identity_enforced(self, triangle):
         bad = Column(owner=0, kind="path", edges=(0, 1), coefs=(1.0, 1.0), cost=9.0)
         with pytest.raises(InputError, match="cost"):
-            validate_column(bad, triangle)
+            validate_columns([bad], triangle)
 
     @pytest.mark.parametrize("formulation", ["tree", "path"])
     def test_each_pool_column_validated_once(self, monkeypatch, formulation):
@@ -78,16 +89,22 @@ class TestAddColumn:
 
         monkeypatch.setattr(mcflow.master, "validate_columns", spy)
         inst = generate_random(12, 36, 14, 4, seed=1, tightness="tight")
-        # Retiring columns after one nonbasic solve makes pricing offer
-        # pooled columns again.
         solver = ColGenSolver(inst, SolverConfig(formulation=formulation,
-                                                 rel_tol=1e-7, retire_after=1))
-        added = []
-        real_add = solver.master.add_column
-        solver.master.add_column = lambda cols: added.extend(cols) or real_add(cols)
+                                                 rel_tol=1e-7))
         assert solver.run().status == "optimal"
-        assert len(added) > solver.master.pool_size   # duplicates were offered
-        assert len(calls) == solver.master.pool_size
+        pool = solver.master.columns
+        assert len(calls) == len(pool) > 3
+        # Offer the engine's pool to a fresh master: a few columns first,
+        # then one batch that repeats pooled columns and its own columns.
+        calls.clear()
+        m = new_master(inst, formulation)
+        assert m.add_column(pool[:3]) == [0, 1, 2]
+        m.solve_rmp()
+        ids = list(range(len(pool)))
+        assert m.add_column(pool + pool[::-1]) == ids + ids[::-1]
+        assert m.add_column(pool[1]) == 1
+        assert m.active_column_ids == ids
+        assert len(calls) == m.pool_size == len(pool)
         assert len(set(calls)) == len(calls)
 
     def test_malformed_column_with_new_key_raises(self, triangle):
@@ -207,20 +224,6 @@ class TestMonotonicity:
         assert z2 >= z1 - 1e-9
 
 
-class TestRetirement:
-    def test_columns_retire_after_streak(self, triangle):
-        m = new_master(triangle, "path", retire_after=2)
-        m.add_column(PATH_ABC)
-        m.add_column(PATH_AC)   # strictly worse, never basic
-        m.add_column(PATH_AB)
-        for _ in range(2):
-            m.solve_rmp()
-        assert m.column_active == [True, False, True]
-        # Re-adding reactivates the retired column.
-        m.add_column(PATH_AC)
-        assert m.column_active == [True, True, True]
-
-
 def cold_objective(master):
     """Objective of the master's current restriction, rebuilt and solved cold."""
     return HighsBackend().solve(master.build_lp()[0]).objective
@@ -244,28 +247,29 @@ class TestLiveModel:
         m.solve_rmp()
         assert m._model is model
 
-    def test_updates_match_cold_solves(self, triangle_capped):
-        # Edge slack policy and no columns: the demand rows are infeasible
-        # until artificials are injected.
-        m = new_master(triangle_capped, "path", slack_policy="edge", retire_after=1)
+    def test_updates_match_cold_solves(self, triangle_three):
+        # Edge slack and no columns: the demand rows are infeasible until
+        # artificials are injected.
+        m = new_master(triangle_three, "path")
+        assert m.slack_policy == "edge"
         sol = m.solve_rmp()
         assert sol.artificial > 0.0
         assert_matches_cold(m, sol)
-        for col in (PATH_ABC, PATH_AB, PATH_AC):
+        for col in (PATH_ABC, PATH_AB, PATH_BC):
             m.add_column(col)
             assert_matches_cold(m, m.solve_rmp())
-        # a->c is dearer than a->b->c while b->c is uncapped: it retires.
-        assert m.column_active == [True, True, False]
+        # b->c carries 2.5 units on capacity 1 until a->c is pooled.
         m.add_capacity_rows([1])
         sol = m.solve_rmp()
-        assert sol.max_slack == pytest.approx(1.0)
+        assert sol.max_slack == pytest.approx(1.5)
         assert_matches_cold(m, sol)
         m.escalate_big_m()
         assert_matches_cold(m, m.solve_rmp())
-        m.add_column(PATH_AC)            # reactivates the retired column
-        assert m.column_active == [True, True, True]
+        m.add_column(PATH_AC)
         sol = m.solve_rmp()
-        assert sol.objective == pytest.approx(6.0)
+        # k0 sends 0.5 over a->b->c and 1.5 over a->c.
+        assert sol.objective == pytest.approx(1.0 + 4.5 + 1.0 + 0.5)
+        assert sol.max_slack == pytest.approx(0.0)
         assert_matches_cold(m, sol)
         m.add_capacity_rows([0, 2])
         assert_matches_cold(m, m.solve_rmp())
@@ -273,9 +277,9 @@ class TestLiveModel:
     def test_escalation_reprices_slacks(self, triangle):
         m = new_master(triangle, "tree")
         before = m.solve_rmp().objective
-        m.escalate_big_m(10.0)
+        m.escalate_big_m()
         sol = m.solve_rmp()
-        assert sol.objective == pytest.approx(10.0 * before)
+        assert sol.objective == pytest.approx(100.0 * before)
         assert_matches_cold(m, sol)
 
     def test_builtin_and_highs_masters_agree(self):
