@@ -18,13 +18,16 @@ escalated up to three times before the instance is declared infeasible.
 
 While every capacity dual is zero, the pricing weights are the original
 edge costs the seed columns were priced under, so such a round takes its
-outcome from the seed columns instead of running a kernel.
+outcome from the seed batch, selected with array operations, instead of
+running a kernel.
 
 The time left of ``timeout_seconds`` is passed to every master solve as
 its LP time limit, which HiGHS enforces; a solve stopped there ends the
-run with status ``timeout`` and the bounds found so far. The budget is
-also checked before every iteration, which ends a run whose pricing
-round used up the time left; either way the report's message says why.
+run with status ``timeout`` and the bounds found so far. A kernel
+pricing round gets the budget's deadline and starts no block of sources
+after it, which leaves the round incomplete (no Lagrangian bound, no
+optimality claim). The budget is also checked before every iteration,
+which ends such a run; either way the report's message says why.
 
 Direct solves of the edge-based and source-based LPs are routed through
 the same entry point for convenience.
@@ -45,10 +48,10 @@ from .instance import Instance
 from .lp import INFEASIBLE as LP_INFEASIBLE
 from .lp import OPTIMAL as LP_OPTIMAL
 from .lp import get_backend
-from .master import PATH, TREE, Column, RestrictedMaster, new_master
-from .pricing import (DualSnapshot, PricingOutcome, adjusted_weights,
-                      initial_columns, lagrangian_bound, price_paths,
-                      price_tree)
+from .master import PATH, TREE, ColumnBatch, RestrictedMaster, new_master
+from .pricing import (DualSnapshot, PricingOutcome, PricingStats,
+                      adjusted_weights, initial_columns, lagrangian_bound,
+                      price_paths, price_tree)
 
 OPTIMAL = "optimal"
 TIMEOUT = "timeout"
@@ -90,12 +93,22 @@ class SolverConfig:
 
 @dataclass
 class IterationStat:
+    """One iteration of a run.
+
+    ``slack_mass`` is the sum of the master's slack values in the
+    iteration's solve (positive while the run is in its big-M phase);
+    ``early_stops`` counts the groups whose bounded or A* kernel row
+    stopped before settling every selected sink.
+    """
+
     rmp_objective: float
     columns_added: int = 0
     rows_added: int = 0
     pricing_runs: int = 0
     elapsed: float = 0.0
     lower_bound: float = -np.inf
+    slack_mass: float = 0.0
+    early_stops: int = 0
 
 
 @dataclass
@@ -155,8 +168,7 @@ class ColGenSolver:
         self.backend = get_backend(config.lp_backend)
         self.master: RestrictedMaster = new_master(instance, self.mode)
         if self.mode == PATH:
-            self.owner_weights = {k: c.demand
-                                  for k, c in enumerate(instance.commodities)}
+            self.owner_weights = dict(enumerate(instance.demand.tolist()))
         else:
             self.owner_weights = {g.source: 1.0 for g in instance.groups}
         self._slack_tol = 1e-7 * (1.0 + float(self.master.demand_rhs.max()))
@@ -172,9 +184,11 @@ class ColGenSolver:
         self.pending_edges: set[int] = set()
         self._escalations_left = BIG_M_ESCALATIONS
         self._bounds: HeuristicBounds | dict[int, HeuristicBounds] | None = None
-        # Seed column per owner: its pricing column while mu is all zero.
-        self._seeds: dict[int, Column] = {}
-        self._t0 = 0.0
+        # Seed columns, one per owner in group order (the pricing columns
+        # while mu is all zero), and the group of each.
+        self._seeds: ColumnBatch | None = None
+        self._seed_group: np.ndarray | None = None
+        self._t0 = time.perf_counter()     # reset when the run starts
         if self.mode == PATH and config.pricing_strategy == "astar":
             self._prepare_bounds()
 
@@ -223,12 +237,17 @@ class ColGenSolver:
         return self._report()
 
     def _seed_pool(self) -> None:
-        seeds = initial_columns(self.instance, self.mode)
-        self._seeds = {col.owner: col for col in seeds}
-        self.master.add_column(seeds)
+        self._seeds = initial_columns(self.instance, self.mode)
+        sizes = [1 if self.mode == TREE else len(g.members) for g in self.instance.groups]
+        self._seed_group = np.repeat(np.arange(len(sizes)), sizes)
+        self.master.add_column(self._seeds)
 
     def _time_left(self) -> float:
         return self.config.timeout_seconds - (time.perf_counter() - self._t0)
+
+    def _deadline(self) -> float:
+        """The ``time.perf_counter()`` value at which the budget runs out."""
+        return self._t0 + self.config.timeout_seconds
 
     def _solve_and_check(self):
         sol = self.master.solve_rmp(self.backend,
@@ -247,7 +266,7 @@ class ColGenSolver:
         sol, viol, slack_ok = self._solve_and_check()
         if self.status is not None:
             return
-        it = IterationStat(sol.objective)
+        it = self._new_stat(sol)
         if viol:
             self.master.add_capacity_rows(viol)
             self.pending_edges.update(viol)
@@ -256,14 +275,14 @@ class ColGenSolver:
             return
         filtered = bool(self.filter_active and self.pending_edges)
         owners = self.master.owners_touching(self.pending_edges) if filtered else None
-        columns, min_rc, runs, _ = self._price_round(owners=owners)
+        columns, min_rc, stats, complete = self._price_round(owners=owners)
         self.pending_edges.clear()
-        it.pricing_runs = runs
+        it.pricing_runs, it.early_stops = stats.runs, stats.early_stops
         it.columns_added = self._add_columns(columns)
         if filtered:
             if it.columns_added < self.filter_epsilon:
                 self.filter_active = False
-        else:
+        elif complete:
             lb = lagrangian_bound(sol.objective, min_rc, self.owner_weights)
             if lb is not None:
                 self.best_lb = max(self.best_lb, lb)
@@ -277,12 +296,12 @@ class ColGenSolver:
         sol, viol, slack_ok = self._solve_and_check()
         if self.status is not None:
             return
-        it = IterationStat(sol.objective)
+        it = self._new_stat(sol)
         if viol:
             self.master.add_capacity_rows(viol)
             it.rows_added = len(viol)
-        columns, min_rc, runs, complete = self._price_round(limit=self.column_limit)
-        it.pricing_runs = runs
+        columns, min_rc, stats, complete = self._price_round(limit=self.column_limit)
+        it.pricing_runs, it.early_stops = stats.runs, stats.early_stops
         it.columns_added = self._add_columns(columns)
         if complete:
             lb = lagrangian_bound(sol.objective, min_rc, self.owner_weights)
@@ -321,10 +340,12 @@ class ColGenSolver:
     def _price_round(self, owners=None, limit: int | None = None):
         """Price groups in source order.
 
-        Returns (columns, min_reduced_cost, runs, complete). ``owners``
+        Returns (columns, min_reduced_cost, stats, complete). ``owners``
         restricts pricing to those owners (the master-easy filter);
         ``limit`` stops the sweep after the group that brings the
-        columns found to that many. Unpriced owners map to None.
+        columns found to that many, and a kernel sweep starts no block
+        of sources once the time budget has run out. Unpriced owners map
+        to None, and the round is complete when no owner is unpriced.
         """
         sol = self.master.solution
         tolerance = 1e-9 * (1.0 + abs(sol.objective))
@@ -333,7 +354,7 @@ class ColGenSolver:
         min_rc: dict[int, float | None] = {o: None for o in self.owner_weights}
         min_rc.update(outcome.min_reduced_cost)
         complete = all(v is not None for v in min_rc.values())
-        return outcome.columns, min_rc, outcome.stats.runs, complete
+        return outcome.columns, min_rc, outcome.stats, complete
 
     def _price_kernel(self, sol, tolerance: float, owners, limit) -> PricingOutcome:
         """One pricing call for all groups priced."""
@@ -344,11 +365,13 @@ class ColGenSolver:
             if owners is not None:
                 groups = [g for g in groups if g.source in owners]
             return price_tree(self.instance, groups, duals, tolerance=tolerance,
-                              weights=weights, column_limit=limit)
+                              weights=weights, column_limit=limit,
+                              deadline=self._deadline())
         return price_paths(self.instance, self.instance.groups, duals,
                            strategy=self.config.pricing_strategy,
                            bounds=self._bounds, tolerance=tolerance,
-                           weights=weights, members=owners, column_limit=limit)
+                           weights=weights, members=owners, column_limit=limit,
+                           deadline=self._deadline())
 
     def _price_seeds(self, sol, tolerance: float, owners, limit) -> PricingOutcome:
         """The kernel's outcome when mu is all zero, without the kernel.
@@ -358,23 +381,30 @@ class ColGenSolver:
         the reduced cost is its cost minus the owner's dual. Owners,
         group order and the column limit are honoured as the kernels do.
         """
-        out = PricingOutcome()
-        for g in self.instance.groups:
-            members = [g.source] if self.mode == TREE else g.members
-            if owners is not None:
-                members = [o for o in members if o in owners]
-            if not members:
-                continue
-            out.stats.runs += 1
-            for o in members:
-                col = self._seeds[o]
-                reduced = col.cost - sol.pi[o]
-                if reduced < -tolerance:
-                    out.columns.append(col)
-                out.min_reduced_cost[o] = min(reduced, 0.0)
-            if limit is not None and len(out.columns) >= limit:
-                break
-        return out
+        seeds = self._seeds
+        pi = np.fromiter(map(sol.pi.__getitem__, seeds.owner.tolist()), np.float64,
+                         len(seeds))
+        reduced = seeds.cost - pi
+        selected = np.ones(len(seeds), dtype=bool) if owners is None else \
+            np.isin(seeds.owner, np.fromiter(owners, np.int64, len(owners)))
+        negative = selected & (reduced < -tolerance)
+        # Groups with a selected owner are priced, in order, up to the
+        # first that brings the columns found to the limit.
+        priced = np.bincount(self._seed_group[selected],
+                             minlength=len(self.instance.groups)) > 0
+        cut = selected.size
+        if limit is not None:
+            found = np.bincount(self._seed_group, weights=negative,
+                                minlength=priced.size).cumsum()
+            hit = np.flatnonzero(priced & (found >= limit))
+            if hit.size:
+                priced[hit[0] + 1:] = False
+                cut = int(np.searchsorted(self._seed_group, hit[0], side="right"))
+        selected[cut:] = negative[cut:] = False
+        min_rc = dict(zip(seeds.owner[selected].tolist(),
+                          np.minimum(reduced[selected], 0.0).tolist()))
+        return PricingOutcome(seeds.take(np.flatnonzero(negative)), min_rc,
+                              PricingStats(runs=int(priced.sum())))
 
     def _add_columns(self, columns) -> int:
         before = self.master.pool_size
@@ -383,6 +413,11 @@ class ColGenSolver:
         return self.master.pool_size - before
 
     # -- reporting -----------------------------------------------------------
+
+    @staticmethod
+    def _new_stat(sol) -> IterationStat:
+        return IterationStat(sol.objective,
+                             slack_mass=float(sum(sol.slack.values(), 0.0)))
 
     def _push(self, it: IterationStat) -> None:
         it.elapsed = time.perf_counter() - self._t0

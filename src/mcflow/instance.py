@@ -16,6 +16,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
+import numpy as np
+
 from .errors import GenerationError, InputError, ParseError
 from .graph import Network
 
@@ -66,7 +68,8 @@ class Instance:
     ``groups`` partitions the commodity list by source node and is
     derived at construction time. ``meta`` carries parser notes (for
     example counts of dropped OD pairs) and does not participate in the
-    data model proper.
+    data model proper. ``source``, ``sink`` and ``demand`` hold the
+    commodities' fields as arrays indexed by commodity id, built once.
     """
 
     network: Network
@@ -74,6 +77,17 @@ class Instance:
     groups: tuple[SourceGroup, ...]
     name: str
     meta: dict = field(default_factory=dict, compare=False)
+    source: np.ndarray = field(init=False, repr=False, compare=False)
+    sink: np.ndarray = field(init=False, repr=False, compare=False)
+    demand: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        cs = self.commodities
+        for name, values in (("source", np.array([c.source for c in cs], dtype=np.int64)),
+                             ("sink", np.array([c.sink for c in cs], dtype=np.int64)),
+                             ("demand", np.array([c.demand for c in cs], dtype=np.float64))):
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
     @property
     def source_count(self) -> int:

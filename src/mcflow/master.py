@@ -9,20 +9,28 @@ than edges, capacity rows otherwise. Capacity duals are normalized to
 be nonpositive after every solve, so the adjusted pricing weights
 ``cost - mu`` stay nonnegative.
 
-Columns enter the pool in batches: :meth:`RestrictedMaster.add_column`
-takes one column or a sequence of them. Duplicates, of pooled columns
-or within the batch, are found by support key first; the new columns
-are then checked together by :func:`validate_columns`, which raises for
-the first bad column in batch order, and a batch with a bad column
-changes nothing. Every pooled column stays in the restriction for the
-whole solve, so the restriction's columns are the pool ids ``0 ..
-pool_size - 1``. The coefficients of all pooled columns live in one
-flat entry store: parallel ``(edge, coef, column)`` arrays in pool
-order, each column's entries in its own edge order, appended once per
-batch. Every reader uses array operations on that store: edge flows
-are one weighted ``bincount``, :meth:`~RestrictedMaster.owners_touching`
-masks the entries, and the LP coefficients are the entries whose edge
-has a capacity row, found through an edge -> capacity-row index array.
+Columns move from pricing to the master as a :class:`ColumnBatch`:
+per-column ``kind``, ``owner``, ``lengths`` and ``cost`` arrays and
+per-entry ``edges`` and ``coefs`` arrays, with no Python object per
+column. :class:`Column` is only a one-column view of a batch, built on
+demand when a batch (or the pool, :attr:`RestrictedMaster.columns`) is
+indexed or iterated. :meth:`RestrictedMaster.add_column` takes a batch;
+one column or a list of them is first converted into one. Duplicates,
+of pooled columns or within the batch, are found by a vectorized hash of
+(kind, owner, edge set), each hash hit confirmed by comparing the edge
+sets exactly. The new columns are then checked together by
+:func:`validate_columns`, which raises for the first bad column in batch
+order, and a batch with a bad column changes nothing. Every pooled
+column stays in the restriction for the whole solve, so the
+restriction's columns are the pool ids ``0 .. pool_size - 1``. The
+coefficients of all pooled columns live in one flat entry store:
+parallel ``(edge, coef, column)`` arrays in pool order, each column's
+entries in its own edge order, to which each batch's arrays are
+appended as they are. Every reader uses array operations on that store:
+edge flows are one weighted ``bincount``,
+:meth:`~RestrictedMaster.owners_touching` masks the entries, and the LP
+coefficients are the entries whose edge has a capacity row, found
+through an edge -> capacity-row index array.
 
 On the ``highs`` backend the master keeps one :class:`HighsModel` for
 its whole life, created on the first solve. Each solve first brings that
@@ -36,8 +44,8 @@ solved cold. Both get the same coefficients in the same order.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -60,7 +68,8 @@ BIG_M_FACTOR = 100.0
 
 @dataclass(frozen=True)
 class Column:
-    """A priced variable: a commodity path or a source-rooted tree.
+    """One column of a :class:`ColumnBatch`: a commodity path or a
+    source-rooted tree.
 
     ``edges`` lists the support (in path order for path columns);
     ``coefs`` holds the per-edge flow coefficient, identically 1 for a
@@ -79,185 +88,309 @@ class Column:
         return (self.kind, self.owner, tuple(sorted(self.edges)))
 
 
-class _Batch:
-    """A batch of columns as flat entry arrays, and the first failed check
-    of every column, checks added in the validator's order."""
+class ColumnBatch(Sequence):
+    """Columns as flat arrays.
 
-    def __init__(self, cols: list[Column], net):
-        self.cols = cols
-        self.n = len(cols)
-        self.lengths = np.array([len(c.edges) for c in cols], dtype=np.int64)
-        total = self.total = int(self.lengths.sum())
-        self.edges = np.fromiter(chain.from_iterable(c.edges for c in cols),
-                                 np.int64, total)
-        self.coefs = np.fromiter(chain.from_iterable(c.coefs for c in cols),
-                                 np.float64, total)
-        self.owner = np.array([c.owner for c in cols], dtype=np.int64)
-        self.col_of = np.repeat(np.arange(self.n), self.lengths)
-        self.start = np.cumsum(self.lengths) - self.lengths
-        # Unknown edges read as edge 0 where an edge's data is looked up.
-        self.unknown = (self.edges < 0) | (self.edges >= net.edge_count)
-        self.known_edges = np.where(self.unknown, 0, self.edges)
-        self.tail = net.tail[self.known_edges]
-        self.head = net.head[self.known_edges]
-        self.failed = np.full(self.n, -1)
-        self.messages = []
+    Per column: ``kind`` (str), ``owner``, ``lengths`` (its entry count)
+    and ``cost``; per entry: ``edges`` and ``coefs``, every column's
+    entries in its own edge order and the columns in batch order. A
+    batch is read-only. ``len()``, indexing and iteration give
+    :class:`Column` views; a slice or :meth:`take` gives a batch.
+    """
 
-    def any_entry(self, entries: np.ndarray) -> np.ndarray:
-        """Columns with any of the given entries (a mask or indices)."""
-        hit = np.zeros(self.n, dtype=bool)
-        hit[self.col_of[entries]] = True
-        return hit
+    __slots__ = ("kind", "owner", "lengths", "edges", "coefs", "cost",
+                 "_starts", "_col_of")
 
-    def first_entry(self, mask: np.ndarray, i: int) -> int:
-        """Position in column ``i`` of its first entry flagged by ``mask``."""
-        lo = self.start[i]
-        return int(np.flatnonzero(mask[lo:lo + self.lengths[i]])[0])
+    def __init__(self, kind, owner, lengths, edges, coefs, cost):
+        self.owner = np.asarray(owner, dtype=np.int64)
+        self.kind = np.full(self.owner.size, kind) if isinstance(kind, str) \
+            else np.asarray(kind, dtype=str)
+        self.lengths = np.asarray(lengths, dtype=np.int64)
+        self.edges = np.asarray(edges, dtype=np.int64)
+        self.coefs = np.asarray(coefs, dtype=np.float64)
+        self.cost = np.asarray(cost, dtype=np.float64)
+        n = self.owner.size
+        if not (self.kind.size == self.lengths.size == self.cost.size == n) or \
+                not self.edges.size == self.coefs.size == int(self.lengths.sum()):
+            raise InputError("column batch arrays disagree in size")
+        self._starts = self._col_of = None
+
+    @classmethod
+    def from_columns(cls, cols) -> ColumnBatch:
+        """The batch of one :class:`Column` or a sequence of them."""
+        cols = [cols] if isinstance(cols, Column) else list(cols)
+        for col in cols:
+            if len(col.coefs) != len(col.edges):
+                raise InputError(f"column has {len(col.edges)} edges but "
+                                 f"{len(col.coefs)} coefficients")
+        return cls([c.kind for c in cols], [c.owner for c in cols],
+                   [len(c.edges) for c in cols],
+                   [e for c in cols for e in c.edges],
+                   [x for c in cols for x in c.coefs], [c.cost for c in cols])
+
+    @classmethod
+    def concat(cls, batches) -> ColumnBatch:
+        """The columns of the given batches, in order, as one batch."""
+        batches = list(batches)
+        if len(batches) == 1:
+            return batches[0]
+        if not batches:
+            return cls("", [], [], [], [], [])
+        return cls(*(np.concatenate([getattr(b, name) for b in batches])
+                     for name in ("kind", "owner", "lengths", "edges", "coefs", "cost")))
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Offset of each column's first entry."""
+        if self._starts is None:
+            self._starts = self.lengths.cumsum() - self.lengths
+        return self._starts
+
+    @property
+    def col_of(self) -> np.ndarray:
+        """Column of each entry."""
+        if self._col_of is None:
+            self._col_of = np.repeat(np.arange(self.owner.size), self.lengths)
+        return self._col_of
+
+    def take(self, index) -> ColumnBatch:
+        """The columns at ``index`` (indices or a boolean mask), in order."""
+        index = np.asarray(index)
+        if index.dtype == bool:
+            index = np.flatnonzero(index)
+        lengths = self.lengths[index]
+        entries = np.repeat(self.starts[index] - (lengths.cumsum() - lengths),
+                            lengths) + np.arange(int(lengths.sum()))
+        return ColumnBatch(self.kind[index], self.owner[index], lengths,
+                           self.edges[entries], self.coefs[entries], self.cost[index])
+
+    def __len__(self) -> int:
+        return self.owner.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(np.arange(len(self))[i])
+        i = range(len(self))[i]
+        lo = int(self.starts[i])
+        hi = lo + int(self.lengths[i])
+        return Column(int(self.owner[i]), str(self.kind[i]),
+                      tuple(self.edges[lo:hi].tolist()),
+                      tuple(self.coefs[lo:hi].tolist()), float(self.cost[i]))
+
+    def __iter__(self):
+        edges, coefs = self.edges.tolist(), self.coefs.tolist()
+        cut = self.lengths.cumsum().tolist()
+        lo = 0
+        for kind, owner, hi, cost in zip(self.kind.tolist(), self.owner.tolist(),
+                                         cut, self.cost.tolist()):
+            yield Column(owner, kind, tuple(edges[lo:hi]), tuple(coefs[lo:hi]), cost)
+            lo = hi
+
+    def __eq__(self, other):
+        if not isinstance(other, ColumnBatch):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in ("kind", "owner", "lengths", "edges", "coefs", "cost"))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"ColumnBatch({len(self)} columns, {self.edges.size} entries)"
+
+
+def as_batch(cols) -> ColumnBatch:
+    """``cols`` if it is a batch, else the batch of its columns."""
+    return cols if isinstance(cols, ColumnBatch) else ColumnBatch.from_columns(cols)
+
+
+# Odd multipliers of the support hash (from splitmix64).
+_MIX = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9),
+        np.uint64(0x94D049BB133111EB))
+
+
+def _support_hash(batch: ColumnBatch) -> np.ndarray:
+    """Per column, a uint64 hash of its kind, owner and edge set.
+
+    The edge set enters as the wrapping sum of its mixed edge ids, which
+    does not depend on the column's edge order. Equal hashes only make
+    columns candidates for an exact comparison.
+    """
+    mixed = batch.edges.astype(np.uint64) * _MIX[0]
+    mixed ^= mixed >> np.uint64(29)
+    summed = np.zeros(mixed.size + 1, dtype=np.uint64)
+    mixed.cumsum(out=summed[1:])
+    starts = batch.starts
+    edge_set = summed[starts + batch.lengths] - summed[starts]
+    kind = (batch.kind != PATH).astype(np.uint64) + (batch.kind == TREE)  # 0, 2, other 1
+    return (edge_set ^ (batch.owner.astype(np.uint64) * _MIX[1] + kind)) * _MIX[2]
+
+
+class _Checks:
+    """A batch under validation and the checks it failed, in the
+    validator's order. A check that no column fails costs one test."""
+
+    def __init__(self, batch: ColumnBatch):
+        self.batch = batch
+        self.n = len(batch)
+        self.failed = []            # (column mask, message) per failed check
 
     def check(self, bad: np.ndarray, message) -> None:
         """``bad`` flags the columns failing this check; ``message(i)``
         is the error text for column ``i``."""
-        self.failed[(self.failed < 0) & bad] = len(self.messages)
-        self.messages.append(message)
+        if np.count_nonzero(bad):
+            self.failed.append((bad, message))
+
+    def check_entries(self, entries: np.ndarray, message, among=None) -> None:
+        """Fail the columns with any of the given entries (a mask or
+        indices), only those flagged by ``among`` if given."""
+        hits = np.count_nonzero(entries) if entries.dtype == bool else entries.size
+        if hits:
+            bad = np.zeros(self.n, dtype=bool)
+            bad[self.batch.col_of[entries]] = True
+            self.check(bad if among is None else bad & among, message)
+
+    def first_entry(self, mask: np.ndarray, i: int) -> int:
+        """Position in column ``i`` of its first entry flagged by ``mask``."""
+        lo = self.batch.starts[i]
+        return int(np.flatnonzero(mask[lo:lo + self.batch.lengths[i]])[0])
 
     def raise_first(self) -> None:
-        bad = np.flatnonzero(self.failed >= 0)
-        if bad.size:
-            i = int(bad[0])
-            raise InputError(self.messages[self.failed[i]](i))
+        """Raise for the first bad column, with its first failed check."""
+        if self.failed:
+            i = min(int(np.argmax(bad)) for bad, _ in self.failed)
+            raise InputError(next(message for bad, message in self.failed
+                                  if bad[i])(i))
 
 
-def validate_columns(cols, instance: Instance):
+def validate_columns(cols, instance: Instance) -> None:
     """Check the structural invariants of a batch of columns.
 
-    Raises :class:`InputError` for the first bad column in batch order,
-    with the message of the first check it fails; a column whose
-    coefficient count differs from its edge count is reported before
-    any other check runs. Every column must have no repeated and no
-    unknown edge, and a cost equal to its coefficients times the edge
-    costs. A path column must walk from its commodity's source to its
-    sink with unit coefficients and no node twice. A tree column must be
-    owned by a source, have positive coefficients, enter every node at
-    most once, never enter the root, and connect every node to the root.
-
-    Returns the batch's entries as flat arrays ``(lengths, edges,
-    coefs)``: per column its edge count, then every column's edges and
-    coefficients in batch order.
+    ``cols`` is a :class:`ColumnBatch`, or columns that are converted
+    into one (which raises if a column's coefficient count differs from
+    its edge count). Raises :class:`InputError` for the first bad column
+    in batch order, with the message of the first check it fails. Every
+    column must have no repeated and no unknown edge, and a cost equal
+    to its coefficients times the edge costs. A path column must walk
+    from its commodity's source to its sink with unit coefficients and
+    no node twice. A tree column must be owned by a source, have
+    positive coefficients, enter every node at most once, never enter
+    the root, and connect every node to the root.
     """
-    cols = list(cols)
-    for col in cols:
-        if len(col.coefs) != len(col.edges):
-            raise InputError(f"column has {len(col.edges)} edges but "
-                             f"{len(col.coefs)} coefficients")
+    b = as_batch(cols)
+    n = len(b)
+    if not n:
+        return
     net = instance.network
-    b = _Batch(cols, net)
-    if not b.n:
-        return b.lengths, b.edges, b.coefs
-    edges, col_of = b.edges, b.col_of
+    c = _Checks(b)
+    edges, col_of, lengths = b.edges, b.col_of, b.lengths
     order = np.lexsort((edges, col_of))
     repeated = (edges[order][1:] == edges[order][:-1]) & \
         (col_of[order][1:] == col_of[order][:-1])
-    b.check(b.any_entry(order[1:][repeated]),
-            lambda i: f"column repeats edges: {cols[i].edges}")
-    b.check(b.lengths == 0, lambda i: "column has empty support")
-    b.check(b.any_entry(b.unknown), lambda i: "column references unknown edge "
-            f"{cols[i].edges[b.first_entry(b.unknown, i)]}")
-    if not b.total:
-        b.raise_first()             # every column is empty
+    c.check_entries(order[1:][repeated],
+                    lambda i: f"column repeats edges: {b[i].edges}")
+    c.check(lengths == 0, lambda i: "column has empty support")
+    unknown = (edges < 0) | (edges >= net.edge_count)
+    if np.count_nonzero(unknown):
+        c.check_entries(unknown, lambda i: "column references unknown edge "
+                        f"{b[i].edges[c.first_entry(unknown, i)]}")
+        # Unknown edges read as edge 0 where an edge's data is looked up.
+        edges = np.where(unknown, 0, edges)
+    if not edges.size:
+        c.raise_first()             # every column is empty
     # Summed in entry order, as the column's own sum would be.
-    recomputed = np.bincount(col_of, weights=b.coefs * net.cost[b.known_edges],
-                             minlength=b.n)
-    cost = np.array([c.cost for c in cols], dtype=np.float64)
-    b.check(np.abs(recomputed - cost) > 1e-9 * (1.0 + np.abs(recomputed)),
-            lambda i: f"column cost {cols[i].cost} differs from recomputed "
+    recomputed = np.bincount(col_of, weights=b.coefs * net.cost[edges], minlength=n)
+    c.check(np.abs(recomputed - b.cost) > 1e-9 * (1.0 + np.abs(recomputed)),
+            lambda i: f"column cost {float(b.cost[i])} differs from recomputed "
                       f"{float(recomputed[i])}")
-    is_path = np.array([c.kind == PATH for c in cols])
-    is_tree = np.array([c.kind == TREE for c in cols])
-    b.check(~(is_path | is_tree), lambda i: f"unknown column kind {cols[i].kind!r}")
-    if is_path.any():
-        _check_paths(b, is_path, instance)
-    if is_tree.any():
-        _check_trees(b, is_tree, instance)
-    b.raise_first()
-    return b.lengths, b.edges, b.coefs
+    is_path = b.kind == PATH
+    is_tree = b.kind == TREE
+    c.check(~(is_path | is_tree), lambda i: f"unknown column kind {str(b.kind[i])!r}")
+    head, tail = net.head[edges], net.tail[edges]
+    if np.count_nonzero(is_path):
+        _check_paths(c, is_path, head, tail, instance)
+    if np.count_nonzero(is_tree):
+        _check_trees(c, is_tree, head, tail, instance)
+    c.raise_first()
 
 
-def _check_paths(b: _Batch, is_path: np.ndarray, instance: Instance) -> None:
+def _check_paths(c: _Checks, is_path: np.ndarray, head: np.ndarray,
+                 tail: np.ndarray, instance: Instance) -> None:
     """Path checks. The walk starts at the source; entry j must leave the
     node the walk is at (the source, or the head of entry j - 1) and
     reach a node the walk has not visited."""
-    cols, head = b.cols, b.head
-    commodities = instance.commodities
-    known = (b.owner >= 0) & (b.owner < len(commodities))
-    b.check(is_path & ~known,
-            lambda i: f"path column owner {cols[i].owner} is not a commodity")
-    b.check(is_path & b.any_entry(b.coefs != 1.0),
-            lambda i: "path column coefficients must all equal 1")
-    k = np.where(known, b.owner, 0).tolist()
-    source = np.array([commodities[j].source for j in k], dtype=np.int64)
-    sink = np.array([commodities[j].sink for j in k], dtype=np.int64)
+    b = c.batch
+    n, starts, col_of = c.n, b.starts, b.col_of
+    known = (b.owner >= 0) & (b.owner < len(instance.commodities))
+    c.check(is_path & ~known,
+            lambda i: f"path column owner {int(b.owner[i])} is not a commodity")
+    c.check_entries(b.coefs != 1.0, lambda i: "path column coefficients must all "
+                    "equal 1", is_path)
+    k = np.where(known, b.owner, 0)
+    source, sink = instance.source[k], instance.sink[k]
     nonempty = b.lengths > 0
     at = np.empty_like(head)
     at[1:] = head[:-1]
-    at[b.start[nonempty]] = source[nonempty]
-    jump = b.tail != at
+    at[starts[nonempty]] = source[nonempty]
+    jump = tail != at
     # A node is revisited when it occurs earlier in the column's node
-    # sequence: its source (position -1), then the head of every edge.
-    nodes = np.concatenate([source, head])
-    column = np.concatenate([np.arange(b.n), b.col_of])
-    position = np.concatenate([np.full(b.n, -1), np.arange(b.total) - b.start[b.col_of]])
-    order = np.lexsort((position, nodes, column))
-    seen = np.zeros(b.n + b.total, dtype=bool)
-    seen[order[1:]] = (nodes[order][1:] == nodes[order][:-1]) & \
-        (column[order][1:] == column[order][:-1])
-    stray = jump | seen[b.n:]
+    # sequence: its source, then the head of every edge. The stable sort
+    # keeps that order among equal (column, node) keys.
+    key = np.concatenate([np.arange(n), col_of]) * instance.network.node_count \
+        + np.concatenate([source, head])
+    order = key.argsort(kind="stable")
+    seen = np.zeros(key.size, dtype=bool)
+    seen[order[1:]] = key[order][1:] == key[order][:-1]
+    stray = jump | seen[n:]
 
     def walk_message(i: int) -> str:
-        j = b.first_entry(stray, i)
-        if jump[b.start[i] + j]:
-            return f"path column edges are not contiguous at edge {cols[i].edges[j]}"
-        return f"path column revisits node {int(head[b.start[i] + j])}"
+        j = c.first_entry(stray, i)
+        if jump[starts[i] + j]:
+            return f"path column edges are not contiguous at edge {b[i].edges[j]}"
+        return f"path column revisits node {int(head[starts[i] + j])}"
 
-    b.check(is_path & b.any_entry(stray), walk_message)
-    last = head[np.maximum(b.start + b.lengths - 1, 0)]
-    b.check(is_path & (last != sink),
+    c.check_entries(stray, walk_message, is_path)
+    last = head[np.maximum(starts + b.lengths - 1, 0)]
+    c.check(is_path & (last != sink),
             lambda i: f"path column ends at {int(last[i])}, expected sink "
-                      f"{commodities[cols[i].owner].sink}")
+                      f"{int(instance.sink[b.owner[i]])}")
 
 
-def _check_trees(b: _Batch, is_tree: np.ndarray, instance: Instance) -> None:
+def _check_trees(c: _Checks, is_tree: np.ndarray, head: np.ndarray,
+                 tail: np.ndarray, instance: Instance) -> None:
     """Tree checks; connectivity follows parent entries by pointer jumping."""
-    cols, head, tail, total = b.cols, b.head, b.tail, b.total
+    b = c.batch
+    col_of, total = b.col_of, b.edges.size
     nodes = instance.network.node_count
     is_source = np.zeros(nodes, dtype=bool)
     is_source[[g.source for g in instance.groups]] = True
     owner_ok = (b.owner >= 0) & (b.owner < nodes)
-    b.check(is_tree & ~(owner_ok & is_source[np.where(owner_ok, b.owner, 0)]),
-            lambda i: f"tree column owner {cols[i].owner} is not a source")
-    b.check(is_tree & b.any_entry(b.coefs <= 0),
-            lambda i: "tree column coefficients must be positive")
-    key = b.col_of * nodes + head
-    order = np.argsort(key, kind="stable")
+    c.check(is_tree & ~(owner_ok & is_source[np.where(owner_ok, b.owner, 0)]),
+            lambda i: f"tree column owner {int(b.owner[i])} is not a source")
+    c.check_entries(b.coefs <= 0, lambda i: "tree column coefficients must be "
+                    "positive", is_tree)
+    key = col_of * nodes + head
+    order = key.argsort(kind="stable")
     key = key[order]
-    b.check(is_tree & b.any_entry(order[1:][key[1:] == key[:-1]]),
-            lambda i: "tree column support has a node with in-degree > 1")
-    root = b.owner[b.col_of]
-    b.check(is_tree & b.any_entry(head == root),
-            lambda i: "tree column support re-enters the root")
+    c.check_entries(order[1:][key[1:] == key[:-1]],
+                    lambda i: "tree column support has a node with in-degree > 1",
+                    is_tree)
+    root = b.owner[col_of]
+    c.check_entries(head == root, lambda i: "tree column support re-enters the root",
+                    is_tree)
     # An entry's parent is the entry of its column whose head is its tail;
     # slots total and total + 1 stand for the root and a missing parent.
     # After r rounds of pointer jumping every entry has followed 2^r
     # parent steps, and no chain to the root is longer than its column.
-    want = b.col_of * nodes + tail
-    found = np.minimum(np.searchsorted(key, want), total - 1)
+    want = col_of * nodes + tail
+    found = np.minimum(key.searchsorted(want), total - 1)
     up = np.where(key[found] == want, order[found], total + 1)
     up = np.concatenate([np.where(tail == root, total, up), [total, total + 1]])
     for _ in range(int(b.lengths.max()).bit_length()):
         up = up[up]
     loose = up[:total] != total
-    b.check(is_tree & b.any_entry(loose),
-            lambda i: "tree column support is disconnected or cyclic at node "
-                      f"{int(head[b.start[i] + b.first_entry(loose, i)])}")
+    c.check_entries(loose, lambda i: "tree column support is disconnected or cyclic "
+                    f"at node {int(head[b.starts[i] + c.first_entry(loose, i)])}",
+                    is_tree)
 
 
 @dataclass
@@ -284,16 +417,16 @@ class RestrictedMaster:
         net = instance.network
         if mode == PATH:
             self.owners = list(range(len(instance.commodities)))
-            self.demand_rhs = np.array([c.demand for c in instance.commodities])
+            self.demand_rhs = instance.demand.copy()
         else:
             self.owners = [g.source for g in instance.groups]
             self.demand_rhs = np.ones(len(instance.groups))
-        self.owner_row = {o: i for i, o in enumerate(self.owners)}
+        self.owner_row = dict(zip(self.owners, range(len(self.owners))))
         self.slack_policy = "demand" if len(self.owners) < net.edge_count else "edge"
         total_cost = float(net.cost.sum())
         big_m = total_cost
         if mode == TREE:
-            big_m *= float(sum(c.demand for c in instance.commodities))
+            big_m *= float(sum(instance.demand.tolist()))
         self.big_m = max(1.0, big_m)
         # Demand-row slack prices: one unit of convexity slack stands for the
         # whole group's demand, so its penalty scales with that demand. This
@@ -305,15 +438,18 @@ class RestrictedMaster:
         else:
             self.demand_slack_costs = np.full(len(self.owners), self.big_m)
 
-        self.columns: list[Column] = []
-        self._by_key: dict[tuple, int] = {}
-        # Per pool column: cost and demand row.
+        # Demand row per owner id, -1 for ids that own no row.
+        self._row_of = np.full(max(self.owners, default=0) + 1, -1, dtype=np.int64)
+        self._row_of[self.owners] = np.arange(len(self.owners))
+        # Per pool column: cost, demand row and support hash.
         self._cost = np.zeros(0)
         self._row = np.zeros(0, dtype=np.int64)
+        self._hash = np.zeros(0, dtype=np.uint64)
         # The entry store: one (edge, coef, column) triple per column edge.
         self._edge = np.zeros(0, dtype=np.int64)
         self._coef = np.zeros(0)
         self._col = np.zeros(0, dtype=np.int64)
+        self._view: ColumnBatch | None = None
 
         self.active_edges: list[int] = []
         # Per edge: its position in active_edges, or -1 without a row.
@@ -331,61 +467,117 @@ class RestrictedMaster:
 
     # -- column pool --------------------------------------------------------
 
-    def add_column(self, cols: Column | list[Column]) -> int | list[int]:
-        """Add one column or a sequence of columns to the pool.
+    def add_column(self, cols: ColumnBatch | Column | list[Column]) -> int | list[int]:
+        """Add a batch of columns to the pool.
 
-        Returns the pool id of each column, one int for one column. An
-        exact duplicate of a pooled or earlier column gets that column's
-        id and changes nothing, so each pool column is validated exactly
-        once. The new columns are validated together; if one is bad,
-        nothing is added.
+        ``cols`` is a :class:`ColumnBatch`; one :class:`Column` or a
+        sequence of them is converted into one first. Returns the pool
+        id of each column, one int for one column. A column with the
+        kind, owner and edge set of a pooled or earlier column gets that
+        column's id and changes nothing, so each pool column is
+        validated exactly once. The new columns are validated together;
+        if one is bad, nothing is added.
         """
-        single = isinstance(cols, Column)
-        batch = [cols] if single else list(cols)
-        first = len(self.columns)
-        ids, new, keys = [], [], {}
-        for col in batch:
-            key = col.support_key
-            cid = self._by_key.get(key)
-            if cid is None:
-                cid = keys.get(key)
-                if cid is None:
-                    cid = keys[key] = first + len(new)
-                    new.append(col)
-            ids.append(cid)
-        if new:
-            self._append(new, keys)
-        return ids[0] if single else ids
+        batch = as_batch(cols)
+        ids, new, hashes = self._match(batch)
+        fresh = np.count_nonzero(new)
+        if fresh:
+            if fresh < len(batch):
+                batch, hashes = batch.take(new), hashes[new]
+            self._append(batch, hashes)
+        return int(ids[0]) if isinstance(cols, Column) else ids.tolist()
 
-    def _append(self, new: list[Column], keys: dict[tuple, int]) -> None:
-        """Validate new columns and append them and their entries."""
-        # A column's owner and kind are checked after its structure: the
-        # first column failing them ends the batch the validator sees, so
-        # the error raised is always the first bad column's first failure.
-        wrong = next((i for i, col in enumerate(new)
-                      if col.owner not in self.owner_row or col.kind != self.mode),
-                     None)
-        checked = new if wrong is None else new[:wrong + 1]
-        lengths, edges, coefs = validate_columns(checked, self.instance)
-        if wrong is not None:
-            col = new[wrong]
-            if col.owner not in self.owner_row:
-                raise InternalError(f"no demand row for owner {col.owner}")
+    def _match(self, batch: ColumnBatch):
+        """Pool ids of a batch's columns, the mask of its new columns and
+        their support hashes.
+
+        Columns whose hash equals that of a pooled or earlier column are
+        compared with each such column, in pool and batch order, and
+        repeat the first one with the same kind, owner and edge set.
+        """
+        n, first = len(batch), self.pool_size
+        hashes = _support_hash(batch)
+        every = np.concatenate([self._hash, hashes])
+        order = every.argsort(kind="stable")
+        ranked = every[order]
+        same = ranked[1:] == ranked[:-1]
+        if not np.count_nonzero(same):
+            return first + np.arange(n), np.ones(n, dtype=bool), hashes
+        # Per batch column: the (pool, then batch) index of the column it
+        # repeats, or -1.
+        match = np.full(n, -1, dtype=np.int64)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        suspects = np.zeros(every.size, dtype=bool)
+        suspects[order[1:][same]] = True
+        for i in np.flatnonzero(suspects[first:]).tolist():
+            lo = np.searchsorted(ranked, every[first + i])
+            for j in order[lo:rank[first + i]].tolist():
+                if (j < first or match[j - first] < 0) and self._same_support(j, batch, i):
+                    match[i] = j
+                    break
+        new = match < 0
+        ids = np.empty(n, dtype=np.int64)
+        ids[new] = first + np.arange(int(new.sum()))
+        repeats = match[~new]
+        ids[~new] = np.where(repeats < first, repeats,
+                             ids[np.maximum(repeats - first, 0)])
+        return ids, new, hashes
+
+    def _same_support(self, j: int, batch: ColumnBatch, i: int) -> bool:
+        """Whether column ``i`` of ``batch`` has the kind, owner and edge
+        set of pool column ``j`` (batch column ``j - pool_size`` when
+        ``j`` is not in the pool)."""
+        first = self.pool_size
+        if j < first:
+            kind, owner = self.mode, self.owners[self._row[j]]
+            edges = self._edge[slice(*np.searchsorted(self._col, [j, j + 1]))]
+        else:
+            j -= first
+            kind, owner = batch.kind[j], batch.owner[j]
+            edges = batch.edges[batch.starts[j]:batch.starts[j] + batch.lengths[j]]
+        lo = batch.starts[i]
+        return (kind == batch.kind[i] and owner == batch.owner[i]
+                and np.array_equal(np.sort(edges),
+                                   np.sort(batch.edges[lo:lo + batch.lengths[i]])))
+
+    def _append(self, batch: ColumnBatch, hashes: np.ndarray) -> None:
+        """Validate new columns and append their arrays to the pool."""
+        known = (batch.owner >= 0) & (batch.owner < self._row_of.size)
+        rows = np.where(known, self._row_of[np.where(known, batch.owner, 0)], -1)
+        wrong = (rows < 0) | (batch.kind != self.mode)
+        if np.count_nonzero(wrong):
+            # A column's owner and kind are checked after its structure: the
+            # first column failing them ends the batch the validator sees, so
+            # the error raised is always the first bad column's first failure.
+            i = int(np.argmax(wrong))
+            validate_columns(batch.take(np.arange(i + 1)), self.instance)
+            if rows[i] < 0:
+                raise InternalError(f"no demand row for owner {int(batch.owner[i])}")
             raise InputError(f"{self.mode} master only accepts {self.mode} columns")
-        first = len(self.columns)
-        count = len(new)
-        self.columns.extend(new)
-        self._by_key.update(keys)
-        self._cost = np.concatenate([self._cost, [c.cost for c in new]])
-        self._row = np.concatenate([self._row, [self.owner_row[c.owner] for c in new]])
-        self._edge = np.concatenate([self._edge, edges])
-        self._coef = np.concatenate([self._coef, coefs])
-        self._col = np.concatenate(
-            [self._col, np.repeat(np.arange(first, first + count), lengths)])
+        validate_columns(batch, self.instance)
+        first = self.pool_size
+        self._cost = np.concatenate([self._cost, batch.cost])
+        self._row = np.concatenate([self._row, rows])
+        self._hash = np.concatenate([self._hash, hashes])
+        self._edge = np.concatenate([self._edge, batch.edges])
+        self._coef = np.concatenate([self._coef, batch.coefs])
+        self._col = np.concatenate([self._col, first + batch.col_of])
+        self._view = None
 
     @property
     def pool_size(self) -> int:
-        return len(self.columns)
+        return self._cost.size
+
+    @property
+    def columns(self) -> ColumnBatch:
+        """The pool as a read-only batch in pool-id order; indexing or
+        iterating it builds :class:`Column` views."""
+        if self._view is None:
+            self._view = ColumnBatch(self.mode, np.array(self.owners)[self._row],
+                                     np.bincount(self._col, minlength=self.pool_size),
+                                     self._edge, self._coef, self._cost)
+        return self._view
 
     @property
     def active_column_ids(self) -> list[int]:

@@ -10,6 +10,7 @@ import pytest
 
 import mcflow.baseline
 import mcflow.engine
+import mcflow.pricing
 from mcflow.baseline import build_source_lp, solve_direct
 from mcflow.bench import (CSV_HEADER, RunRecord, load_instance,
                           read_records_csv, record_from_report, run_suite,
@@ -245,6 +246,50 @@ class TestFaultCases:
         assert payload["status"] == "timeout"
         assert "Traceback" not in out + err
         assert "note         the time budget of 0.5 s ran out" in out
+        oracle = solve_direct(build_source_lp(load_instance(str(path)))).objective
+        assert payload["lower_bound"] is not None
+        assert payload["lower_bound"] <= oracle + 1e-9 * abs(oracle)
+
+    @pytest.mark.parametrize("formulation", ["tree", "path"])
+    def test_pricing_stops_between_source_blocks(self, tmp_path, monkeypatch, capsys,
+                                                 formulation):
+        # One source per kernel call, and every call after the seed round
+        # sleeps: a kernel round over the four sources takes 4 * step, but
+        # no block starts after the budget, so the run ends at most one
+        # block (plus the rest of that iteration) past it.
+        budget, step = 0.6, 0.25
+        inst = generate_random(12, 36, 12, 4, seed=6, tightness="tight")
+        monkeypatch.setattr(mcflow.pricing, "SOURCE_BLOCK_ENTRIES",
+                            inst.network.node_count)
+        calls = []
+        real = mcflow.pricing.dijkstra
+
+        def slow(net, w, sources):
+            calls.append(len(sources))
+            if len(calls) > len(inst.groups):
+                time.sleep(step)
+            return real(net, w, sources)
+
+        monkeypatch.setattr(mcflow.pricing, "dijkstra", slow)
+        path = tmp_path / "tight.mcf"
+        with open(path, "w") as f:
+            write_native(inst, f)
+        json_file = tmp_path / "run.json"
+        t0 = time.perf_counter()
+        code = main(["solve", "--formulation", formulation, "--strategy",
+                     "pricing-easy", "--timeout", str(budget),
+                     "--json", str(json_file), str(path)])
+        elapsed = time.perf_counter() - t0
+        out, err = capsys.readouterr()
+        payload = json.loads(json_file.read_text())
+        assert set(calls) == {1}
+        slowed = len(calls) - len(inst.groups)
+        assert 0 < slowed < len(inst.groups)      # the kernel round was cut short
+        assert elapsed < budget + step + 0.3
+        assert code == EXIT_TIMEOUT
+        assert payload["status"] == "timeout"
+        assert "Traceback" not in out + err
+        assert "note         the time budget of 0.6 s ran out" in out
         oracle = solve_direct(build_source_lp(load_instance(str(path)))).objective
         assert payload["lower_bound"] is not None
         assert payload["lower_bound"] <= oracle + 1e-9 * abs(oracle)

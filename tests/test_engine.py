@@ -10,6 +10,7 @@ import pytest
 
 import mcflow.bench
 import mcflow.cli
+import mcflow.engine
 from mcflow.baseline import build_edge_lp, build_source_lp, solve_direct
 from mcflow.engine import (ColGenSolver, SolveReport, SolverConfig,
                            choose_strategy, solve)
@@ -201,6 +202,41 @@ class TestReport:
         assert r.wall_time >= 0.0
         assert r.gap == 0.0
 
+    @pytest.mark.parametrize("form", ["tree", "path"])
+    def test_slack_mass_traces_the_big_m_phase(self, triangle_capped, form):
+        # triangle_capped plus b->c demand 0.5: b->c carries 2.5 units on
+        # capacity 1 until a->c is priced, and slack covers the 1.5 excess.
+        inst = Instance.build(triangle_capped.network,
+                              [*triangle_capped.commodities, Commodity(1, 2, 0.5)])
+        solver = ColGenSolver(inst, cfg(formulation=form))
+        r = solver.run()
+        assert r.status == "optimal"
+        assert solver._escalations_left == mcflow.engine.BIG_M_ESCALATIONS
+        masses = [it.slack_mass for it in r.iterations]
+        assert max(masses) == pytest.approx(1.5)
+        assert masses[-1] == 0.0
+
+    @pytest.mark.parametrize("form", ["tree", "path"])
+    def test_slack_mass_stays_through_escalations(self, form):
+        # 5 units on an edge of capacity 1: once its row exists, slack
+        # carries the excess of 4 through every escalation.
+        net = Network(2, [(0, 1, 1.0, 1.0)])
+        r = solve(Instance.build(net, [Commodity(0, 1, 5.0)]), cfg(formulation=form))
+        assert r.status == "infeasible"
+        assert r.iterations[0].slack_mass == 0.0
+        assert [it.slack_mass for it in r.iterations[1:]] == \
+            pytest.approx([4.0] * (r.iteration_count - 1))
+
+    @pytest.mark.parametrize("strategy", ["master-easy", "pricing-easy"])
+    def test_bounded_pricing_records_early_stops(self, strategy):
+        inst = generate_random(12, 36, 14, 4, seed=1, tightness="tight")
+        r = solve(inst, cfg(formulation="path", pricing_strategy="bounded",
+                            strategy=strategy))
+        assert r.status == "optimal"
+        assert any(it.early_stops > 0 for it in r.iterations)
+        full = solve(inst, cfg(formulation="path", strategy=strategy))
+        assert all(it.early_stops == 0 for it in full.iterations)
+
 
 class TestSeedRound:
     """While mu is all zero a round prices from the seed columns; it must
@@ -218,8 +254,8 @@ class TestSeedRound:
             sol = solver.master.solve_rmp()
             assert not sol.mu.any()
             # Duals around the seed costs, so that some owners price out.
-            pi = {o: col.cost * rng.uniform(0.8, 1.3)
-                  for o, col in solver._seeds.items()}
+            pi = {col.owner: col.cost * rng.uniform(0.8, 1.3)
+                  for col in solver._seeds}
             solver.master.solution = dataclasses.replace(sol, pi=pi)
             owners = list(solver.owner_weights)
             for subset in (None, set(rng.sample(owners, len(owners) // 2))):
@@ -227,9 +263,13 @@ class TestSeedRound:
                     seeded = solver._price_round(owners=subset, limit=limit)
                     with monkeypatch.context() as m:
                         m.setattr(solver, "_price_seeds", solver._price_kernel)
-                        assert solver._price_round(owners=subset, limit=limit) == seeded
+                        kernel_round = solver._price_round(owners=subset, limit=limit)
+                    # Early stops are the kernel's own; a seed round has none.
+                    assert seeded[2].early_stops == 0
+                    runs = lambda r: (r[0], r[1], r[2].runs, r[3])  # noqa: E731
+                    assert runs(kernel_round) == runs(seeded)
                     priced += len(seeded[0])
-                    cut += limit is not None and seeded[2] < len(inst.groups)
+                    cut += limit is not None and seeded[2].runs < len(inst.groups)
         assert priced > 0 and cut > 0
 
     @pytest.mark.parametrize("form,kernel", [

@@ -6,7 +6,8 @@ import pytest
 from mcflow.errors import InputError, LpTimeLimit
 from mcflow.instance import Commodity, Instance, generate_random
 from mcflow.lp import HighsBackend
-from mcflow.master import Column, RestrictedMaster, new_master, validate_columns
+from mcflow.master import (Column, ColumnBatch, RestrictedMaster, new_master,
+                           validate_columns)
 from mcflow.pricing import initial_columns
 
 TREE_COL = Column(owner=0, kind="tree", edges=(0, 1), coefs=(3.0, 2.0), cost=5.0)
@@ -92,7 +93,7 @@ class TestAddColumn:
         solver = ColGenSolver(inst, SolverConfig(formulation=formulation,
                                                  rel_tol=1e-7))
         assert solver.run().status == "optimal"
-        pool = solver.master.columns
+        pool = list(solver.master.columns)
         assert len(calls) == len(pool) > 3
         # Offer the engine's pool to a fresh master: a few columns first,
         # then one batch that repeats pooled columns and its own columns.
@@ -114,6 +115,87 @@ class TestAddColumn:
         with pytest.raises(InputError, match="contiguous"):
             m.add_column(bad)
         assert m.pool_size == 1
+
+
+def pool_arrays(m):
+    return {name: getattr(m, name) for name in ("_edge", "_coef", "_col", "_cost", "_row")}
+
+
+def offered_batches(inst, mode):
+    """An engine pool offered again in three batches, with repeats of
+    pooled columns and of columns earlier in the same batch."""
+    from mcflow.engine import ColGenSolver, SolverConfig
+    solver = ColGenSolver(inst, SolverConfig(formulation=mode, rel_tol=1e-7))
+    solver.run()
+    pool = list(solver.master.columns)
+    k = len(pool) // 2
+    return [pool[:k], pool[k - 2:] + pool[:3] + [pool[k], pool[-1]], pool[::-1]]
+
+
+class TestColumnBatch:
+    @pytest.mark.parametrize("mode", ["tree", "path"])
+    def test_list_and_batch_ingest_alike(self, mode):
+        inst = generate_random(12, 36, 14, 4, seed=1, tightness="tight")
+        offers = offered_batches(inst, mode)
+        by_list, by_batch = new_master(inst, mode), new_master(inst, mode)
+        for cols in offers:
+            ids = by_list.add_column(cols)
+            assert by_batch.add_column(ColumnBatch.from_columns(cols)) == ids
+        for name, a in pool_arrays(by_list).items():
+            b = pool_arrays(by_batch)[name]
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        pool = offers[2][::-1]
+        assert list(by_batch.columns) == pool
+        k = len(offers[0])
+        assert ids == list(range(len(pool)))[::-1]
+        assert by_list.add_column(offers[1]) == \
+            list(range(k - 2, len(pool))) + [0, 1, 2, k, len(pool) - 1]
+
+    @pytest.mark.parametrize("mode", ["tree", "path"])
+    def test_constant_hash_keeps_the_support_key_rule(self, monkeypatch, mode):
+        import mcflow.master
+        inst = generate_random(12, 36, 14, 4, seed=1, tightness="tight")
+        offers = offered_batches(inst, mode)
+        plain = new_master(inst, mode)
+        ids = [plain.add_column(cols) for cols in offers]
+        monkeypatch.setattr(mcflow.master, "_support_hash",
+                            lambda batch: np.zeros(len(batch), dtype=np.uint64))
+        colliding = new_master(inst, mode)
+        assert [colliding.add_column(cols) for cols in offers] == ids
+        assert list(colliding.columns) == list(plain.columns)
+        assert len({c.support_key for c in plain.columns}) == plain.pool_size
+
+    def test_edge_order_and_coefficients_are_not_the_key(self, triangle, monkeypatch):
+        import mcflow.master
+        flipped = Column(owner=0, kind="tree", edges=(1, 0), coefs=(2.0, 3.0), cost=5.0)
+        other = Column(owner=0, kind="tree", edges=(2,), coefs=(3.0,), cost=9.0)
+        for constant in (False, True):
+            if constant:
+                monkeypatch.setattr(mcflow.master, "_support_hash",
+                                    lambda batch: np.full(len(batch), 7, dtype=np.uint64))
+            m = new_master(triangle, "tree")
+            assert m.add_column([TREE_COL, other, flipped, other]) == [0, 1, 0, 1]
+            assert m.add_column(flipped) == 0
+            assert m.columns[0] == TREE_COL and m.columns[-1] == other
+
+    def test_views(self, triangle):
+        m = new_master(triangle, "path")
+        m.add_column([PATH_ABC, PATH_AB, PATH_AC])
+        pool = m.columns
+        assert len(pool) == 3 and pool[1] == PATH_AB and pool[-1] == PATH_AC
+        assert list(pool) == [PATH_ABC, PATH_AB, PATH_AC]
+        assert pool[1:] == ColumnBatch.from_columns([PATH_AB, PATH_AC])
+        assert pool.take([2, 0]) == ColumnBatch.from_columns([PATH_AC, PATH_ABC])
+        assert isinstance(pool[0].edges[0], int) and isinstance(pool[0].cost, float)
+
+    def test_mismatched_column_is_refused_at_the_door(self, triangle):
+        m = new_master(triangle, "path")
+        m.add_column(PATH_ABC)
+        bad = Column(owner=0, kind="path", edges=(0, 1), coefs=(1.0,), cost=2.0)
+        with pytest.raises(InputError, match="2 edges but 1 coefficients"):
+            m.add_column(bad)
+        with pytest.raises(InputError, match="disagree in size"):
+            ColumnBatch("path", [0], [2], [0, 1], [1.0], [2.0])
 
 
 class TestSolveRmp:

@@ -48,7 +48,7 @@ class TestPricePaths:
     def test_zero_duals_emit_nothing(self, triangle):
         duals = snapshot({0: 0.0, 1: 0.0}, 3)
         out = price_paths(triangle, triangle.groups[0], duals)
-        assert out.columns == []
+        assert len(out.columns) == 0
         assert out.min_reduced_cost == {0: 0.0, 1: 0.0}
 
     def test_reduced_cost_audit_random(self):
@@ -150,7 +150,7 @@ class TestPriceTree:
     def test_boundary_not_emitted(self, triangle):
         duals = snapshot({0: 5.0}, 3)
         out = price_tree(triangle, triangle.groups[0], duals)
-        assert out.columns == []
+        assert len(out.columns) == 0
         assert out.min_reduced_cost[0] == 0.0
 
     def test_adjusted_weights_change_tree(self, triangle):
@@ -158,7 +158,7 @@ class TestPriceTree:
         # becomes {a->b, a->c} with reduced cost 1*1 + 2*3 - 6 = +1.
         duals = snapshot({0: 6.0}, 3, mu={1: -2.0})
         out = price_tree(triangle, triangle.groups[0], duals)
-        assert out.columns == []
+        assert len(out.columns) == 0
         assert out.min_reduced_cost[0] == 0.0
 
     def test_unreachable_sink_raises(self):

@@ -14,7 +14,7 @@ import pytest
 from mcflow.errors import InputError
 from mcflow.graph import Network
 from mcflow.instance import Commodity, Instance, generate_random
-from mcflow.master import Column, new_master, validate_columns
+from mcflow.master import Column, ColumnBatch, new_master, validate_columns
 from mcflow.pricing import initial_columns
 
 
@@ -165,6 +165,8 @@ class TestBatchedValidatorAgreesWithReference:
                     batch = rng.sample(valid, 3) + [mutant] + [valid[0]]
                     expected = reference_verdict(batch, inst)
                     assert verdict(validate_columns, batch, inst) == expected, mutant
+                    assert verdict(validate_columns, ColumnBatch.from_columns(batch),
+                                   inst) == expected, mutant
                     checked += 1
                     bad += expected is not None
         assert checked >= 150
@@ -174,11 +176,14 @@ class TestBatchedValidatorAgreesWithReference:
         for seed in range(4):
             inst = generate_random(14, 44, 24, 4, seed=seed, tightness="mixed")
             for mode in ("tree", "path"):
-                cols = initial_columns(inst, mode)
-                lengths, edges, coefs = validate_columns(cols, inst)
-                assert lengths.tolist() == [len(c.edges) for c in cols]
-                assert edges.tolist() == [e for c in cols for e in c.edges]
-                assert coefs.tolist() == [x for c in cols for x in c.coefs]
+                batch = initial_columns(inst, mode)
+                cols = list(batch)
+                validate_columns(batch, inst)
+                validate_columns(cols, inst)
+                assert ColumnBatch.from_columns(cols) == batch
+                assert batch.lengths.tolist() == [len(c.edges) for c in cols]
+                assert batch.edges.tolist() == [e for c in cols for e in c.edges]
+                assert batch.coefs.tolist() == [x for c in cols for x in c.coefs]
 
     def test_coefficient_count_must_match_edges(self, triangle):
         col = Column(owner=0, kind="path", edges=(0, 1), coefs=(1.0,), cost=1.0)
