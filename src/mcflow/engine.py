@@ -12,6 +12,15 @@ covers every owner the Lagrangian bound is refreshed. ``auto`` picks
 pricing-easy when the instance has more commodities than nodes. Here
 |S| is the number of sources.
 
+A kernel tree round hands pricing each source's incumbent, its pooled
+column with the largest value in the last master solve
+(:meth:`~mcflow.master.RestrictedMaster.incumbent_trees`). A source
+whose exact tree prices out then also gets rerouted trees, at most one
+per branch tip of that tree (see :func:`~mcflow.pricing.price_tree`),
+so a round can add more than |S| columns. N counts every emitted column; the group that
+reaches it keeps its exact tree first, then its most negative rerouted
+trees up to N.
+
 Every column the master pools stays in the restriction for the whole
 solve. When pricing finds nothing while slack remains, big-M is
 escalated up to three times before the instance is declared infeasible.
@@ -98,7 +107,9 @@ class IterationStat:
     ``slack_mass`` is the sum of the master's slack values in the
     iteration's solve (positive while the run is in its big-M phase);
     ``early_stops`` counts the groups whose bounded or A* kernel row
-    stopped before settling every selected sink.
+    stopped before settling every selected sink; ``simplex_iterations``
+    counts the pivots of the iteration's master solve (HiGHS's
+    ``simplex_iteration_count``; 0 on the builtin backend).
     """
 
     rmp_objective: float
@@ -109,6 +120,7 @@ class IterationStat:
     lower_bound: float = -np.inf
     slack_mass: float = 0.0
     early_stops: int = 0
+    simplex_iterations: int = 0
 
 
 @dataclass
@@ -362,11 +374,13 @@ class ColGenSolver:
         weights = adjusted_weights(self.instance.network, sol.mu)
         if self.mode == TREE:
             groups = self.instance.groups
+            incumbents = self.master.incumbent_trees(sol.x)
             if owners is not None:
-                groups = [g for g in groups if g.source in owners]
+                rows = [i for i, g in enumerate(groups) if g.source in owners]
+                groups, incumbents = [groups[i] for i in rows], incumbents[rows]
             return price_tree(self.instance, groups, duals, tolerance=tolerance,
                               weights=weights, column_limit=limit,
-                              deadline=self._deadline())
+                              deadline=self._deadline(), incumbents=incumbents)
         return price_paths(self.instance, self.instance.groups, duals,
                            strategy=self.config.pricing_strategy,
                            bounds=self._bounds, tolerance=tolerance,
@@ -417,7 +431,8 @@ class ColGenSolver:
     @staticmethod
     def _new_stat(sol) -> IterationStat:
         return IterationStat(sol.objective,
-                             slack_mass=float(sum(sol.slack.values(), 0.0)))
+                             slack_mass=float(sum(sol.slack.values(), 0.0)),
+                             simplex_iterations=sol.simplex_iterations)
 
     def _push(self, it: IterationStat) -> None:
         it.elapsed = time.perf_counter() - self._t0

@@ -301,8 +301,8 @@ def tree_levels(net: Network, parent_edge: np.ndarray):
         live = live[anc[live] >= 0]
     node_depth = depth[idx]
     ordered = idx[np.argsort(node_depth, kind="stable")]
-    counts = np.bincount(node_depth)[1:] if idx.size else np.zeros(0, dtype=np.int64)
-    return up, np.split(ordered, np.cumsum(counts)[:-1])
+    ends = np.cumsum(np.bincount(node_depth)[1:]).tolist() if idx.size else []
+    return up, [ordered[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
 def spt_path(net: Network, spt: SptResult, v: int) -> list[int]:

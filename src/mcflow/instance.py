@@ -505,13 +505,17 @@ def generate_random(nodes: int, edges: int, commodities: int, sources: int,
         raise GenerationError("not enough reachable (source, sink) pairs for the "
                               "requested commodity count")
     comm_list: list[Commodity] = []
+    # Sources with a sink left, in source order; a source leaves when its
+    # last sink is drawn.
+    eligible = list(chosen_sources)
     for k in range(commodities):
         if k < sources:
             s = chosen_sources[k]
         else:
-            eligible = [src for src in chosen_sources if avail[src]]
             s = eligible[rng.randrange(len(eligible))]
         t = avail[s].pop()
+        if not avail[s]:
+            eligible.remove(s)
         comm_list.append(Commodity(s, t, rng.uniform(1.0, 10.0)))
 
     total_demand = sum(c.demand for c in comm_list)

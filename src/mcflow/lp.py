@@ -88,11 +88,15 @@ class SparseLp:
 
 @dataclass
 class LpSolution:
+    """``simplex_iterations`` counts the pivots of the run (HiGHS only;
+    0 from the builtin backend)."""
+
     status: str
     objective: float
     x: np.ndarray
     duals: np.ndarray
     duality_gap: float = 0.0
+    simplex_iterations: int = 0
 
 
 class LpBackend:
@@ -209,31 +213,34 @@ class HighsModel:
             "time_limit", self._inf if time_limit is None else max(0.0, time_limit))
         self._h.run()
         status = self._h.getModelStatus()
-        empty = np.zeros(self.num_cols), np.zeros(self.num_rows)
+        info = self._h.getInfo()
+        pivots = int(info.simplex_iteration_count)
+        empty = dict(x=np.zeros(self.num_cols), duals=np.zeros(self.num_rows),
+                     simplex_iterations=pivots)
         if status == self._status.kModelEmpty:
             # No columns: feasible exactly when x = () satisfies every row.
             rhs = np.asarray(self._rhs)
             equality = np.asarray(self._equality, dtype=bool)
             if np.all(rhs[equality] == 0.0) and np.all(rhs[~equality] >= 0.0):
-                return LpSolution(OPTIMAL, 0.0, *empty)
-            return LpSolution(INFEASIBLE, np.inf, *empty)
+                return LpSolution(OPTIMAL, 0.0, **empty)
+            return LpSolution(INFEASIBLE, np.inf, **empty)
         if status == self._status.kTimeLimit:
-            return LpSolution(TIME_LIMIT, np.nan, *empty)
+            return LpSolution(TIME_LIMIT, np.nan, **empty)
         if status == self._status.kInfeasible:
-            return LpSolution(INFEASIBLE, np.inf, *empty)
+            return LpSolution(INFEASIBLE, np.inf, **empty)
         if status == self._status.kUnbounded:
-            return LpSolution(UNBOUNDED, -np.inf, *empty)
+            return LpSolution(UNBOUNDED, -np.inf, **empty)
         if status != self._status.kOptimal:
             raise BackendError(
                 f"HiGHS failed: {self._h.modelStatusToString(status)}")
         solution = self._h.getSolution()
         x = np.asarray(solution.col_value)
         duals = np.asarray(solution.row_dual)
-        objective = float(self._h.getInfo().objective_function_value)
+        objective = float(info.objective_function_value)
         # No column has a finite upper bound, so bounds add nothing here.
         dual_objective = float(duals @ np.asarray(self._rhs))
         return LpSolution(OPTIMAL, objective, x, duals,
-                          abs(objective - dual_objective))
+                          abs(objective - dual_objective), pivots)
 
     def _check(self, status) -> None:
         if status == self._error:

@@ -395,7 +395,11 @@ def _check_trees(c: _Checks, is_tree: np.ndarray, head: np.ndarray,
 
 @dataclass
 class RmpSolution:
-    """Primal/dual snapshot of the latest restricted master solve."""
+    """Primal/dual snapshot of the latest restricted master solve.
+
+    ``simplex_iterations`` counts the LP pivots of the solve, both runs
+    when artificials were injected.
+    """
 
     objective: float
     x: np.ndarray
@@ -404,6 +408,7 @@ class RmpSolution:
     slack: dict = field(default_factory=dict)
     max_slack: float = 0.0
     artificial: float = 0.0
+    simplex_iterations: int = 0
 
 
 class RestrictedMaster:
@@ -584,6 +589,30 @@ class RestrictedMaster:
         """Pool ids of the columns in the restriction: every pooled column."""
         return list(range(self.pool_size))
 
+    def incumbent_trees(self, x: np.ndarray | None = None) -> np.ndarray:
+        """Parent-edge matrix of the incumbent column of every demand row.
+
+        Row r (in demand-row order) holds, at each node, the edge of row
+        r's incumbent entering that node, and -1 at every other node. A
+        row's incumbent is its pooled column with the largest value in
+        the given (or last) primal, the lowest pool id among ties; a row
+        without a column is all -1. Meant for tree columns, whose edges
+        enter distinct nodes.
+        """
+        if x is None:
+            x = self._require_solution().x
+        net = self.instance.network
+        parents = np.full((len(self.owners), net.node_count), -1, dtype=np.int64)
+        # By row, then by value descending; lexsort keeps pool order in ties.
+        order = np.lexsort((-x, self._row))
+        _, first = np.unique(self._row[order], return_index=True)
+        best = np.zeros(self.pool_size, dtype=bool)
+        best[order[first]] = True
+        take = best[self._col]
+        edges = self._edge[take]
+        parents[self._row[self._col[take]], net.head[edges]] = edges
+        return parents
+
     def owners_touching(self, edges) -> set[int]:
         """Owners whose pooled columns use any of the given edges."""
         hit = np.zeros(self.instance.network.edge_count, dtype=bool)
@@ -728,7 +757,9 @@ class RestrictedMaster:
             sol = self._solve_model(deadline)
             if sol.status == INFEASIBLE and not self._use_artificials:
                 self._use_artificials = True
+                pivots = sol.simplex_iterations
                 sol = self._solve_model(deadline)
+                sol.simplex_iterations += pivots
             _check_rmp_solution(sol)
             x = sol.x[self._col_vars]
             slack = {key: float(sol.x[j]) for key, j in self._slack_vars.items()}
@@ -754,7 +785,7 @@ class RestrictedMaster:
             mu[self.active_edges] = np.minimum(0.0, sol.duals[n_demand:])
         max_slack = max(slack.values(), default=0.0)
         self.solution = RmpSolution(sol.objective, x, pi, mu, slack,
-                                    max_slack, artificial)
+                                    max_slack, artificial, sol.simplex_iterations)
         return self.solution
 
     # -- live HiGHS model ---------------------------------------------------

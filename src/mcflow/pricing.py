@@ -17,6 +17,18 @@ Columns leave pricing as one :class:`~mcflow.master.ColumnBatch` per
 call, built straight from the kernel's parent-edge arrays: path columns
 by walking every priced sink up its tree at once, tree columns from the
 per-edge flows, with no Python object per column.
+
+Tree pricing given each group's incumbent tree (as a parent-edge
+matrix) emits several columns per group, in the sense of "multiple
+columns per pricing iteration" (Lübbecke & Desrosiers 2005, "Selected
+topics in column generation"): after an exact tree that prices out, one
+rerouted tree for every branch tip of that tree whose tree path differs
+from its incumbent path, which takes that path from the exact tree and
+every other parent from the incumbent. All rerouted trees of a block are
+costed together by the same level-by-level flow push, on a (candidates
+x nodes) parent matrix, without another kernel call. The reported
+minimum reduced cost stays the exact tree's, so Lagrangian bounds stay
+valid.
 """
 
 from __future__ import annotations
@@ -127,22 +139,35 @@ def _path_columns(net: Network, spt: SptResult, rows: np.ndarray,
                        cost)
 
 
-def _tree_flows(net: Network, spt: SptResult, sink_demands: list[dict[int, float]]):
-    """Demand-weighted flow per tree edge for every row of a run.
+def _sink_loads(groups: list[SourceGroup]):
+    """``(row, sink, demand)`` arrays with one entry per sink of every
+    group, ``row`` being the group's index, in group and sink order."""
+    sizes = [len(g.sink_demands) for g in groups]
+    total = sum(sizes)
+    sinks = np.fromiter((t for g in groups for t in g.sink_demands), np.int64, total)
+    demands = np.fromiter((d for g in groups for d in g.sink_demands.values()),
+                          np.float64, total)
+    return np.repeat(np.arange(len(groups)), sizes), sinks, demands
 
-    Each sink's demand is pushed up its parent chain, all rows and all
-    nodes of one depth at a time (deepest first). Returns ``(row, edge,
-    flow)`` arrays over the edges that carry flow, sorted by row and
-    then edge id. Every sink must be reached.
+
+def _tree_flows(net: Network, parent_edge: np.ndarray, loads):
+    """Demand-weighted flow per tree edge for every row of a parent-edge
+    matrix (one tree per row).
+
+    ``loads`` are ``(row, sink, demand)`` arrays; each sink's demand is
+    pushed up its row's parent chain, all rows and all nodes of one depth
+    at a time (deepest first). Returns ``(row, edge, flow)`` arrays over
+    the edges that carry flow, sorted by row and then edge id. Every sink
+    must be reached.
     """
     n = net.node_count
-    up, levels = tree_levels(net, spt.parent_edge)
-    acc = np.zeros(spt.parent_edge.size)
-    for i, demands in enumerate(sink_demands):
-        acc[i * n + np.fromiter(demands, np.int64, len(demands))] = list(demands.values())
+    rows, sinks, demands = loads
+    up, levels = tree_levels(net, parent_edge)
+    acc = np.zeros(parent_edge.size)
+    acc[rows * n + sinks] = demands
     for level in reversed(levels):
         np.add.at(acc, up[level], acc[level])
-    pe = spt.parent_edge.reshape(-1)
+    pe = parent_edge.reshape(-1)
     carry = np.flatnonzero((pe >= 0) & (acc > 0))
     row, edge = carry // n, pe[carry]
     order = np.lexsort((edge, row))
@@ -153,34 +178,121 @@ def compute_tree_flows(net: Network, spt: SptResult,
                        sink_demands: dict[int, float]) -> dict[int, float]:
     """Demand-weighted flow per tree edge of a single-source run; every
     sink must be reached."""
-    _, edges, flows = _tree_flows(net, spt, [sink_demands])
+    sinks = np.fromiter(sink_demands, np.int64, len(sink_demands))
+    demands = np.fromiter(sink_demands.values(), np.float64, len(sink_demands))
+    _, edges, flows = _tree_flows(net, spt.parent_edge,
+                                  (np.zeros_like(sinks), sinks, demands))
     return dict(zip(edges.tolist(), flows.tolist()))
 
 
-def _tree_columns(instance: Instance, groups: list[SourceGroup], spt: SptResult,
+def _tree_columns(net: Network, owners, parent_edge: np.ndarray, loads,
                   w: np.ndarray | None = None):
-    """Tree columns of ``groups`` from the rows of one batched run, and
-    each tree's weighted sum of ``w`` (None when ``w`` is None)."""
-    net = instance.network
-    row, edges, flows = _tree_flows(net, spt, [g.sink_demands for g in groups])
-    count = len(groups)
-    columns = ColumnBatch(TREE, [g.source for g in groups],
-                          np.bincount(row, minlength=count), edges, flows,
-                          np.bincount(row, weights=flows * net.cost[edges],
-                                      minlength=count))
+    """Tree columns of ``owners`` (one per parent-edge row) under the
+    given sink loads, and each tree's weighted sum of ``w`` (None when
+    ``w`` is None)."""
+    row, edges, flows = _tree_flows(net, parent_edge, loads)
+    count = len(owners)
+    columns = ColumnBatch(TREE, owners, np.bincount(row, minlength=count), edges,
+                          flows, np.bincount(row, weights=flows * net.cost[edges],
+                                             minlength=count))
     weighted = None if w is None else \
         np.bincount(row, weights=flows * w[edges], minlength=count)
     return columns, weighted
 
 
-def _limit_cut(negative: np.ndarray, ends: np.ndarray, found: int,
+def _rerouted_trees(net: Network, spt_parent: np.ndarray, incumbent: np.ndarray,
+                    loads, trees: ColumnBatch, priced: np.ndarray, w: np.ndarray,
+                    pi: np.ndarray, tolerance: float):
+    """The extra tree columns of one block of groups.
+
+    Row i of ``spt_parent`` and ``incumbent`` holds the parent edges of
+    group i's exact tree (column i of ``trees``) and of its incumbent.
+    For every group flagged by ``priced`` whose incumbent reaches all its
+    sinks, and for every branch tip of its exact tree (a sink no other
+    sink's tree path passes through) whose tree path differs from its
+    incumbent path, the candidate takes the exact tree's parent edge at
+    each node of that path and the incumbent's everywhere else: an
+    arborescence rooted at the source that reaches every sink. A sink
+    inside a branch gets no candidate of its own, because the tip's
+    candidate reroutes its path too. Candidates equal to the exact tree
+    are dropped; the others are costed in chunks of at most
+    ``SOURCE_BLOCK_ENTRIES`` parent-matrix entries and kept when their
+    reduced cost is below ``-tolerance``.
+
+    Returns the kept columns, their group indices and reduced costs.
+    """
+    n = net.node_count
+    rows, sinks, demands = loads
+    exact, inc = spt_parent.reshape(-1), incumbent.reshape(-1)
+    # Nodes of each exact tree that carry flow, and its branch tips: the
+    # sinks no other sink's tree path passes through.
+    on_tree = np.zeros(spt_parent.shape, dtype=bool)
+    on_tree[trees.col_of, net.head[trees.edges]] = True
+    tip = on_tree.copy()
+    tip[trees.col_of, net.tail[trees.edges]] = False
+    reach = np.ones(priced.size, dtype=bool)
+    reach[rows[incumbent[rows, sinks] < 0]] = False
+    load = np.flatnonzero((priced & reach)[rows] & tip[rows, sinks])
+    # Walk all their tree paths up at once, one step per pass, keeping
+    # the (load, flat node) pairs where the tree and incumbent disagree.
+    at = rows[load] * n + sinks[load]
+    live = np.arange(load.size)
+    pos, nodes = [live[:0]], [at[:0]]
+    while live.size:
+        e = exact[at[live]]
+        live, e = live[e >= 0], e[e >= 0]
+        node = at[live]
+        off = e != inc[node]
+        pos.append(live[off])
+        nodes.append(node[off])
+        at[live] = node - node % n + net.tail[e]
+    pos, nodes = np.concatenate(pos), np.concatenate(nodes)
+    differs = np.zeros(load.size, dtype=bool)
+    differs[pos] = True
+    load = load[differs]
+    pos = (np.cumsum(differs) - 1)[pos]         # candidate of each pair
+
+    sizes = np.bincount(rows, minlength=priced.size)
+    first = np.cumsum(sizes) - sizes
+    parts, groups, reduced = [], [], []
+    chunk = max(1, SOURCE_BLOCK_ENTRIES // n)
+    for lo in range(0, load.size, chunk):
+        group = rows[load[lo:lo + chunk]]
+        cand = incumbent[group]
+        mine = (pos >= lo) & (pos < lo + chunk)
+        cand.reshape(-1)[(pos[mine] - lo) * n + nodes[mine] % n] = exact[nodes[mine]]
+        # A candidate that agrees with the exact tree on every node
+        # carrying flow there is that tree.
+        fresh = ~np.all((cand == spt_parent[group]) | ~on_tree[group], axis=1)
+        group, cand = group[fresh], cand[fresh]
+        if not group.size:
+            continue
+        # Each candidate carries all the sink loads of its group.
+        count = sizes[group]
+        pick = np.repeat(first[group] - (np.cumsum(count) - count), count) \
+            + np.arange(int(count.sum()))
+        columns, weighted = _tree_columns(
+            net, trees.owner[group], cand,
+            (np.repeat(np.arange(group.size), count), sinks[pick], demands[pick]), w)
+        rc = weighted - pi[group]
+        keep = np.flatnonzero(rc < -tolerance)
+        parts.append(columns.take(keep))
+        groups.append(group[keep])
+        reduced.append(rc[keep])
+    if not parts:
+        return ColumnBatch(TREE, [], [], [], [], []), np.zeros(0, np.int64), np.zeros(0)
+    return ColumnBatch.concat(parts), np.concatenate(groups), np.concatenate(reduced)
+
+
+def _limit_cut(found_per_entry: np.ndarray, ends: np.ndarray, found: int,
                column_limit: int | None) -> int | None:
-    """Groups to keep of a block whose groups end at entries ``ends``:
-    up to the first that brings the columns found to ``column_limit``
-    (``found`` before the block), or None when no group does."""
+    """Groups to keep of a block whose groups end at entries ``ends``,
+    entry i emitting ``found_per_entry[i]`` columns: up to the first
+    group that brings the columns found to ``column_limit`` (``found``
+    before the block), or None when no group does."""
     if column_limit is None:
         return None
-    hit = np.flatnonzero(found + np.cumsum(negative)[ends - 1] >= column_limit)
+    hit = np.flatnonzero(found + np.cumsum(found_per_entry)[ends - 1] >= column_limit)
     return int(hit[0]) + 1 if hit.size else None
 
 
@@ -270,19 +382,34 @@ def price_paths(instance: Instance, groups, duals: DualSnapshot,
 def price_tree(instance: Instance, groups, duals: DualSnapshot,
                tolerance: float = 0.0, weights: np.ndarray | None = None,
                column_limit: int | None = None,
-               deadline: float | None = None) -> PricingOutcome:
-    """Price the tree column of one source group or a sequence of them.
+               deadline: float | None = None,
+               incumbents: np.ndarray | None = None) -> PricingOutcome:
+    """Price the tree columns of one source group or a sequence of them.
 
     The shortest-path tree under the adjusted weights minimizes every
     member path simultaneously, so it minimizes the demand-weighted
     reduced cost over all trees covering the group's sinks; the
     reported minimum is therefore exact. One kernel call covers all
-    groups (per block of sources); ``column_limit`` and ``deadline``
-    are as in :func:`price_paths`.
+    groups (per block of sources).
+
+    ``incumbents``, one row per group, holds the parent edge of every
+    node in the group's incumbent tree (-1 elsewhere). With it, a group
+    whose exact tree prices out also emits, after that tree, rerouted
+    trees: one per branch tip of the exact tree (a sink no other sink's
+    tree path passes through) whose tree path differs from its
+    incumbent path, in which that path's nodes take their tree parent
+    and every other node keeps its incumbent parent. Those that price
+    out are emitted, most negative first; the kernel is not called
+    again, and the reported minimum stays the exact tree's.
+
+    ``column_limit`` counts every emitted column: pricing stops after
+    the group that brings them to the limit, and that group keeps its
+    exact tree and then its most negative rerouted trees up to the
+    limit. ``deadline`` is as in :func:`price_paths`.
     """
     net = instance.network
     w = adjusted_weights(net, duals.mu) if weights is None else weights
-    parts, min_rc, stats, found = [], {}, PricingStats(), 0
+    parts, min_rc, stats, found, start = [], {}, PricingStats(), 0, 0
     for block in _blocks(_as_groups(groups), net.node_count, deadline=deadline):
         sources = [g.source for g in block]
         spt = dijkstra(net, w, sources)
@@ -292,17 +419,39 @@ def price_tree(instance: Instance, groups, duals: DualSnapshot,
                 raise InfeasibleError(
                     f"sinks {missing} unreachable from source {g.source}",
                     owners=tuple(missing))
-        columns, weighted = _tree_columns(instance, block, spt, w)
-        reduced = weighted - np.array([duals.pi[s] for s in sources])
+        ends = np.arange(1, len(block) + 1)
+        loads = _sink_loads(block)
+        trees, weighted = _tree_columns(net, sources, spt.parent_edge, loads, w)
+        pi = np.array([duals.pi[s] for s in sources])
+        reduced = weighted - pi
         negative = reduced < -tolerance
-        cut = _limit_cut(negative, np.arange(1, len(block) + 1), found, column_limit)
-        count = len(block) if cut is None else cut
-        keep = np.flatnonzero(negative[:count])
-        parts.append(columns.take(keep))
-        found += keep.size
+        # Rerouted trees only add columns, so the limit is reached no
+        # later than by the exact trees alone.
+        count = _limit_cut(negative, ends, found, column_limit) or len(block)
+        group = np.flatnonzero(negative[:count])
+        emitted = trees.take(group)
+        if incumbents is not None and group.size:
+            priced = np.zeros(len(block), dtype=bool)
+            priced[group] = True
+            extra, extra_group, extra_rc = _rerouted_trees(
+                net, spt.parent_edge, incumbents[start:start + len(block)], loads,
+                trees, priced, w, pi, tolerance)
+            # Group order; in a group the exact tree, then by reduced cost.
+            order = np.lexsort((np.concatenate([np.full(group.size, -np.inf), extra_rc]),
+                                np.concatenate([group, extra_group])))
+            emitted = ColumnBatch.concat([emitted, extra]).take(order)
+            group = np.concatenate([group, extra_group])[order]
+            cut = _limit_cut(np.bincount(group, minlength=count), ends[:count], found,
+                             column_limit)
+            if cut is not None:
+                count = cut
+                emitted = emitted[:column_limit - found]
+        parts.append(emitted)
+        found += len(emitted)
         min_rc.update(zip(sources[:count], np.minimum(reduced[:count], 0.0).tolist()))
         stats.runs += count
-        if cut is not None:
+        start += len(block)
+        if column_limit is not None and found >= column_limit:
             break
     return PricingOutcome(ColumnBatch.concat(parts), min_rc, stats)
 
@@ -353,7 +502,8 @@ def initial_columns(instance: Instance, mode: str) -> ColumnBatch:
         if unreachable:
             continue
         if mode == TREE:
-            parts.append(_tree_columns(instance, block, spt)[0])
+            parts.append(_tree_columns(net, [g.source for g in block],
+                                       spt.parent_edge, _sink_loads(block))[0])
         else:
             parts.append(_path_columns(net, spt, rows, sinks, ks))
     if unreachable:

@@ -227,6 +227,15 @@ class TestReport:
         assert [it.slack_mass for it in r.iterations[1:]] == \
             pytest.approx([4.0] * (r.iteration_count - 1))
 
+    def test_simplex_iterations_count_master_pivots(self):
+        inst = generate_random(12, 36, 14, 4, seed=1, tightness="tight")
+        r = solve(inst, cfg(formulation="tree"))
+        assert r.status == "optimal"
+        assert any(it.rows_added for it in r.iterations)
+        assert sum(it.simplex_iterations for it in r.iterations) > 0
+        builtin = solve(inst, cfg(formulation="tree", lp_backend="builtin"))
+        assert all(it.simplex_iterations == 0 for it in builtin.iterations)
+
     @pytest.mark.parametrize("strategy", ["master-easy", "pricing-easy"])
     def test_bounded_pricing_records_early_stops(self, strategy):
         inst = generate_random(12, 36, 14, 4, seed=1, tightness="tight")
@@ -416,9 +425,12 @@ def test_every_config_field_is_set_outside_tests():
 
 def test_differential_grid_against_source_lp():
     """{tree, path} x {master-easy, pricing-easy} x path kernels on HiGHS,
-    checked against the source-LP oracle on seeded random instances."""
+    checked against the source-LP oracle on seeded random instances. Tree
+    runs that add more columns than sources in one iteration show that
+    rerouted trees are among the columns checked."""
     runs = [("tree", "full")] + [("path", k) for k in ("full", "bounded", "astar")]
     tightness = ("tight", "mixed", "loose")
+    rerouted = 0
     for seed in range(30):
         inst = generate_random(12 + seed % 5, 36 + seed % 9, 10 + seed % 8,
                                3 + seed % 3, seed=500 + seed,
@@ -436,3 +448,6 @@ def test_differential_grid_against_source_lp():
                 assert r.status == "optimal", where
                 assert abs(r.objective - oracle.objective) <= 1e-6 * scale, where
                 assert r.lower_bound <= oracle.objective + 1e-9 * scale, where
+                rerouted += form == "tree" and \
+                    max(it.columns_added for it in r.iterations) > len(inst.groups)
+    assert rerouted > 0

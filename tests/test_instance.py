@@ -1,8 +1,10 @@
 """Instance model, parsers, and generator tests."""
 
+import hashlib
 import io
 import random
 
+import numpy as np
 import pytest
 
 from mcflow.errors import GenerationError, InputError, ParseError
@@ -216,6 +218,52 @@ class TestGenerateRandom:
     def test_sources_cannot_exceed_commodities(self):
         with pytest.raises(GenerationError):
             generate_random(10, 20, 2, 5, seed=0)
+
+
+def instance_digest(inst) -> str:
+    """SHA-256 of an instance's node count, edge arrays (tail, head, cost,
+    capacity) and commodity arrays (source, sink, demand), as
+    little-endian 64-bit values."""
+    net = inst.network
+    h = hashlib.sha256(np.int64(net.node_count).tobytes())
+    for a in (net.tail, net.head, inst.source, inst.sink):
+        h.update(np.asarray(a, dtype="<i8").tobytes())
+    for a in (net.cost, net.capacity, inst.demand):
+        h.update(np.asarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+# generate_random output at the desk benchmark's three sizes
+# (perfbench/run.py WORKLOADS), seeds 1-3 and the held-out seed 271828. A
+# generator change that alters any digest alters the benchmark's instances.
+GENERATOR_DIGESTS = {
+    ((250, 1000, 5000, 100), "loose"): {
+        1: "a3fffb0dfa1f89ef7502f3c69a32b3aeafcbe13e3ba76f09690afbef9459e86e",
+        2: "57525d93d0a63f8f930742f47bab3ada454157711fcb5e4f0b4f64719b44b71b",
+        3: "49f76fc9ebb586542ef02ec3ce7b86fde994f5fd70557bd99ed52fd34e85d2fa",
+        271828: "2aa7ca890272b18f7837cbc4c9680008719d5e5e95ae7d2944dd25fec65fd918",
+    },
+    ((20, 100, 80, 5), "tight"): {
+        1: "0eaa6fe27f833f3b38f75dca0445f2f6d1739eb72f407abf827f6d54f77e7991",
+        2: "d7611f71fdd33d7ea43a2f424b086b954bddcb41e48079207397a7dd4b0b2e70",
+        3: "1fe9b52cf614fdacc213d212b65d9ba01d35209ede2f30c6da5b73772077e6cd",
+        271828: "3cb21b3c7b3e5db81d67f0b6b18370131ea4e9c5adad118c1853f90a3632ba46",
+    },
+    ((100, 400, 60, 10), "mixed"): {
+        1: "3ec0150a28d6b71bd9bc30c093341fc20dfed6dec1e185840a465a2ec70c2f6d",
+        2: "f7fb530ec837c015bf8780732d771d92795bb5ccafdeb9b8be8551d8a5322122",
+        3: "ad543bca1bfb33b085fff817b416a0e4b69d03f6562821498fc0e35f2c9fcabd",
+        271828: "72bc31ceacc884933a8b2877e7a4a0b3ac58bfd97c852ef5f11c274288ebf39e",
+    },
+}
+
+
+@pytest.mark.parametrize("size,tightness", list(GENERATOR_DIGESTS))
+def test_generated_instances_match_pinned_digests(size, tightness):
+    digests = {seed: instance_digest(generate_random(*size, seed=seed,
+                                                     tightness=tightness))
+               for seed in GENERATOR_DIGESTS[size, tightness]}
+    assert digests == GENERATOR_DIGESTS[size, tightness]
 
 
 class TestInstanceBuild:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mcflow.engine import ColGenSolver, SolverConfig
 from mcflow.errors import InputError, LpTimeLimit
 from mcflow.instance import Commodity, Instance, generate_random
 from mcflow.lp import HighsBackend
@@ -196,6 +197,28 @@ class TestColumnBatch:
             m.add_column(bad)
         with pytest.raises(InputError, match="disagree in size"):
             ColumnBatch("path", [0], [2], [0, 1], [1.0], [2.0])
+
+
+class TestIncumbentTrees:
+    def test_matches_a_loop_over_the_pool(self):
+        rng = np.random.default_rng(5)
+        for seed in range(4):
+            inst = generate_random(14, 44, 40, 4, seed=seed, tightness="tight")
+            solver = ColGenSolver(inst, SolverConfig(formulation="tree"))
+            solver.run()
+            master = solver.master
+            net = inst.network
+            # The last primal, then random values with ties.
+            for x in (master.solution.x, rng.integers(0, 3, master.pool_size) / 2.0):
+                expected = np.full((len(master.owners), net.node_count), -1)
+                best = {}
+                for i, col in enumerate(master.columns):
+                    if col.owner not in best or x[i] > x[best[col.owner]]:
+                        best[col.owner] = i
+                for row, owner in enumerate(master.owners):
+                    for e in master.columns[best[owner]].edges:
+                        expected[row, net.head[e]] = e
+                assert np.array_equal(master.incumbent_trees(x), expected)
 
 
 class TestSolveRmp:

@@ -7,10 +7,13 @@ import random
 import numpy as np
 import pytest
 
+import mcflow.engine
+import mcflow.pricing
+from mcflow.engine import SolverConfig, solve
 from mcflow.errors import InfeasibleError
 from mcflow.graph import Network, dijkstra
 from mcflow.instance import Commodity, Instance, generate_random
-from mcflow.master import TREE
+from mcflow.master import TREE, RestrictedMaster, validate_columns
 from mcflow.pricing import (DualSnapshot, adjusted_weights, compute_tree_flows,
                             initial_columns, lagrangian_bound, price_paths,
                             price_tree)
@@ -340,10 +343,14 @@ class TestBatchedPricing:
             sinks = {t for g in inst.groups for t in g.sink_demands}
             bounds = reverse_multi_target_bounds(net, net.cost, sinks)
 
+            seed_trees = RestrictedMaster(inst, TREE)
+            seed_trees.add_column(initial_columns(inst, TREE))
+            incumbents = seed_trees.incumbent_trees(np.ones(len(inst.groups)))
+
             def run_all():
                 runs = [column_key(price_tree(inst, inst.groups, tree_duals,
-                                              column_limit=limit))
-                        for limit in (None, 1, 4)]
+                                              column_limit=limit, incumbents=given))
+                        for limit in (None, 1, 4, 9) for given in (None, incumbents)]
                 for strategy in ("full", "bounded", "astar"):
                     for limit in (None, 3, 12):
                         runs.append(column_key(price_paths(
@@ -394,3 +401,128 @@ class TestBatchedPricing:
                     if v != g.source:
                         assert inflow.get(v, 0.0) - outflow.get(v, 0.0) == \
                             pytest.approx(g.sink_demands.get(v, 0.0))
+
+
+def kernel_tree_rounds(monkeypatch, inst, strategy):
+    """Solve ``inst`` in tree mode and return every kernel pricing round
+    the engine ran: ``(groups, duals, keywords, outcome)``."""
+    rounds = []
+    real = mcflow.engine.price_tree
+
+    def record(instance, groups, duals, **kwargs):
+        out = real(instance, groups, duals, **kwargs)
+        rounds.append((list(groups), duals, kwargs, out))
+        return out
+
+    monkeypatch.setattr(mcflow.engine, "price_tree", record)
+    report = solve(inst, SolverConfig(formulation="tree", strategy=strategy,
+                                      rel_tol=1e-7))
+    monkeypatch.undo()
+    assert report.status == "optimal"
+    return report, rounds
+
+
+def tight_instances():
+    return [generate_random(14, 44, 40, 4, seed=seed, tightness="tight")
+            for seed in range(4)]
+
+
+class TestReroutedTrees:
+    """With incumbents, a group whose exact tree prices out also emits
+    rerouted trees, at most one per branch tip of that tree; everything
+    the exact pricing reports stays."""
+
+    @pytest.mark.parametrize("strategy", ["master-easy", "pricing-easy"])
+    def test_emitted_trees_are_valid_and_price_out(self, monkeypatch, strategy):
+        extras = 0
+        for inst in tight_instances():
+            net = inst.network
+            _, rounds = kernel_tree_rounds(monkeypatch, inst, strategy)
+            for groups, duals, kw, out in rounds:
+                tol = kw["tolerance"]
+                validate_columns(out.columns, inst)
+                exact = price_tree(inst, groups, duals, tolerance=tol,
+                                   weights=kw["weights"])
+                # The reported minima are those of single-column pricing.
+                assert out.min_reduced_cost == {
+                    s: exact.min_reduced_cost[s] for s in out.min_reduced_cost}
+                if kw["column_limit"] is None:
+                    assert set(out.min_reduced_cost) == set(exact.min_reduced_cost)
+                first = {c.owner: c for c in exact.columns}
+                for g in groups:
+                    mine = [c for c in out.columns if c.owner == g.source]
+                    if g.source not in out.min_reduced_cost or \
+                            out.min_reduced_cost[g.source] >= -tol:
+                        assert mine == []
+                        continue
+                    # The exact tree first, then at most one extra per
+                    # branch tip of it (a node it enters but never leaves).
+                    tree = first[g.source]
+                    assert mine[0] == tree
+                    tips = set(net.head[list(tree.edges)].tolist()) - \
+                        set(net.tail[list(tree.edges)].tolist())
+                    assert tips <= set(g.sink_demands)
+                    assert len(mine) <= 1 + len(tips)
+                    extras += len(mine) - 1
+                    for col in mine:
+                        assert set(g.sink_demands) <= set(net.head[list(col.edges)].tolist())
+                        reduced = float(np.dot(col.coefs, kw["weights"][list(col.edges)]))
+                        assert reduced - duals.pi[g.source] < -tol
+        assert extras > 0
+
+    def test_kernel_calls_per_round_unchanged(self, monkeypatch):
+        calls = []
+        real = mcflow.pricing.dijkstra
+        inst = tight_instances()[0]
+        _, rounds = kernel_tree_rounds(monkeypatch, inst, "pricing-easy")
+        monkeypatch.setattr(mcflow.pricing, "dijkstra",
+                            lambda *a: calls.append(a) or real(*a))
+        for groups, duals, kw, _ in rounds:
+            for incumbents in (None, kw["incumbents"]):
+                del calls[:]
+                price_tree(inst, groups, duals, tolerance=kw["tolerance"],
+                           weights=kw["weights"], incumbents=incumbents)
+                assert len(calls) == 1
+
+    def test_column_limit_keeps_the_exact_tree_first(self, monkeypatch):
+        cut_inside_a_group = 0
+        for inst in tight_instances():
+            _, rounds = kernel_tree_rounds(monkeypatch, inst, "pricing-easy")
+            for groups, duals, kw, _ in rounds:
+                args = dict(tolerance=kw["tolerance"], weights=kw["weights"],
+                            incumbents=kw["incumbents"])
+                full = price_tree(inst, groups, duals, **args)
+                owners = full.columns.owner.tolist()
+                for limit in range(1, len(full.columns) + 1):
+                    out = price_tree(inst, groups, duals, column_limit=limit, **args)
+                    # Columns come in group order, each group's exact tree
+                    # first, so the limit keeps a prefix of the full round.
+                    assert out.columns == full.columns[:limit]
+                    last = owners[limit - 1]
+                    priced = [g.source for g in groups][:out.stats.runs]
+                    assert priced[-1] == last
+                    assert set(out.min_reduced_cost) == set(priced)
+                    cut_inside_a_group += limit < len(owners) and owners[limit] == last
+        assert cut_inside_a_group > 0
+
+    def test_no_extras_without_a_priced_exact_tree(self):
+        inst = tight_instances()[1]
+        master = RestrictedMaster(inst, TREE)
+        master.add_column(initial_columns(inst, TREE))
+        incumbents = master.incumbent_trees(np.ones(len(inst.groups)))
+        rng = random.Random(3)
+        mu = np.array([-rng.uniform(0, 5) for _ in range(inst.network.edge_count)])
+        low = DualSnapshot(pi={g.source: 0.0 for g in inst.groups}, mu=mu)
+        out = price_tree(inst, inst.groups, low, incumbents=incumbents)
+        assert len(out.columns) == 0
+        assert set(out.min_reduced_cost.values()) == {0.0}
+        high = DualSnapshot(pi={g.source: 1e6 for g in inst.groups}, mu=mu)
+        out = price_tree(inst, inst.groups, high, incumbents=incumbents)
+        assert len(out.columns) > len(inst.groups)
+
+    @pytest.mark.parametrize("strategy", ["master-easy", "pricing-easy"])
+    def test_tight_solve_adds_more_columns_than_sources(self, strategy):
+        inst = tight_instances()[0]
+        report = solve(inst, SolverConfig(formulation="tree", strategy=strategy))
+        assert report.status == "optimal"
+        assert max(it.columns_added for it in report.iterations) > len(inst.groups)
