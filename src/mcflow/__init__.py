@@ -8,7 +8,7 @@ commodity, which keeps the master problem small when many commodities
 share their origin.
 """
 
-from .engine import SolveReport, SolverConfig, choose_strategy, solve
+from .engine import SolveReport, SolverConfig, solve
 from .errors import (BackendError, DecompositionError, GenerationError,
                      InfeasibleError, InputError, InternalError, McflowError,
                      ParseError)
@@ -23,7 +23,7 @@ __all__ = [
     "BackendError", "Commodity", "DecompositionError", "GenerationError",
     "InfeasibleError", "InputError", "Instance", "InternalError",
     "McflowError", "Network", "ParseError", "SolveReport", "SolverConfig",
-    "SourceGroup", "TNTP_COEFFICIENTS", "choose_strategy", "generate_random",
+    "SourceGroup", "TNTP_COEFFICIENTS", "generate_random",
     "group_by_source", "parse_native", "parse_tntp", "solve", "write_native",
     "__version__",
 ]

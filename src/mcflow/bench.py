@@ -18,7 +18,7 @@ import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .engine import SolveReport, SolverConfig, choose_strategy, solve
+from .engine import ColGenSolver, SolveReport, SolverConfig, solve
 from .errors import McflowError, ParseError
 from .instance import TNTP_COEFFICIENTS, Instance, parse_native, parse_tntp
 
@@ -91,9 +91,9 @@ def record_from_report(instance: Instance, config: SolverConfig,
     def clean(v):
         return None if v is None or not math.isfinite(v) else float(v)
     columns = report.peak_columns
-    strategy = config.strategy
-    if strategy == "auto" and config.formulation in ("tree", "path"):
-        strategy = choose_strategy(instance)   # the strategy that ran
+    # Tree and path runs all take the one column generation loop.
+    strategy = ColGenSolver.strategy if config.formulation in ("tree", "path") \
+        else config.strategy
     return RunRecord(
         instance=instance.name or "<unnamed>",
         formulation=config.formulation,
@@ -152,7 +152,10 @@ def run_suite(manifest: dict, output_dir: str | Path,
           "pricing": "full", "heuristic": "global", "backend": "highs"
         }
 
-    Missing instance files are listed and skipped with a warning.
+    ``strategy`` may be ``auto`` or ``pricing-easy``; both run the one
+    column generation loop, and tree and path records name it
+    ``pricing-easy``. Missing instance files are listed and skipped with
+    a warning.
     """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)

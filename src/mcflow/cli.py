@@ -50,7 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--timeout", type=float, default=7200.0,
                      help="timeout in seconds")
     run.add_argument("--strategy", default="auto",
-                     choices=["auto", "master-easy", "pricing-easy"])
+                     choices=["auto", "pricing-easy"],
+                     help="both values run the one column generation loop")
     run.add_argument("--pricing", default="full",
                      choices=["full", "bounded", "astar"])
     run.add_argument("--heuristic", default="global",

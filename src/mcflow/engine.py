@@ -1,16 +1,13 @@
 """Column generation engine: alternate master solves, lazy capacity row
 separation, and pricing until the relative gap closes.
 
-Two balancing strategies are available. ``master-easy`` re-optimizes
-the master whenever violated capacity rows exist before any pricing,
-and prices only owners whose pooled columns touch newly added rows
-(dropping that filter once a filtered round adds fewer than
-ε = max(|S|/100, 1) columns). ``pricing-easy`` attempts row separation
-and pricing in every iteration, stopping a pricing sweep after the group
-that brings the columns found to N = max(|S|, 100); whenever a sweep
-covers every owner the Lagrangian bound is refreshed. ``auto`` picks
-pricing-easy when the instance has more commodities than nodes. Here
-|S| is the number of sources.
+Every iteration solves the master, adds the violated capacity rows and
+prices the sources in order, stopping the sweep after the group that
+brings the columns found to N = max(|S|, 100), where |S| is the number
+of sources. A sweep that prices every group is complete and refreshes
+the Lagrangian bound; a complete sweep that adds no column while no row
+was violated ends the run. This is the ``pricing-easy`` loop, the only
+one; ``strategy`` accepts ``auto`` and ``pricing-easy`` for it.
 
 A kernel tree round hands pricing each source's incumbent, its pooled
 column with the largest value in the last master solve
@@ -79,7 +76,7 @@ class SolverConfig:
     formulation: str = TREE
     rel_tol: float = 1e-4
     timeout_seconds: float = 7200.0
-    strategy: str = "auto"              # auto | master-easy | pricing-easy
+    strategy: str = "auto"              # auto | pricing-easy: the same loop
     pricing_strategy: str = "full"      # full | bounded | astar
     heuristic_scope: str = "global"     # global | per-source
     lp_backend: str = "highs"
@@ -90,7 +87,10 @@ class SolverConfig:
             raise InputError(f"unknown formulation {self.formulation!r}")
         if self.rel_tol <= 0:
             raise InputError("rel_tol must be positive")
-        if self.strategy not in ("auto", "master-easy", "pricing-easy"):
+        if self.strategy == "master-easy":
+            raise InputError("the master-easy strategy was removed; every solve "
+                             "runs the pricing-easy loop")
+        if self.strategy not in ("auto", "pricing-easy"):
             raise InputError(f"unknown strategy {self.strategy!r}")
         if self.pricing_strategy not in ("full", "bounded", "astar"):
             raise InputError(f"unknown pricing strategy {self.pricing_strategy!r}")
@@ -107,7 +107,7 @@ class IterationStat:
     ``slack_mass`` is the sum of the master's slack values in the
     iteration's solve (positive while the run is in its big-M phase);
     ``early_stops`` counts the groups whose bounded or A* kernel row
-    stopped before settling every selected sink; ``simplex_iterations``
+    stopped before settling every sink of its group; ``simplex_iterations``
     counts the pivots of the iteration's master solve (HiGHS's
     ``simplex_iteration_count``; 0 on the builtin backend).
     """
@@ -143,18 +143,6 @@ class SolveReport:
         return len(self.iterations)
 
 
-def choose_strategy(instance: Instance) -> str:
-    """Pick the balancing strategy for ``auto`` mode.
-
-    Instances with more commodities than nodes have cheap batched
-    pricing relative to the master (pricing-easy); huge networks with
-    few commodities are the opposite.
-    """
-    if len(instance.commodities) > instance.network.node_count:
-        return "pricing-easy"
-    return "master-easy"
-
-
 def relative_gap(upper: float, lower: float) -> float:
     if upper == np.inf or lower == -np.inf:
         return np.inf
@@ -164,6 +152,8 @@ def relative_gap(upper: float, lower: float) -> float:
 class ColGenSolver:
     """One column generation run over a fixed instance and config."""
 
+    strategy = "pricing-easy"           # the loop every run takes
+
     def __init__(self, instance: Instance, config: SolverConfig):
         config.validate()
         if config.formulation not in (TREE, PATH):
@@ -171,12 +161,7 @@ class ColGenSolver:
         self.instance = instance
         self.config = config
         self.mode = config.formulation
-        self.strategy = config.strategy
-        if self.strategy == "auto":
-            self.strategy = choose_strategy(instance)
-        n_sources = len(instance.groups)
-        self.column_limit = max(n_sources, 100)
-        self.filter_epsilon = max(n_sources / 100.0, 1.0)
+        self.column_limit = max(len(instance.groups), 100)
         self.backend = get_backend(config.lp_backend)
         self.master: RestrictedMaster = new_master(instance, self.mode)
         if self.mode == PATH:
@@ -192,8 +177,6 @@ class ColGenSolver:
         self.status: str | None = None
         self.message = ""
         self.infeasible_owners: tuple = ()
-        self.filter_active = self.strategy == "master-easy"
-        self.pending_edges: set[int] = set()
         self._escalations_left = BIG_M_ESCALATIONS
         self._bounds: HeuristicBounds | dict[int, HeuristicBounds] | None = None
         # Seed columns, one per owner in group order (the pricing columns
@@ -239,10 +222,7 @@ class ColGenSolver:
                     self.message = (f"the time budget of {self.config.timeout_seconds:g}"
                                     " s ran out between iterations")
                     break
-                if self.strategy == "master-easy":
-                    self.run_master_easy_iteration()
-                else:
-                    self.run_pricing_easy_iteration()
+                self.run_pricing_easy_iteration()
         except LpTimeLimit as exc:
             self.status = TIMEOUT
             self.message = str(exc)
@@ -273,36 +253,6 @@ class ColGenSolver:
                 self.status = OPTIMAL
         return sol, viol, slack_ok
 
-    def run_master_easy_iteration(self) -> None:
-        """One master-easy iteration: rows first, then filtered pricing."""
-        sol, viol, slack_ok = self._solve_and_check()
-        if self.status is not None:
-            return
-        it = self._new_stat(sol)
-        if viol:
-            self.master.add_capacity_rows(viol)
-            self.pending_edges.update(viol)
-            it.rows_added = len(viol)
-            self._push(it)
-            return
-        filtered = bool(self.filter_active and self.pending_edges)
-        owners = self.master.owners_touching(self.pending_edges) if filtered else None
-        columns, min_rc, stats, complete = self._price_round(owners=owners)
-        self.pending_edges.clear()
-        it.pricing_runs, it.early_stops = stats.runs, stats.early_stops
-        it.columns_added = self._add_columns(columns)
-        if filtered:
-            if it.columns_added < self.filter_epsilon:
-                self.filter_active = False
-        elif complete:
-            lb = lagrangian_bound(sol.objective, min_rc, self.owner_weights)
-            if lb is not None:
-                self.best_lb = max(self.best_lb, lb)
-            if it.columns_added == 0:
-                self._finish(sol, slack_ok, it)
-                return
-        self._push(it)
-
     def run_pricing_easy_iteration(self) -> None:
         """One pricing-easy iteration: separate rows and price together."""
         sol, viol, slack_ok = self._solve_and_check()
@@ -316,9 +266,8 @@ class ColGenSolver:
         it.pricing_runs, it.early_stops = stats.runs, stats.early_stops
         it.columns_added = self._add_columns(columns)
         if complete:
-            lb = lagrangian_bound(sol.objective, min_rc, self.owner_weights)
-            if lb is not None:
-                self.best_lb = max(self.best_lb, lb)
+            self.best_lb = max(self.best_lb, lagrangian_bound(
+                sol.objective, min_rc, self.owner_weights))
         if it.columns_added == 0 and complete and not viol:
             self._finish(sol, slack_ok, it)
             return
@@ -349,76 +298,64 @@ class ColGenSolver:
 
     # -- pricing -------------------------------------------------------------
 
-    def _price_round(self, owners=None, limit: int | None = None):
+    def _price_round(self, limit: int | None = None):
         """Price groups in source order.
 
-        Returns (columns, min_reduced_cost, stats, complete). ``owners``
-        restricts pricing to those owners (the master-easy filter);
-        ``limit`` stops the sweep after the group that brings the
-        columns found to that many, and a kernel sweep starts no block
-        of sources once the time budget has run out. Unpriced owners map
-        to None, and the round is complete when no owner is unpriced.
+        Returns (columns, min_reduced_cost, stats, complete). ``limit``
+        stops the sweep after the group that brings the columns found to
+        that many, and a kernel sweep starts no block of sources once the
+        time budget has run out. Owners of groups left unpriced are
+        absent, and the round is complete when every group was priced.
         """
         sol = self.master.solution
         tolerance = 1e-9 * (1.0 + abs(sol.objective))
         price = self._price_kernel if sol.mu.any() else self._price_seeds
-        outcome = price(sol, tolerance, owners, limit)
-        min_rc: dict[int, float | None] = {o: None for o in self.owner_weights}
-        min_rc.update(outcome.min_reduced_cost)
-        complete = all(v is not None for v in min_rc.values())
-        return outcome.columns, min_rc, outcome.stats, complete
+        outcome = price(sol, tolerance, limit)
+        complete = outcome.stats.runs == len(self.instance.groups)
+        return outcome.columns, outcome.min_reduced_cost, outcome.stats, complete
 
-    def _price_kernel(self, sol, tolerance: float, owners, limit) -> PricingOutcome:
-        """One pricing call for all groups priced."""
+    def _price_kernel(self, sol, tolerance: float, limit) -> PricingOutcome:
+        """One pricing call for all groups."""
         duals = DualSnapshot(pi=dict(sol.pi), mu=sol.mu)
         weights = adjusted_weights(self.instance.network, sol.mu)
         if self.mode == TREE:
-            groups = self.instance.groups
-            incumbents = self.master.incumbent_trees(sol.x)
-            if owners is not None:
-                rows = [i for i, g in enumerate(groups) if g.source in owners]
-                groups, incumbents = [groups[i] for i in rows], incumbents[rows]
-            return price_tree(self.instance, groups, duals, tolerance=tolerance,
-                              weights=weights, column_limit=limit,
-                              deadline=self._deadline(), incumbents=incumbents)
+            return price_tree(self.instance, self.instance.groups, duals,
+                              tolerance=tolerance, weights=weights, column_limit=limit,
+                              deadline=self._deadline(),
+                              incumbents=self.master.incumbent_trees(sol.x))
         return price_paths(self.instance, self.instance.groups, duals,
                            strategy=self.config.pricing_strategy,
                            bounds=self._bounds, tolerance=tolerance,
-                           weights=weights, members=owners, column_limit=limit,
+                           weights=weights, column_limit=limit,
                            deadline=self._deadline())
 
-    def _price_seeds(self, sol, tolerance: float, owners, limit) -> PricingOutcome:
+    def _price_seeds(self, sol, tolerance: float, limit) -> PricingOutcome:
         """The kernel's outcome when mu is all zero, without the kernel.
 
         The weights then equal the original costs the seed columns were
         priced under, so each owner's cheapest column is its seed and
-        the reduced cost is its cost minus the owner's dual. Owners,
-        group order and the column limit are honoured as the kernels do.
+        the reduced cost is its cost minus the owner's dual. Group order
+        and the column limit are honoured as the kernels do.
         """
         seeds = self._seeds
         pi = np.fromiter(map(sol.pi.__getitem__, seeds.owner.tolist()), np.float64,
                          len(seeds))
         reduced = seeds.cost - pi
-        selected = np.ones(len(seeds), dtype=bool) if owners is None else \
-            np.isin(seeds.owner, np.fromiter(owners, np.int64, len(owners)))
-        negative = selected & (reduced < -tolerance)
-        # Groups with a selected owner are priced, in order, up to the
-        # first that brings the columns found to the limit.
-        priced = np.bincount(self._seed_group[selected],
-                             minlength=len(self.instance.groups)) > 0
-        cut = selected.size
+        negative = reduced < -tolerance
+        # Groups are priced in order up to the first that brings the
+        # columns found to the limit.
+        runs, cut = len(self.instance.groups), len(seeds)
         if limit is not None:
             found = np.bincount(self._seed_group, weights=negative,
-                                minlength=priced.size).cumsum()
-            hit = np.flatnonzero(priced & (found >= limit))
+                                minlength=runs).cumsum()
+            hit = np.flatnonzero(found >= limit)
             if hit.size:
-                priced[hit[0] + 1:] = False
+                runs = int(hit[0]) + 1
                 cut = int(np.searchsorted(self._seed_group, hit[0], side="right"))
-        selected[cut:] = negative[cut:] = False
-        min_rc = dict(zip(seeds.owner[selected].tolist(),
-                          np.minimum(reduced[selected], 0.0).tolist()))
-        return PricingOutcome(seeds.take(np.flatnonzero(negative)), min_rc,
-                              PricingStats(runs=int(priced.sum())))
+        min_rc = dict(zip(seeds.owner[:cut].tolist(),
+                          np.minimum(reduced[:cut], 0.0).tolist()))
+        return PricingOutcome(seeds.take(np.flatnonzero(negative[:cut])), min_rc,
+                              PricingStats(runs=runs))
 
     def _add_columns(self, columns) -> int:
         before = self.master.pool_size
@@ -438,9 +375,6 @@ class ColGenSolver:
         it.elapsed = time.perf_counter() - self._t0
         it.lower_bound = self.best_lb
         self.iterations.append(it)
-
-    def _gap(self) -> float:
-        return relative_gap(self.best_ub, self.best_lb)
 
     def _report(self) -> SolveReport:
         wall = time.perf_counter() - self._t0

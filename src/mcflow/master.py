@@ -27,10 +27,9 @@ coefficients of all pooled columns live in one flat entry store:
 parallel ``(edge, coef, column)`` arrays in pool order, each column's
 entries in its own edge order, to which each batch's arrays are
 appended as they are. Every reader uses array operations on that store:
-edge flows are one weighted ``bincount``,
-:meth:`~RestrictedMaster.owners_touching` masks the entries, and the LP
-coefficients are the entries whose edge has a capacity row, found
-through an edge -> capacity-row index array.
+edge flows are one weighted ``bincount``, and the LP coefficients are
+the entries whose edge has a capacity row, found through an edge ->
+capacity-row index array.
 
 On the ``highs`` backend the master keeps one :class:`HighsModel` for
 its whole life, created on the first solve. Each solve first brings that
@@ -612,13 +611,6 @@ class RestrictedMaster:
         edges = self._edge[take]
         parents[self._row[self._col[take]], net.head[edges]] = edges
         return parents
-
-    def owners_touching(self, edges) -> set[int]:
-        """Owners whose pooled columns use any of the given edges."""
-        hit = np.zeros(self.instance.network.edge_count, dtype=bool)
-        hit[[int(e) for e in edges]] = True
-        cols = np.unique(self._col[hit[self._edge]])
-        return {self.owners[r] for r in np.unique(self._row[cols]).tolist()}
 
     # -- capacity rows ------------------------------------------------------
 

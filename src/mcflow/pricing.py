@@ -65,7 +65,7 @@ class DualSnapshot:
 @dataclass
 class PricingStats:
     """``runs`` counts the groups priced; ``early_stops`` the groups whose
-    bounded or A* row left a selected sink unsettled."""
+    bounded or A* row left a sink of its group unsettled."""
 
     runs: int = 0
     early_stops: int = 0
@@ -78,8 +78,8 @@ class PricingOutcome:
     ``columns`` is the batch of columns that price out, in group order.
     ``min_reduced_cost`` maps each priced owner to its most negative
     reduced cost clamped at zero (zero therefore means "proven
-    nonnegative"); owners skipped by a filter, a column limit or a
-    deadline are absent, and callers treat them as unknown.
+    nonnegative"); owners skipped by a column limit or a deadline are
+    absent, and callers treat them as unknown.
     """
 
     columns: ColumnBatch
@@ -300,7 +300,7 @@ def price_paths(instance: Instance, groups, duals: DualSnapshot,
                 strategy: str = "full",
                 bounds: HeuristicBounds | dict[int, HeuristicBounds] | None = None,
                 tolerance: float = 0.0, weights: np.ndarray | None = None,
-                members=None, column_limit: int | None = None,
+                column_limit: int | None = None,
                 deadline: float | None = None) -> PricingOutcome:
     """Price the path columns of one source group or a sequence of them.
 
@@ -314,8 +314,6 @@ def price_paths(instance: Instance, groups, duals: DualSnapshot,
     Args:
         bounds: A* heuristic, either one shared by all groups or a map
             source -> heuristic (then each group runs on its own).
-        members: Optional iterable restricting which member commodities
-            to price (the master-easy filter); others are not reported.
         column_limit: Stop after the first group, in the given order,
             that brings the emitted columns to this many; later groups
             are not reported.
@@ -328,21 +326,14 @@ def price_paths(instance: Instance, groups, duals: DualSnapshot,
         raise InputError("astar pricing requires heuristic bounds")
     net = instance.network
     w = adjusted_weights(net, duals.mu) if weights is None else weights
-    wanted = None if members is None else set(members)
-    jobs = []
-    for g in _as_groups(groups):
-        selected = g.members if wanted is None else \
-            [k for k in g.members if k in wanted]
-        if selected:
-            jobs.append((g, selected))
     per_source = strategy == "astar" and not isinstance(bounds, HeuristicBounds)
 
     parts, min_rc, stats, found = [], {}, PricingStats(), 0
-    for block in _blocks(jobs, net.node_count, 1 if per_source else None, deadline):
-        sources = [g.source for g, _ in block]
-        sizes = [len(selected) for _, selected in block]
-        ks = np.fromiter((k for _, selected in block for k in selected), np.int64,
-                         sum(sizes))
+    for block in _blocks(_as_groups(groups), net.node_count,
+                         1 if per_source else None, deadline):
+        sources = [g.source for g in block]
+        sizes = [len(g.members) for g in block]
+        ks = np.fromiter((k for g in block for k in g.members), np.int64, sum(sizes))
         rows = np.repeat(np.arange(len(block)), sizes)
         sinks = instance.sink[ks]
         pi = np.fromiter(map(duals.pi.__getitem__, ks.tolist()), np.float64, ks.size)

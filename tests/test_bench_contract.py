@@ -1,10 +1,11 @@
 """The desk benchmark's output stays machine-readable.
 
-Runs ``perfbench/run.py`` briefly, untraced and traced, and checks the
-contract its readers rely on: every line of standard output except the
-``self-check:`` line is a JSON object, the last one reports a correct run
-with no failed solves and a finite number for every metric, and no traced
-library function has gone missing. A traced run must also show the
+Runs ``perfbench/run.py`` briefly (``tight-master`` untraced and traced,
+``few-commodities`` untraced) and checks the contract its readers rely
+on: every line of standard output except the ``self-check:`` line is a
+JSON object, the last one reports a correct run with no failed solves
+and a finite number for every metric, and no traced library function
+has gone missing. A traced run must also show the
 shortest-path kernel and the column pool at work, so a kernel or a pool
 that stays importable but is no longer called cannot read 0 unnoticed.
 """
@@ -20,10 +21,11 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("trace", ["0", "1"])
-def test_benchmark_output_is_well_formed(trace):
+def checked_result(workload, trace):
+    """Run ``workload`` for one second and check the output contract;
+    returns the final result object."""
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "tight-master",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "1", "--trace", trace],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
@@ -41,8 +43,18 @@ def test_benchmark_output_is_well_formed(trace):
         value = metric["value"]
         assert isinstance(value, (int, float)) and not isinstance(value, bool), name
         assert math.isfinite(value), name
+    return result
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_benchmark_output_is_well_formed(trace):
+    result = checked_result("tight-master", trace)
     if trace == "1":
         for name in ("graph.dijkstra.calls", "graph.settled_nodes.tree",
                      "graph.self_s.tree", "master.add_column.calls",
                      "master.violated_capacities.s"):
             assert result["metrics"][name]["value"] > 0, name
+
+
+def test_few_commodities_output_is_well_formed():
+    checked_result("few-commodities", "0")

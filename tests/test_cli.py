@@ -16,7 +16,7 @@ from mcflow.bench import (CSV_HEADER, RunRecord, load_instance,
                           read_records_csv, record_from_report, run_suite,
                           write_records_csv)
 from mcflow.cli import (EXIT_INFEASIBLE, EXIT_OPTIMAL, EXIT_TIMEOUT, main)
-from mcflow.engine import SolverConfig, choose_strategy, solve
+from mcflow.engine import SolverConfig, solve
 from mcflow.instance import generate_random, write_native
 
 TRIANGLE_MCF = """\
@@ -80,6 +80,14 @@ class TestSolveCommand:
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--formulation", "nonsense", str(triangle_file)])
         assert exc.value.code == 2
+
+    def test_removed_strategy_is_a_usage_error(self, triangle_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--strategy", "master-easy", str(triangle_file)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert "invalid choice: 'master-easy'" in err
+        assert "Traceback" not in out + err
 
     def test_json_and_csv_outputs(self, triangle_file, tmp_path):
         json_file = tmp_path / "run.json"
@@ -315,20 +323,24 @@ class TestRunRecordCsv:
 
 class TestRecordFromReport:
     def test_auto_records_the_resolved_strategy(self):
+        # More and fewer commodities than nodes: both run the one loop.
         many = generate_random(10, 30, 50, 8, seed=0)
         few = generate_random(60, 120, 10, 10, seed=0)
         for inst in (many, few):
-            config = SolverConfig(formulation="tree", strategy="auto")
-            record = record_from_report(inst, config, solve(inst, config))
-            assert record.strategy == choose_strategy(inst)
-        assert {choose_strategy(many), choose_strategy(few)} == {
-            "pricing-easy", "master-easy"}
+            for formulation in ("tree", "path"):
+                config = SolverConfig(formulation=formulation, strategy="auto")
+                record = record_from_report(inst, config, solve(inst, config))
+                assert record.strategy == "pricing-easy"
 
     def test_explicit_strategy_kept(self):
         inst = generate_random(10, 30, 50, 8, seed=0)
-        config = SolverConfig(formulation="path", strategy="master-easy")
+        config = SolverConfig(formulation="path", strategy="pricing-easy")
         record = record_from_report(inst, config, solve(inst, config))
-        assert record.strategy == "master-easy"
+        assert record.strategy == "pricing-easy"
+        # A direct LP takes no column generation loop.
+        config = SolverConfig(formulation="source-lp", strategy="auto")
+        record = record_from_report(inst, config, solve(inst, config))
+        assert record.strategy == "auto"
 
 
 class TestBench:

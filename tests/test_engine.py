@@ -1,4 +1,4 @@
-"""Engine tests: termination, strategy behavior, bounds, determinism."""
+"""Engine tests: termination, the iteration rule, bounds, determinism."""
 
 import ast
 import dataclasses
@@ -12,8 +12,8 @@ import mcflow.bench
 import mcflow.cli
 import mcflow.engine
 from mcflow.baseline import build_edge_lp, build_source_lp, solve_direct
-from mcflow.engine import (ColGenSolver, SolveReport, SolverConfig,
-                           choose_strategy, solve)
+from mcflow.engine import ColGenSolver, SolveReport, SolverConfig, solve
+from mcflow.errors import InputError
 from mcflow.graph import Network, dijkstra
 from mcflow.instance import Commodity, Instance, generate_random
 from mcflow.lp import HighsBackend
@@ -76,24 +76,14 @@ class TestSolveBasics:
             assert r.objective == pytest.approx(6.0)
 
 
-class TestChooseStrategy:
-    def test_many_commodities_prices_easily(self):
-        # Small network, commodity count far above node count.
-        inst = generate_random(10, 30, 50, 8, seed=0)
-        assert choose_strategy(inst) == "pricing-easy"
-
-    def test_few_commodities_on_big_network(self):
-        inst = generate_random(60, 120, 10, 10, seed=0)
-        assert choose_strategy(inst) == "master-easy"
-
-    def test_explicit_override(self, triangle):
-        solver = ColGenSolver(triangle, cfg(strategy="master-easy"))
-        assert solver.strategy == "master-easy"
-        solver = ColGenSolver(triangle, cfg(strategy="pricing-easy"))
-        assert solver.strategy == "pricing-easy"
-
-
 class TestStrategies:
+    def test_master_easy_is_refused(self, triangle):
+        config = SolverConfig(strategy="master-easy")
+        for check in (config.validate, lambda: solve(triangle, config)):
+            with pytest.raises(InputError, match="master-easy strategy was removed"):
+                check()
+
+
     def test_pricing_easy_column_limit(self):
         inst = generate_random(12, 36, 12, 6, seed=5, tightness="tight")
         solver = ColGenSolver(inst, cfg(formulation="tree", strategy="pricing-easy"))
@@ -103,22 +93,6 @@ class TestStrategies:
         assert r.status == "optimal"
         # No iteration may add more than one column.
         assert all(it.columns_added <= 1 for it in r.iterations)
-
-    def test_master_easy_rows_before_pricing(self):
-        inst = generate_random(12, 36, 12, 4, seed=6, tightness="tight")
-        r = solve(inst, cfg(formulation="tree", strategy="master-easy"))
-        assert r.status == "optimal"
-        for it in r.iterations:
-            # An iteration that adds rows does no pricing in this strategy.
-            if it.rows_added:
-                assert it.pricing_runs == 0
-
-    def test_both_strategies_same_objective(self):
-        for seed in range(6):
-            inst = generate_random(10, 30, 10, 3, seed=seed, tightness="mixed")
-            objs = [solve(inst, cfg(formulation="tree", strategy=s)).objective
-                    for s in ("master-easy", "pricing-easy")]
-            assert objs[0] == pytest.approx(objs[1], rel=1e-7)
 
     def test_pricing_strategies_same_objective(self):
         for seed in range(5):
@@ -175,7 +149,7 @@ class TestBounds:
                 r = solver.run()
                 assert r.status == "optimal"
                 assert solver.master.violated_capacities() == []
-                # One more full unfiltered pricing round cannot improve the
+                # One more full pricing round cannot improve the
                 # objective beyond the configured tolerance.
                 _, min_rc, _, complete = solver._price_round()
                 assert complete
@@ -236,14 +210,12 @@ class TestReport:
         builtin = solve(inst, cfg(formulation="tree", lp_backend="builtin"))
         assert all(it.simplex_iterations == 0 for it in builtin.iterations)
 
-    @pytest.mark.parametrize("strategy", ["master-easy", "pricing-easy"])
-    def test_bounded_pricing_records_early_stops(self, strategy):
+    def test_bounded_pricing_records_early_stops(self):
         inst = generate_random(12, 36, 14, 4, seed=1, tightness="tight")
-        r = solve(inst, cfg(formulation="path", pricing_strategy="bounded",
-                            strategy=strategy))
+        r = solve(inst, cfg(formulation="path", pricing_strategy="bounded"))
         assert r.status == "optimal"
         assert any(it.early_stops > 0 for it in r.iterations)
-        full = solve(inst, cfg(formulation="path", strategy=strategy))
+        full = solve(inst, cfg(formulation="path"))
         assert all(it.early_stops == 0 for it in full.iterations)
 
 
@@ -266,19 +238,17 @@ class TestSeedRound:
             pi = {col.owner: col.cost * rng.uniform(0.8, 1.3)
                   for col in solver._seeds}
             solver.master.solution = dataclasses.replace(sol, pi=pi)
-            owners = list(solver.owner_weights)
-            for subset in (None, set(rng.sample(owners, len(owners) // 2))):
-                for limit in (None, 1, 3):
-                    seeded = solver._price_round(owners=subset, limit=limit)
-                    with monkeypatch.context() as m:
-                        m.setattr(solver, "_price_seeds", solver._price_kernel)
-                        kernel_round = solver._price_round(owners=subset, limit=limit)
-                    # Early stops are the kernel's own; a seed round has none.
-                    assert seeded[2].early_stops == 0
-                    runs = lambda r: (r[0], r[1], r[2].runs, r[3])  # noqa: E731
-                    assert runs(kernel_round) == runs(seeded)
-                    priced += len(seeded[0])
-                    cut += limit is not None and seeded[2].runs < len(inst.groups)
+            for limit in (None, 1, 3):
+                seeded = solver._price_round(limit=limit)
+                with monkeypatch.context() as m:
+                    m.setattr(solver, "_price_seeds", solver._price_kernel)
+                    kernel_round = solver._price_round(limit=limit)
+                # Early stops are the kernel's own; a seed round has none.
+                assert seeded[2].early_stops == 0
+                runs = lambda r: (r[0], r[1], r[2].runs, r[3])  # noqa: E731
+                assert runs(kernel_round) == runs(seeded)
+                priced += len(seeded[0])
+                cut += limit is not None and seeded[2].runs < len(inst.groups)
         assert priced > 0 and cut > 0
 
     @pytest.mark.parametrize("form,kernel", [
@@ -324,14 +294,11 @@ class TestLiveMaster:
         {},
         # 20 path rows on 16 edges: the row-count rule picks edge slack.
         {"size": EDGE_SLACK_SIZE},
-        {"strategy": "master-easy"},
-        {"size": EDGE_SLACK_SIZE, "strategy": "master-easy"},
     ])
     def test_every_solve_matches_a_cold_solve(self, form, options):
         size = options.get("size", (12, 36, 14, 4))
         inst = generate_random(*size, seed=21, tightness="tight")
-        solver = ColGenSolver(inst, cfg(formulation=form,
-                                        strategy=options.get("strategy", "auto")))
+        solver = ColGenSolver(inst, cfg(formulation=form))
         edge_slack = form == "path" and size == EDGE_SLACK_SIZE
         assert solver.master.slack_policy == ("edge" if edge_slack else "demand")
         count = checked_against_cold_solves(solver)
@@ -424,8 +391,8 @@ def test_every_config_field_is_set_outside_tests():
 
 
 def test_differential_grid_against_source_lp():
-    """{tree, path} x {master-easy, pricing-easy} x path kernels on HiGHS,
-    checked against the source-LP oracle on seeded random instances. Tree
+    """Tree and path with every path kernel on HiGHS, checked against the
+    source-LP oracle on seeded random instances. Tree
     runs that add more columns than sources in one iteration show that
     rerouted trees are among the columns checked."""
     runs = [("tree", "full")] + [("path", k) for k in ("full", "bounded", "astar")]
@@ -437,17 +404,15 @@ def test_differential_grid_against_source_lp():
                                tightness=tightness[seed % 3])
         oracle = solve_direct(build_source_lp(inst), "highs")
         assert oracle.status == "optimal"
-        for strategy in ("master-easy", "pricing-easy"):
-            for form, kernel in runs:
-                config = SolverConfig(formulation=form, pricing_strategy=kernel,
-                                      strategy=strategy, rel_tol=1e-6,
-                                      lp_backend="highs")
-                r = solve(inst, config)
-                where = (seed, strategy, form, kernel)
-                scale = max(1.0, abs(oracle.objective))
-                assert r.status == "optimal", where
-                assert abs(r.objective - oracle.objective) <= 1e-6 * scale, where
-                assert r.lower_bound <= oracle.objective + 1e-9 * scale, where
-                rerouted += form == "tree" and \
-                    max(it.columns_added for it in r.iterations) > len(inst.groups)
+        for form, kernel in runs:
+            config = SolverConfig(formulation=form, pricing_strategy=kernel,
+                                  rel_tol=1e-6, lp_backend="highs")
+            r = solve(inst, config)
+            where = (seed, form, kernel)
+            scale = max(1.0, abs(oracle.objective))
+            assert r.status == "optimal", where
+            assert abs(r.objective - oracle.objective) <= 1e-6 * scale, where
+            assert r.lower_bound <= oracle.objective + 1e-9 * scale, where
+            rerouted += form == "tree" and \
+                max(it.columns_added for it in r.iterations) > len(inst.groups)
     assert rerouted > 0

@@ -403,7 +403,7 @@ class TestBatchedPricing:
                             pytest.approx(g.sink_demands.get(v, 0.0))
 
 
-def kernel_tree_rounds(monkeypatch, inst, strategy):
+def kernel_tree_rounds(monkeypatch, inst):
     """Solve ``inst`` in tree mode and return every kernel pricing round
     the engine ran: ``(groups, duals, keywords, outcome)``."""
     rounds = []
@@ -415,8 +415,7 @@ def kernel_tree_rounds(monkeypatch, inst, strategy):
         return out
 
     monkeypatch.setattr(mcflow.engine, "price_tree", record)
-    report = solve(inst, SolverConfig(formulation="tree", strategy=strategy,
-                                      rel_tol=1e-7))
+    report = solve(inst, SolverConfig(formulation="tree", rel_tol=1e-7))
     monkeypatch.undo()
     assert report.status == "optimal"
     return report, rounds
@@ -432,12 +431,11 @@ class TestReroutedTrees:
     rerouted trees, at most one per branch tip of that tree; everything
     the exact pricing reports stays."""
 
-    @pytest.mark.parametrize("strategy", ["master-easy", "pricing-easy"])
-    def test_emitted_trees_are_valid_and_price_out(self, monkeypatch, strategy):
+    def test_emitted_trees_are_valid_and_price_out(self, monkeypatch):
         extras = 0
         for inst in tight_instances():
             net = inst.network
-            _, rounds = kernel_tree_rounds(monkeypatch, inst, strategy)
+            _, rounds = kernel_tree_rounds(monkeypatch, inst)
             for groups, duals, kw, out in rounds:
                 tol = kw["tolerance"]
                 validate_columns(out.columns, inst)
@@ -474,7 +472,7 @@ class TestReroutedTrees:
         calls = []
         real = mcflow.pricing.dijkstra
         inst = tight_instances()[0]
-        _, rounds = kernel_tree_rounds(monkeypatch, inst, "pricing-easy")
+        _, rounds = kernel_tree_rounds(monkeypatch, inst)
         monkeypatch.setattr(mcflow.pricing, "dijkstra",
                             lambda *a: calls.append(a) or real(*a))
         for groups, duals, kw, _ in rounds:
@@ -487,7 +485,7 @@ class TestReroutedTrees:
     def test_column_limit_keeps_the_exact_tree_first(self, monkeypatch):
         cut_inside_a_group = 0
         for inst in tight_instances():
-            _, rounds = kernel_tree_rounds(monkeypatch, inst, "pricing-easy")
+            _, rounds = kernel_tree_rounds(monkeypatch, inst)
             for groups, duals, kw, _ in rounds:
                 args = dict(tolerance=kw["tolerance"], weights=kw["weights"],
                             incumbents=kw["incumbents"])
@@ -520,9 +518,8 @@ class TestReroutedTrees:
         out = price_tree(inst, inst.groups, high, incumbents=incumbents)
         assert len(out.columns) > len(inst.groups)
 
-    @pytest.mark.parametrize("strategy", ["master-easy", "pricing-easy"])
-    def test_tight_solve_adds_more_columns_than_sources(self, strategy):
+    def test_tight_solve_adds_more_columns_than_sources(self):
         inst = tight_instances()[0]
-        report = solve(inst, SolverConfig(formulation="tree", strategy=strategy))
+        report = solve(inst, SolverConfig(formulation="tree"))
         assert report.status == "optimal"
         assert max(it.columns_added for it in report.iterations) > len(inst.groups)
