@@ -7,7 +7,9 @@ brings the columns found to N = max(|S|, 100), where |S| is the number
 of sources. A sweep that prices every group is complete and refreshes
 the Lagrangian bound; a complete sweep that adds no column while no row
 was violated ends the run. This is the ``pricing-easy`` loop, the only
-one; ``strategy`` accepts ``auto`` and ``pricing-easy`` for it.
+one; ``strategy`` accepts ``auto`` and ``pricing-easy`` for it. Duals,
+minimum reduced costs and owner weights are owner-indexed arrays (see
+:mod:`mcflow.pricing`), so the Lagrangian bound is one dot product.
 
 A kernel tree round hands pricing each source's incumbent, its pooled
 column with the largest value in the last master solve
@@ -57,7 +59,7 @@ from .lp import get_backend
 from .master import PATH, TREE, ColumnBatch, RestrictedMaster, new_master
 from .pricing import (DualSnapshot, PricingOutcome, PricingStats,
                       adjusted_weights, initial_columns, lagrangian_bound,
-                      price_paths, price_tree)
+                      limit_cut, price_paths, price_tree)
 
 OPTIMAL = "optimal"
 TIMEOUT = "timeout"
@@ -125,7 +127,12 @@ class IterationStat:
 
 @dataclass
 class SolveReport:
-    """Outcome of one solve: bounds, status, and the iteration trace."""
+    """Outcome of one solve: bounds, status, and the iteration trace.
+
+    ``infeasible_owners`` names commodity ids: those with an unreachable
+    sink, or whose demand row (in tree mode, their source's) keeps slack
+    after big-M escalation; none when capacity rows keep the slack.
+    """
 
     status: str
     objective: float
@@ -164,10 +171,10 @@ class ColGenSolver:
         self.column_limit = max(len(instance.groups), 100)
         self.backend = get_backend(config.lp_backend)
         self.master: RestrictedMaster = new_master(instance, self.mode)
-        if self.mode == PATH:
-            self.owner_weights = dict(enumerate(instance.demand.tolist()))
-        else:
-            self.owner_weights = {g.source: 1.0 for g in instance.groups}
+        # Lagrangian weight per owner id: its demand row's right-hand side.
+        self.owner_weights = np.zeros(instance.network.node_count if self.mode == TREE
+                                      else len(instance.commodities))
+        self.owner_weights[self.master.owners] = self.master.demand_rhs
         self._slack_tol = 1e-7 * (1.0 + float(self.master.demand_rhs.max()))
 
         self.best_lb = -np.inf
@@ -180,9 +187,9 @@ class ColGenSolver:
         self._escalations_left = BIG_M_ESCALATIONS
         self._bounds: HeuristicBounds | dict[int, HeuristicBounds] | None = None
         # Seed columns, one per owner in group order (the pricing columns
-        # while mu is all zero), and the group of each.
+        # while mu is all zero), and the end offset of each group's seeds.
         self._seeds: ColumnBatch | None = None
-        self._seed_group: np.ndarray | None = None
+        self._seed_ends: np.ndarray | None = None
         self._t0 = time.perf_counter()     # reset when the run starts
         if self.mode == PATH and config.pricing_strategy == "astar":
             self._prepare_bounds()
@@ -231,7 +238,7 @@ class ColGenSolver:
     def _seed_pool(self) -> None:
         self._seeds = initial_columns(self.instance, self.mode)
         sizes = [1 if self.mode == TREE else len(g.members) for g in self.instance.groups]
-        self._seed_group = np.repeat(np.arange(len(sizes)), sizes)
+        self._seed_ends = np.cumsum(sizes)
         self.master.add_column(self._seeds)
 
     def _time_left(self) -> float:
@@ -245,7 +252,7 @@ class ColGenSolver:
         sol = self.master.solve_rmp(self.backend,
                                     time_limit=max(0.0, self._time_left()))
         viol = self.master.violated_capacities()
-        slack_ok = (sol.max_slack <= self._slack_tol
+        slack_ok = (sol.slack.max(initial=0.0) <= self._slack_tol
                     and sol.artificial <= self._slack_tol)
         if not viol and slack_ok:
             self.best_ub = min(self.best_ub, sol.objective)
@@ -288,12 +295,19 @@ class ColGenSolver:
             self.master.escalate_big_m()
             self._push(it)
             return
-        rows = self.master.positive_slack_rows(self._slack_tol)
-        owners = tuple(label for _, label in rows)
+        rows = np.flatnonzero(sol.slack > self._slack_tol)
+        if self.master.slack_policy == "edge":
+            edges = np.array(self.master.active_edges)[rows]
+            where = f"the capacity rows of edges {edges[:10].tolist()}"
+        else:
+            owners = self.master.owners[rows]
+            where = f"the demand rows of owners {owners[:10].tolist()}"
+            if self.mode == TREE:       # a source's row is its commodities'
+                owners = np.flatnonzero(np.isin(self.instance.source, owners))
+            self.infeasible_owners = tuple(owners.tolist())
         self.status = INFEASIBLE
-        self.message = (f"slack remains on rows {rows[:10]} after big-M "
-                        "escalation; demands cannot be routed within capacity")
-        self.infeasible_owners = owners
+        self.message = (f"slack remains on {where} after big-M escalation; "
+                        "demands cannot be routed within capacity")
         self._push(it)
 
     # -- pricing -------------------------------------------------------------
@@ -304,8 +318,8 @@ class ColGenSolver:
         Returns (columns, min_reduced_cost, stats, complete). ``limit``
         stops the sweep after the group that brings the columns found to
         that many, and a kernel sweep starts no block of sources once the
-        time budget has run out. Owners of groups left unpriced are
-        absent, and the round is complete when every group was priced.
+        time budget has run out. Owners of groups left unpriced have a
+        NaN minimum, and the round is complete when every group was priced.
         """
         sol = self.master.solution
         tolerance = 1e-9 * (1.0 + abs(sol.objective))
@@ -316,7 +330,7 @@ class ColGenSolver:
 
     def _price_kernel(self, sol, tolerance: float, limit) -> PricingOutcome:
         """One pricing call for all groups."""
-        duals = DualSnapshot(pi=dict(sol.pi), mu=sol.mu)
+        duals = DualSnapshot(sol.pi, sol.mu)
         weights = adjusted_weights(self.instance.network, sol.mu)
         if self.mode == TREE:
             return price_tree(self.instance, self.instance.groups, duals,
@@ -338,22 +352,12 @@ class ColGenSolver:
         and the column limit are honoured as the kernels do.
         """
         seeds = self._seeds
-        pi = np.fromiter(map(sol.pi.__getitem__, seeds.owner.tolist()), np.float64,
-                         len(seeds))
-        reduced = seeds.cost - pi
+        reduced = seeds.cost - sol.pi[seeds.owner]
         negative = reduced < -tolerance
-        # Groups are priced in order up to the first that brings the
-        # columns found to the limit.
-        runs, cut = len(self.instance.groups), len(seeds)
-        if limit is not None:
-            found = np.bincount(self._seed_group, weights=negative,
-                                minlength=runs).cumsum()
-            hit = np.flatnonzero(found >= limit)
-            if hit.size:
-                runs = int(hit[0]) + 1
-                cut = int(np.searchsorted(self._seed_group, hit[0], side="right"))
-        min_rc = dict(zip(seeds.owner[:cut].tolist(),
-                          np.minimum(reduced[:cut], 0.0).tolist()))
+        runs = limit_cut(negative, self._seed_ends, 0, limit) or self._seed_ends.size
+        cut = int(self._seed_ends[runs - 1])
+        min_rc = np.full(self.owner_weights.size, np.nan)
+        min_rc[seeds.owner[:cut]] = np.minimum(reduced[:cut], 0.0)
         return PricingOutcome(seeds.take(np.flatnonzero(negative[:cut])), min_rc,
                               PricingStats(runs=runs))
 
@@ -368,7 +372,7 @@ class ColGenSolver:
     @staticmethod
     def _new_stat(sol) -> IterationStat:
         return IterationStat(sol.objective,
-                             slack_mass=float(sum(sol.slack.values(), 0.0)),
+                             slack_mass=float(sol.slack.sum()),
                              simplex_iterations=sol.simplex_iterations)
 
     def _push(self, it: IterationStat) -> None:

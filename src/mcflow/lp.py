@@ -189,8 +189,8 @@ class HighsModel:
         self._equality.extend(equality.tolist())
         return first
 
-    def add_cols(self, costs, starts=None, indices=(), values=()) -> int:
-        """Append free nonnegative columns; returns the index of the first."""
+    def add_cols(self, costs, starts=None, indices=(), values=()) -> np.ndarray:
+        """Append free nonnegative columns; returns their indices."""
         costs = np.asarray(costs, dtype=np.float64)
         n = costs.size
         if starts is None:
@@ -199,7 +199,7 @@ class HighsModel:
         self._check(self._h.addCols(n, costs, np.zeros(n), np.full(n, self._inf),
                                     len(values), *_sparse(starts, indices, values)))
         self.num_cols += n
-        return first
+        return np.arange(first, first + n)
 
     def set_costs(self, cols, costs) -> None:
         cols = np.asarray(cols, dtype=np.int32)

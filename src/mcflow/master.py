@@ -31,6 +31,12 @@ edge flows are one weighted ``bincount``, and the LP coefficients are
 the entries whose edge has a capacity row, found through an edge ->
 capacity-row index array.
 
+A solve's demand duals ``RmpSolution.pi`` are an owner-indexed array
+(see :mod:`mcflow.pricing`), NaN at ids that own no row.
+``RmpSolution.slack`` is aligned with the slack rows: the demand rows in
+``owners`` order, or the capacity rows of ``active_edges`` under the
+edge slack policy.
+
 On the ``highs`` backend the master keeps one :class:`HighsModel` for
 its whole life, created on the first solve. Each solve first brings that
 model up to date (new capacity rows with the entries of the columns
@@ -44,7 +50,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -402,10 +408,9 @@ class RmpSolution:
 
     objective: float
     x: np.ndarray
-    pi: dict[int, float]
+    pi: np.ndarray
     mu: np.ndarray
-    slack: dict = field(default_factory=dict)
-    max_slack: float = 0.0
+    slack: np.ndarray
     artificial: float = 0.0
     simplex_iterations: int = 0
 
@@ -420,12 +425,11 @@ class RestrictedMaster:
         self.mode = mode
         net = instance.network
         if mode == PATH:
-            self.owners = list(range(len(instance.commodities)))
+            self.owners = np.arange(len(instance.commodities))
             self.demand_rhs = instance.demand.copy()
         else:
-            self.owners = [g.source for g in instance.groups]
+            self.owners = np.array([g.source for g in instance.groups], dtype=np.int64)
             self.demand_rhs = np.ones(len(instance.groups))
-        self.owner_row = dict(zip(self.owners, range(len(self.owners))))
         self.slack_policy = "demand" if len(self.owners) < net.edge_count else "edge"
         total_cost = float(net.cost.sum())
         big_m = total_cost
@@ -442,8 +446,8 @@ class RestrictedMaster:
         else:
             self.demand_slack_costs = np.full(len(self.owners), self.big_m)
 
-        # Demand row per owner id, -1 for ids that own no row.
-        self._row_of = np.full(max(self.owners, default=0) + 1, -1, dtype=np.int64)
+        # Demand row per owner id (commodity, or node in tree mode), -1 if none.
+        self._row_of = np.full(net.node_count if mode == TREE else len(self.owners), -1)
         self._row_of[self.owners] = np.arange(len(self.owners))
         # Per pool column: cost, demand row and support hash.
         self._cost = np.zeros(0)
@@ -465,8 +469,8 @@ class RestrictedMaster:
         self._model: HighsModel | None = None
         self._col_vars = np.zeros(0, dtype=np.int64)  # model column per pool id
         self._cap_rows = 0                  # active_edges[:_cap_rows] are rows
-        self._slack_vars: dict = {}
-        self._art_vars: dict[int, int] = {}
+        # Model columns of the slack per slack row and artificial per demand row.
+        self._slack_cols = self._art_cols = np.zeros(0, dtype=np.int64)
         self._costs_changed = False
 
     # -- column pool --------------------------------------------------------
@@ -578,7 +582,7 @@ class RestrictedMaster:
         """The pool as a read-only batch in pool-id order; indexing or
         iterating it builds :class:`Column` views."""
         if self._view is None:
-            self._view = ColumnBatch(self.mode, np.array(self.owners)[self._row],
+            self._view = ColumnBatch(self.mode, self.owners[self._row],
                                      np.bincount(self._col, minlength=self.pool_size),
                                      self._edge, self._coef, self._cost)
         return self._view
@@ -685,24 +689,18 @@ class RestrictedMaster:
         """Assemble the current restriction as a SparseLp.
 
         Returns the LP and the pool ids of the LP's column variables in
-        order, which are all pool ids. Variable layout: columns, then
-        slacks, then artificials.
+        order, which are all pool ids. Variable layout: columns, then one
+        slack per slack row, then artificials, each in row order.
         """
         n_demand = len(self.owners)
         n_cap = len(self.active_edges)
         n_pool = self.pool_size
         starts, indices, values = self._column_matrix()
         if self.slack_policy == "demand":
-            labels = [("demand", o) for o in self.owners]
             extra = [(np.arange(n_demand), 1.0, self.demand_slack_costs)]
         else:
-            labels = [("edge", e) for e in self.active_edges]
             extra = [(n_demand + np.arange(n_cap), -1.0, np.full(n_cap, self.big_m))]
-        slack_index = {label: n_pool + i for i, label in enumerate(labels)}
-        art_index: dict = {}
         if self._use_artificials:
-            first = n_pool + len(labels)
-            art_index = {o: first + i for i, o in enumerate(self.owners)}
             extra.append((np.arange(n_demand), 1.0, np.full(n_demand, 10.0 * self.big_m)))
         # One variable per extra row, each with a single entry.
         rows = [indices] + [r for r, _, _ in extra]
@@ -714,8 +712,7 @@ class RestrictedMaster:
 
         senses = ["E"] * n_demand + ["L"] * n_cap
         rhs = np.concatenate([self.demand_rhs,
-                              self.instance.network.capacity[self.active_edges]
-                              if n_cap else np.zeros(0)])
+                              self.instance.network.capacity[self.active_edges]])
         lp = SparseLp(
             num_cols=n,
             objective=np.concatenate(obj),
@@ -725,8 +722,6 @@ class RestrictedMaster:
             cols=cols,
             vals=np.concatenate(vals),
         )
-        self._slack_index = slack_index
-        self._art_index = art_index
         return lp, list(range(n_pool))
 
     def solve_rmp(self, backend: str | LpBackend = "highs",
@@ -744,40 +739,36 @@ class RestrictedMaster:
         rebuild the LP, solve it cold and ignore ``time_limit``.
         """
         backend = get_backend(backend)
-        if isinstance(backend, HighsBackend):
-            deadline = None if time_limit is None else time.perf_counter() + time_limit
-            sol = self._solve_model(deadline)
-            if sol.status == INFEASIBLE and not self._use_artificials:
-                self._use_artificials = True
-                pivots = sol.simplex_iterations
-                sol = self._solve_model(deadline)
-                sol.simplex_iterations += pivots
-            _check_rmp_solution(sol)
-            x = sol.x[self._col_vars]
-            slack = {key: float(sol.x[j]) for key, j in self._slack_vars.items()}
-            artificial = sum(float(sol.x[j]) for j in self._art_vars.values())
+        live = isinstance(backend, HighsBackend)
+        deadline = None if time_limit is None else time.perf_counter() + time_limit
+        solve = (lambda: self._solve_model(deadline)) if live else \
+            (lambda: backend.solve(self.build_lp()[0]))
+        sol = solve()
+        if sol.status == INFEASIBLE and not self._use_artificials:
+            self._use_artificials = True
+            pivots = sol.simplex_iterations
+            sol = solve()
+            sol.simplex_iterations += pivots
+        _check_rmp_solution(sol)
+        if live:
+            x, slack, art = (sol.x[c] for c in (self._col_vars, self._slack_cols,
+                                                self._art_cols))
         else:
-            lp, col_ids = self.build_lp()
-            sol = backend.solve(lp)
-            if sol.status == INFEASIBLE and not self._use_artificials:
-                self._use_artificials = True
-                lp, col_ids = self.build_lp()
-                sol = backend.solve(lp)
-            _check_rmp_solution(sol)
-            x = sol.x[:len(col_ids)]
-            slack = {key: float(sol.x[j]) for key, j in self._slack_index.items()}
-            artificial = sum(float(sol.x[j]) for j in self._art_index.values())
+            # build_lp's layout: columns, one slack per slack row, artificials.
+            n = self.pool_size
+            m = n + len(self.owners if self.slack_policy == "demand" else self.active_edges)
+            x, slack, art = sol.x[:n], sol.x[n:m], sol.x[m:]
+        artificial = float(art.sum())
 
         # Both layouts put the demand rows first and the capacity rows of
         # active_edges after them, in order.
         n_demand = len(self.owners)
-        pi = {o: float(sol.duals[i]) for i, o in enumerate(self.owners)}
+        pi = np.full(self._row_of.size, np.nan)
+        pi[self.owners] = sol.duals[:n_demand]
         mu = np.zeros(self.instance.network.edge_count)
-        if self.active_edges:
-            mu[self.active_edges] = np.minimum(0.0, sol.duals[n_demand:])
-        max_slack = max(slack.values(), default=0.0)
-        self.solution = RmpSolution(sol.objective, x, pi, mu, slack,
-                                    max_slack, artificial, sol.simplex_iterations)
+        mu[self.active_edges] = np.minimum(0.0, sol.duals[n_demand:])
+        self.solution = RmpSolution(sol.objective, x, pi, mu, slack, artificial,
+                                    sol.simplex_iterations)
         return self.solution
 
     # -- live HiGHS model ---------------------------------------------------
@@ -803,11 +794,9 @@ class RestrictedMaster:
             self._model = HighsModel()
             self._model.add_rows(["E"] * n_demand, self.demand_rhs)
             if self.slack_policy == "demand":
-                first = self._model.add_cols(
+                self._slack_cols = self._model.add_cols(
                     self.demand_slack_costs, np.arange(n_demand + 1),
                     np.arange(n_demand), np.ones(n_demand))
-                for i, o in enumerate(self.owners):
-                    self._slack_vars[("demand", o)] = first + i
         model = self._model
         synced = self._col_vars.size
 
@@ -828,42 +817,32 @@ class RestrictedMaster:
             self._cap_rows = len(self.active_edges)
             if self.slack_policy == "edge":
                 n = len(new_edges)
-                first = model.add_cols(np.full(n, self.big_m), np.arange(n + 1),
-                                       np.arange(first_row, first_row + n),
-                                       np.full(n, -1.0))
-                for i, e in enumerate(new_edges):
-                    self._slack_vars[("edge", e)] = first + i
+                self._slack_cols = np.concatenate([self._slack_cols, model.add_cols(
+                    np.full(n, self.big_m), np.arange(n + 1),
+                    np.arange(first_row, first_row + n), np.full(n, -1.0))])
 
         if synced < self.pool_size:
-            first = model.add_cols(self._cost[synced:], *self._column_matrix(synced))
             self._col_vars = np.concatenate(
-                [self._col_vars, np.arange(first, first + self.pool_size - synced)])
+                [self._col_vars, model.add_cols(self._cost[synced:],
+                                                *self._column_matrix(synced))])
 
-        if self._use_artificials and not self._art_vars:
-            first = model.add_cols(np.full(n_demand, 10.0 * self.big_m),
-                                   np.arange(n_demand + 1), np.arange(n_demand),
-                                   np.ones(n_demand))
-            self._art_vars = {o: first + i for i, o in enumerate(self.owners)}
+        if self._use_artificials and not self._art_cols.size:
+            self._art_cols = model.add_cols(np.full(n_demand, 10.0 * self.big_m),
+                                            np.arange(n_demand + 1), np.arange(n_demand),
+                                            np.ones(n_demand))
 
         if self._costs_changed:
-            slack_costs = [self.demand_slack_costs[self.owner_row[label]]
-                           if kind == "demand" else self.big_m
-                           for kind, label in self._slack_vars]
-            model.set_costs(list(self._slack_vars.values()), slack_costs)
-            if self._art_vars:
-                model.set_costs(list(self._art_vars.values()),
-                                np.full(n_demand, 10.0 * self.big_m))
+            model.set_costs(self._slack_cols,
+                            self.demand_slack_costs if self.slack_policy == "demand"
+                            else np.full(self._slack_cols.size, self.big_m))
+            if self._art_cols.size:
+                model.set_costs(self._art_cols, np.full(n_demand, 10.0 * self.big_m))
             self._costs_changed = False
 
     def _require_solution(self) -> RmpSolution:
         if self.solution is None:
             raise InternalError("restricted master has not been solved yet")
         return self.solution
-
-    def positive_slack_rows(self, tol: float) -> list:
-        """Labels of slack variables above tolerance in the last solve."""
-        sol = self._require_solution()
-        return [key for key, v in sol.slack.items() if v > tol]
 
 
 def _check_rmp_solution(sol: LpSolution) -> None:

@@ -11,7 +11,10 @@ one depth level at a time, to obtain the edge flow coefficients.
 Reduced costs use the dual-adjusted weights ``cost - mu`` which are
 nonnegative by the master's dual normalization, so Dijkstra applies.
 The ``bounded`` and ``astar`` strategies settle only nodes below each
-source's stop key, past which no destination can price out.
+source's stop key, past which no destination can price out. Duals and
+minimum reduced costs are owner-indexed float arrays (one entry per
+commodity in path mode, per node in tree mode), NaN where unknown: no
+demand row has that owner, or pricing did not reach it.
 
 Columns leave pricing as one :class:`~mcflow.master.ColumnBatch` per
 call, built straight from the kernel's parent-edge arrays: path columns
@@ -34,6 +37,7 @@ valid.
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,15 +55,29 @@ SOURCE_BLOCK_ENTRIES = 1 << 22
 
 @dataclass(frozen=True)
 class DualSnapshot:
-    """Immutable dual values handed from the master to pricing.
-
-    ``pi`` maps the demand-row owner (commodity id in path mode, source
-    id in tree mode) to its dual; ``mu`` is the per-edge capacity dual,
-    zero for inactive rows and nonpositive everywhere.
+    """Dual values handed from the master to pricing, which never
+    writes them. ``pi`` is the owner-indexed demand-row dual; a mapping
+    from owner to dual is converted once, NaN at the ids it does not
+    map. ``mu`` is the per-edge capacity dual, zero for inactive rows
+    and nonpositive everywhere.
     """
 
-    pi: dict[int, float]
+    pi: np.ndarray
     mu: np.ndarray
+
+    def __post_init__(self):
+        if isinstance(self.pi, Mapping):
+            pi = np.full(max(self.pi, default=-1) + 1, np.nan)
+            pi[list(self.pi)] = list(self.pi.values())
+            object.__setattr__(self, "pi", pi)
+
+    def of(self, owners: np.ndarray) -> np.ndarray:
+        """``pi[owners]``; raises :class:`InputError` naming the first
+        owner without a dual (an id past ``pi``, or NaN)."""
+        pi = np.append(self.pi, np.nan)[np.minimum(owners, self.pi.size)]
+        if np.isnan(pi).any():
+            raise InputError(f"no dual for owner {int(owners[np.isnan(pi).argmax()])}")
+        return pi
 
 
 @dataclass
@@ -76,14 +94,14 @@ class PricingOutcome:
     """Result of pricing one or more owners.
 
     ``columns`` is the batch of columns that price out, in group order.
-    ``min_reduced_cost`` maps each priced owner to its most negative
-    reduced cost clamped at zero (zero therefore means "proven
-    nonnegative"); owners skipped by a column limit or a deadline are
-    absent, and callers treat them as unknown.
+    ``min_reduced_cost`` holds, per owner id, the most negative reduced
+    cost clamped at zero (zero therefore means "proven nonnegative"),
+    and NaN for ids of no priced group, such as owners skipped by a
+    column limit or a deadline.
     """
 
     columns: ColumnBatch
-    min_reduced_cost: dict[int, float] = field(default_factory=dict)
+    min_reduced_cost: np.ndarray
     stats: PricingStats = field(default_factory=PricingStats)
 
 
@@ -284,8 +302,8 @@ def _rerouted_trees(net: Network, spt_parent: np.ndarray, incumbent: np.ndarray,
     return ColumnBatch.concat(parts), np.concatenate(groups), np.concatenate(reduced)
 
 
-def _limit_cut(found_per_entry: np.ndarray, ends: np.ndarray, found: int,
-               column_limit: int | None) -> int | None:
+def limit_cut(found_per_entry: np.ndarray, ends: np.ndarray, found: int,
+              column_limit: int | None) -> int | None:
     """Groups to keep of a block whose groups end at entries ``ends``,
     entry i emitting ``found_per_entry[i]`` columns: up to the first
     group that brings the columns found to ``column_limit`` (``found``
@@ -328,7 +346,8 @@ def price_paths(instance: Instance, groups, duals: DualSnapshot,
     w = adjusted_weights(net, duals.mu) if weights is None else weights
     per_source = strategy == "astar" and not isinstance(bounds, HeuristicBounds)
 
-    parts, min_rc, stats, found = [], {}, PricingStats(), 0
+    parts, stats, found = [], PricingStats(), 0
+    min_rc = np.full(len(instance.commodities), np.nan)
     for block in _blocks(_as_groups(groups), net.node_count,
                          1 if per_source else None, deadline):
         sources = [g.source for g in block]
@@ -336,7 +355,7 @@ def price_paths(instance: Instance, groups, duals: DualSnapshot,
         ks = np.fromiter((k for g in block for k in g.members), np.int64, sum(sizes))
         rows = np.repeat(np.arange(len(block)), sizes)
         sinks = instance.sink[ks]
-        pi = np.fromiter(map(duals.pi.__getitem__, ks.tolist()), np.float64, ks.size)
+        pi = duals.of(ks)
         if strategy == "full":
             spt = dijkstra(net, w, sources)
         else:
@@ -354,14 +373,13 @@ def price_paths(instance: Instance, groups, duals: DualSnapshot,
         rc = spt.dist[rows, sinks] - pi
         negative = settled & (rc < -tolerance)
         ends = np.cumsum(sizes)
-        cut = _limit_cut(negative, ends, found, column_limit)
+        cut = limit_cut(negative, ends, found, column_limit)
         count = len(block) if cut is None else cut
         upto = int(ends[count - 1])
         keep = np.flatnonzero(negative[:upto])
         parts.append(_path_columns(net, spt, rows[keep], sinks[keep], ks[keep]))
         found += keep.size
-        min_rc.update(zip(ks[:upto].tolist(),
-                          np.where(settled, np.minimum(rc, 0.0), 0.0)[:upto].tolist()))
+        min_rc[ks[:upto]] = np.where(settled, np.minimum(rc, 0.0), 0.0)[:upto]
         stats.runs += count
         if strategy != "full":
             stats.early_stops += np.unique(rows[:upto][~settled[:upto]]).size
@@ -400,25 +418,26 @@ def price_tree(instance: Instance, groups, duals: DualSnapshot,
     """
     net = instance.network
     w = adjusted_weights(net, duals.mu) if weights is None else weights
-    parts, min_rc, stats, found, start = [], {}, PricingStats(), 0, 0
+    parts, stats, found, start = [], PricingStats(), 0, 0
+    min_rc = np.full(net.node_count, np.nan)
     for block in _blocks(_as_groups(groups), net.node_count, deadline=deadline):
         sources = [g.source for g in block]
+        pi = duals.of(np.array(sources))
         spt = dijkstra(net, w, sources)
         for i, g in enumerate(block):
             missing = [t for t in g.sink_demands if not spt.settled[i, t]]
             if missing:
                 raise InfeasibleError(
                     f"sinks {missing} unreachable from source {g.source}",
-                    owners=tuple(missing))
+                    owners=tuple(k for k in g.members if instance.sink[k] in missing))
         ends = np.arange(1, len(block) + 1)
         loads = _sink_loads(block)
         trees, weighted = _tree_columns(net, sources, spt.parent_edge, loads, w)
-        pi = np.array([duals.pi[s] for s in sources])
         reduced = weighted - pi
         negative = reduced < -tolerance
         # Rerouted trees only add columns, so the limit is reached no
         # later than by the exact trees alone.
-        count = _limit_cut(negative, ends, found, column_limit) or len(block)
+        count = limit_cut(negative, ends, found, column_limit) or len(block)
         group = np.flatnonzero(negative[:count])
         emitted = trees.take(group)
         if incumbents is not None and group.size:
@@ -432,14 +451,14 @@ def price_tree(instance: Instance, groups, duals: DualSnapshot,
                                 np.concatenate([group, extra_group])))
             emitted = ColumnBatch.concat([emitted, extra]).take(order)
             group = np.concatenate([group, extra_group])[order]
-            cut = _limit_cut(np.bincount(group, minlength=count), ends[:count], found,
-                             column_limit)
+            cut = limit_cut(np.bincount(group, minlength=count), ends[:count], found,
+                            column_limit)
             if cut is not None:
                 count = cut
                 emitted = emitted[:column_limit - found]
         parts.append(emitted)
         found += len(emitted)
-        min_rc.update(zip(sources[:count], np.minimum(reduced[:count], 0.0).tolist()))
+        min_rc[sources[:count]] = np.minimum(reduced[:count], 0.0)
         stats.runs += count
         start += len(block)
         if column_limit is not None and found >= column_limit:
@@ -447,23 +466,20 @@ def price_tree(instance: Instance, groups, duals: DualSnapshot,
     return PricingOutcome(ColumnBatch.concat(parts), min_rc, stats)
 
 
-def lagrangian_bound(rmp_objective: float,
-                     min_reduced_costs: dict[int, float | None],
-                     owner_weights: dict[int, float]) -> float | None:
+def lagrangian_bound(rmp_objective: float, min_reduced_costs: np.ndarray,
+                     owner_weights: np.ndarray) -> float | None:
     """Valid lower bound from a complete pricing round.
 
     Lowering each demand dual by its owner's most negative reduced cost
     makes the master duals feasible for the full problem, which shifts
-    the dual objective by the weighted reduced costs. Returns None when
-    any owner's minimum is unknown.
+    the dual objective by the weighted reduced costs. Both arrays are
+    owner-indexed, ``owner_weights`` zero at ids that own no row. Returns
+    None when an owner with a weight has an unknown (NaN) minimum.
     """
-    total = 0.0
-    for owner, weight in owner_weights.items():
-        rc = min_reduced_costs.get(owner)
-        if rc is None:
-            return None
-        total += weight * min(0.0, rc)
-    return rmp_objective + total
+    # Ids without a weight count 0, so a NaN total means an owner's is unknown.
+    total = float(owner_weights @ np.where(owner_weights != 0,
+                                           np.minimum(min_reduced_costs, 0.0), 0.0))
+    return None if np.isnan(total) else rmp_objective + total
 
 
 def initial_columns(instance: Instance, mode: str) -> ColumnBatch:

@@ -1,7 +1,7 @@
 """The desk benchmark's output stays machine-readable.
 
 Runs ``perfbench/run.py`` briefly (``tight-master`` untraced and traced,
-``few-commodities`` untraced) and checks the contract its readers rely
+``few-commodities`` and ``bulk-loose`` untraced) and checks the contract its readers rely
 on: every line of standard output except the ``self-check:`` line is a
 JSON object, the last one reports a correct run with no failed solves
 and a finite number for every metric, and no traced library function
@@ -58,3 +58,8 @@ def test_benchmark_output_is_well_formed(trace):
 
 def test_few_commodities_output_is_well_formed():
     checked_result("few-commodities", "0")
+
+
+def test_bulk_loose_output_is_well_formed():
+    # 5,000 path demand rows: the largest owner-indexed arrays of the three.
+    checked_result("bulk-loose", "0")

@@ -56,6 +56,33 @@ class TestSolveBasics:
         assert r.status == "infeasible"
         assert 1 in r.infeasible_owners
 
+    @pytest.mark.parametrize("form", ["tree", "path"])
+    @pytest.mark.parametrize("policy", ["demand", "edge"])
+    def test_infeasible_owners_are_commodities(self, form, policy):
+        if policy == "demand":
+            # 3 path rows and 2 tree rows on 4 edges. Commodity 0 needs 5
+            # units on edge 0->1 of capacity 1; its tree row is source 0's,
+            # whose group also holds commodity 1.
+            net = Network(4, [(0, 1, 1.0, 1.0), (0, 2, 1.0, 9.0), (2, 3, 1.0, 9.0),
+                              (3, 0, 1.0, 9.0)])
+            commodities = [Commodity(0, 1, 5.0), Commodity(0, 2, 1.0),
+                           Commodity(2, 3, 1.0)]
+            expected = (0,) if form == "path" else (0, 1)
+        else:
+            # 3 path rows and 2 tree rows on 2 edges of capacity 1, which
+            # must carry 2 units each: the slack is on capacity rows.
+            net = Network(3, [(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0)])
+            commodities = [Commodity(0, 1, 1.0), Commodity(0, 2, 1.0),
+                           Commodity(1, 2, 1.0)]
+            expected = ()
+        solver = ColGenSolver(Instance.build(net, commodities), cfg(formulation=form))
+        assert solver.master.slack_policy == policy
+        r = solver.run()
+        assert r.status == "infeasible"
+        assert r.infeasible_owners == expected
+        if policy == "edge":
+            assert "capacity rows of edges [0, 1]" in r.message
+
     def test_capacity_infeasible_detected(self):
         net = Network(2, [(0, 1, 1.0, 1.0)])
         inst = Instance.build(net, [Commodity(0, 1, 5.0)])
@@ -235,8 +262,9 @@ class TestSeedRound:
             sol = solver.master.solve_rmp()
             assert not sol.mu.any()
             # Duals around the seed costs, so that some owners price out.
-            pi = {col.owner: col.cost * rng.uniform(0.8, 1.3)
-                  for col in solver._seeds}
+            seeds = solver._seeds
+            pi = sol.pi.copy()
+            pi[seeds.owner] = seeds.cost * [rng.uniform(0.8, 1.3) for _ in seeds]
             solver.master.solution = dataclasses.replace(sol, pi=pi)
             for limit in (None, 1, 3):
                 seeded = solver._price_round(limit=limit)
@@ -245,8 +273,10 @@ class TestSeedRound:
                     kernel_round = solver._price_round(limit=limit)
                 # Early stops are the kernel's own; a seed round has none.
                 assert seeded[2].early_stops == 0
-                runs = lambda r: (r[0], r[1], r[2].runs, r[3])  # noqa: E731
+                runs = lambda r: (r[0], r[2].runs, r[3])  # noqa: E731
                 assert runs(kernel_round) == runs(seeded)
+                # The same minima, unknown (NaN) for the same owners.
+                np.testing.assert_array_equal(kernel_round[1], seeded[1])
                 priced += len(seeded[0])
                 cut += limit is not None and seeded[2].runs < len(inst.groups)
         assert priced > 0 and cut > 0

@@ -235,7 +235,7 @@ class TestSolveRmp:
         sol = m.solve_rmp()
         assert sol.objective == pytest.approx(m.big_m)
         assert sol.pi[0] == pytest.approx(m.big_m)
-        assert sol.max_slack == pytest.approx(1.0)
+        assert sol.slack.max() == pytest.approx(1.0)
 
     def test_path_mode_two_columns(self, triangle):
         m = new_master(triangle, "path")
@@ -366,7 +366,7 @@ class TestLiveModel:
         # b->c carries 2.5 units on capacity 1 until a->c is pooled.
         m.add_capacity_rows([1])
         sol = m.solve_rmp()
-        assert sol.max_slack == pytest.approx(1.5)
+        assert sol.slack.max() == pytest.approx(1.5)
         assert_matches_cold(m, sol)
         m.escalate_big_m()
         assert_matches_cold(m, m.solve_rmp())
@@ -374,7 +374,7 @@ class TestLiveModel:
         sol = m.solve_rmp()
         # k0 sends 0.5 over a->b->c and 1.5 over a->c.
         assert sol.objective == pytest.approx(1.0 + 4.5 + 1.0 + 0.5)
-        assert sol.max_slack == pytest.approx(0.0)
+        assert sol.slack.max(initial=0.0) == pytest.approx(0.0)
         assert_matches_cold(m, sol)
         m.add_capacity_rows([0, 2])
         assert_matches_cold(m, m.solve_rmp())

@@ -10,7 +10,7 @@ import pytest
 import mcflow.engine
 import mcflow.pricing
 from mcflow.engine import SolverConfig, solve
-from mcflow.errors import InfeasibleError
+from mcflow.errors import InfeasibleError, InputError
 from mcflow.graph import Network, dijkstra
 from mcflow.instance import Commodity, Instance, generate_random
 from mcflow.master import TREE, RestrictedMaster, validate_columns
@@ -25,6 +25,13 @@ def snapshot(pi, edge_count, mu=None):
         for e, v in mu.items():
             mu_arr[e] = v
     return DualSnapshot(pi=pi, mu=mu_arr)
+
+
+def known(out):
+    """The known entries of ``out.min_reduced_cost`` as {owner: value}:
+    every owner id whose entry is not NaN."""
+    rc = out.min_reduced_cost
+    return {int(o): float(rc[o]) for o in np.flatnonzero(~np.isnan(rc))}
 
 
 class TestPricePaths:
@@ -52,7 +59,7 @@ class TestPricePaths:
         duals = snapshot({0: 0.0, 1: 0.0}, 3)
         out = price_paths(triangle, triangle.groups[0], duals)
         assert len(out.columns) == 0
-        assert out.min_reduced_cost == {0: 0.0, 1: 0.0}
+        assert out.min_reduced_cost.tolist() == [0.0, 0.0]
 
     def test_reduced_cost_audit_random(self):
         rng = random.Random(4)
@@ -90,8 +97,8 @@ class TestPricePaths:
                 key = lambda out: sorted((c.owner, c.edges) for c in out.columns)
                 assert key(fast) == key(full)
                 assert key(star) == key(full)
-                assert fast.min_reduced_cost == full.min_reduced_cost
-                assert star.min_reduced_cost == full.min_reduced_cost
+                assert known(fast) == known(full)
+                assert known(star) == known(full)
 
 
 class TestComputeTreeFlows:
@@ -166,14 +173,75 @@ class TestPriceTree:
 
     def test_unreachable_sink_raises(self):
         net = Network(3, [(0, 1, 1.0, 5.0)])
-        inst = Instance.build(net, [Commodity(0, 1, 1.0)])
-        # Build a group whose sink 2 is unreachable by hand.
-        from mcflow.instance import SourceGroup
-        group = SourceGroup(source=0, members=(0,), sink_demands={2: 1.0},
-                            total_demand=1.0)
+        # Sink 2 of commodity 1 is unreachable; the error names commodity 1.
+        inst = Instance.build(net, [Commodity(0, 1, 1.0), Commodity(0, 2, 1.0)])
         duals = snapshot({0: 1.0}, 1)
-        with pytest.raises(InfeasibleError):
-            price_tree(inst, group, duals)
+        with pytest.raises(InfeasibleError) as err:
+            price_tree(inst, inst.groups[0], duals)
+        assert err.value.owners == (1,)
+
+
+class TestOwnerArrays:
+    """Duals enter pricing as an owner-indexed array, or as a mapping
+    converted into one; minima leave it as an owner-indexed array."""
+
+    def test_mapping_becomes_an_owner_indexed_array(self):
+        pi = DualSnapshot({3: 2.0, 1: 5.0}, np.zeros(1)).pi
+        np.testing.assert_array_equal(pi, [np.nan, 5.0, np.nan, 2.0])
+
+    @pytest.mark.parametrize("pi,owner", [
+        ({0: 5.0}, 1),                      # commodity 1 is past the array
+        (np.array([np.nan, 0.5]), 0),       # commodity 0 has a NaN dual
+    ])
+    def test_path_owner_without_a_dual_is_named(self, triangle, pi, owner):
+        with pytest.raises(InputError, match=f"no dual for owner {owner}$"):
+            price_paths(triangle, triangle.groups[0], DualSnapshot(pi, np.zeros(3)))
+
+    @pytest.mark.parametrize("pi", [{1: 3.0}, np.zeros(0)])
+    def test_tree_owner_without_a_dual_is_named(self, triangle, pi):
+        with pytest.raises(InputError, match="no dual for owner 0$"):
+            price_tree(triangle, triangle.groups[0], DualSnapshot(pi, np.zeros(3)))
+
+    def test_mapping_and_array_give_identical_outcomes(self):
+        from mcflow.graph import reverse_multi_target_bounds
+        rng = random.Random(5)
+        for seed in range(4):
+            inst = generate_random(14, 44, 30, 5, seed=seed, tightness="mixed")
+            net = inst.network
+            mu = np.array([-rng.uniform(0, 2) if rng.random() < 0.3 else 0.0
+                           for _ in range(net.edge_count)])
+            sinks = {t for g in inst.groups for t in g.sink_demands}
+            bounds = reverse_multi_target_bounds(net, net.cost, sinks)
+            seed_trees = RestrictedMaster(inst, TREE)
+            seed_trees.add_column(initial_columns(inst, TREE))
+            incumbents = seed_trees.incumbent_trees(np.ones(len(inst.groups)))
+            path_pi = {k: rng.uniform(0, 30) for k in range(len(inst.commodities))}
+            # Around the seed tree costs, so that trees price out.
+            tree_pi = {c.owner: c.cost * rng.uniform(0.9, 2.0)
+                       for c in seed_trees.columns}
+            path_array = np.array([path_pi[k] for k in range(len(inst.commodities))])
+            tree_array = np.full(net.node_count, np.nan)
+            for source, dual in tree_pi.items():
+                tree_array[source] = dual
+            # A column limit leaves later owners unpriced, so NaN minima.
+            for limit in (None, 2):
+                outcomes = []
+                for path, tree in ((path_pi, tree_pi), (path_array, tree_array)):
+                    runs = [price_paths(inst, inst.groups, DualSnapshot(path, mu),
+                                        strategy=kernel, bounds=bounds,
+                                        column_limit=limit)
+                            for kernel in ("full", "bounded", "astar")]
+                    runs += [price_tree(inst, inst.groups, DualSnapshot(tree, mu),
+                                        column_limit=limit, incumbents=given)
+                             for given in (None, incumbents)]
+                    outcomes.append(runs)
+                for by_mapping, by_array in zip(*outcomes):
+                    assert by_mapping.columns == by_array.columns
+                    np.testing.assert_array_equal(by_mapping.min_reduced_cost,
+                                                  by_array.min_reduced_cost)
+                    assert by_mapping.stats == by_array.stats
+                    if limit is not None:
+                        assert by_array.stats.runs < len(inst.groups)
 
 
 def enumerate_tree_minimum(inst, group, duals):
@@ -271,19 +339,22 @@ class TestPathTreeConsistency:
 
 class TestLagrangianBound:
     def test_all_nonnegative_proves_optimality(self):
-        lb = lagrangian_bound(7.5, {0: 0.0, 1: 0.0}, {0: 2.0, 1: 1.0})
+        lb = lagrangian_bound(7.5, np.array([0.0, 0.0]), np.array([2.0, 1.0]))
         assert lb == pytest.approx(7.5)
 
     def test_tree_mode_instantiation(self):
-        lb = lagrangian_bound(5.0, {0: -1.0}, {0: 1.0})
+        lb = lagrangian_bound(5.0, np.array([-1.0]), np.array([1.0]))
         assert lb == pytest.approx(4.0)
 
     def test_path_mode_instantiation(self):
-        lb = lagrangian_bound(6.0, {0: -0.5, 1: 0.3}, {0: 2.0, 1: 1.0})
+        lb = lagrangian_bound(6.0, np.array([-0.5, 0.3]), np.array([2.0, 1.0]))
         assert lb == pytest.approx(5.0)
 
     def test_unknown_owner_gives_no_bound(self):
-        assert lagrangian_bound(6.0, {0: -0.5, 1: None}, {0: 1.0, 1: 1.0}) is None
+        rc = np.array([-0.5, np.nan])
+        assert lagrangian_bound(6.0, rc, np.array([1.0, 1.0])) is None
+        # An id with no weight owns no row; its unknown minimum is ignored.
+        assert lagrangian_bound(6.0, rc, np.array([1.0, 0.0])) == pytest.approx(5.5)
 
     def test_bound_below_oracle_on_random_instances(self):
         from mcflow.baseline import build_edge_lp, solve_direct
@@ -296,13 +367,13 @@ class TestLagrangianBound:
             for col in initial_columns(inst, "tree"):
                 m.add_column(col)
             sol = m.solve_rmp()
-            duals = DualSnapshot(pi=dict(sol.pi), mu=sol.mu)
-            min_rc = {}
+            duals = DualSnapshot(sol.pi, sol.mu)
+            min_rc = np.full(inst.network.node_count, np.nan)
             for g in inst.groups:
-                out = price_tree(inst, g, duals)
-                min_rc.update(out.min_reduced_cost)
-            lb = lagrangian_bound(sol.objective, min_rc,
-                                  {g.source: 1.0 for g in inst.groups})
+                min_rc = np.fmin(min_rc, price_tree(inst, g, duals).min_reduced_cost)
+            weights = np.zeros(inst.network.node_count)
+            weights[[g.source for g in inst.groups]] = 1.0
+            lb = lagrangian_bound(sol.objective, min_rc, weights)
             assert lb is not None
             assert lb <= sol.objective + 1e-9
             assert lb <= opt + 1e-7 * (1 + abs(opt))
@@ -323,7 +394,7 @@ class TestInitialColumns:
 
 def column_key(out):
     return ([(c.owner, c.edges, c.coefs, c.cost) for c in out.columns],
-            out.min_reduced_cost, out.stats.runs, out.stats.early_stops)
+            known(out), out.stats.runs, out.stats.early_stops)
 
 
 class TestBatchedPricing:
@@ -374,7 +445,7 @@ class TestBatchedPricing:
         out = price_paths(inst, inst.groups, duals, column_limit=1)
         first = inst.groups[0]
         assert [c.owner for c in out.columns] == list(first.members)
-        assert set(out.min_reduced_cost) == set(first.members)
+        assert set(known(out)) == set(first.members)
         assert out.stats.runs == 1
 
     def test_vectorized_tree_flows_conserve_flow(self):
@@ -442,15 +513,14 @@ class TestReroutedTrees:
                 exact = price_tree(inst, groups, duals, tolerance=tol,
                                    weights=kw["weights"])
                 # The reported minima are those of single-column pricing.
-                assert out.min_reduced_cost == {
-                    s: exact.min_reduced_cost[s] for s in out.min_reduced_cost}
+                minima, exact_minima = known(out), known(exact)
+                assert minima == {s: exact_minima[s] for s in minima}
                 if kw["column_limit"] is None:
-                    assert set(out.min_reduced_cost) == set(exact.min_reduced_cost)
+                    assert set(minima) == set(exact_minima)
                 first = {c.owner: c for c in exact.columns}
                 for g in groups:
                     mine = [c for c in out.columns if c.owner == g.source]
-                    if g.source not in out.min_reduced_cost or \
-                            out.min_reduced_cost[g.source] >= -tol:
+                    if g.source not in minima or minima[g.source] >= -tol:
                         assert mine == []
                         continue
                     # The exact tree first, then at most one extra per
@@ -499,7 +569,7 @@ class TestReroutedTrees:
                     last = owners[limit - 1]
                     priced = [g.source for g in groups][:out.stats.runs]
                     assert priced[-1] == last
-                    assert set(out.min_reduced_cost) == set(priced)
+                    assert set(known(out)) == set(priced)
                     cut_inside_a_group += limit < len(owners) and owners[limit] == last
         assert cut_inside_a_group > 0
 
@@ -513,7 +583,7 @@ class TestReroutedTrees:
         low = DualSnapshot(pi={g.source: 0.0 for g in inst.groups}, mu=mu)
         out = price_tree(inst, inst.groups, low, incumbents=incumbents)
         assert len(out.columns) == 0
-        assert set(out.min_reduced_cost.values()) == {0.0}
+        assert set(known(out).values()) == {0.0}
         high = DualSnapshot(pi={g.source: 1e6 for g in inst.groups}, mu=mu)
         out = price_tree(inst, inst.groups, high, incumbents=incumbents)
         assert len(out.columns) > len(inst.groups)
