@@ -1,19 +1,18 @@
 """Direct LP construction for the edge-based and source-based models.
 
 These are the comparison solvers and the correctness oracles for the
-column generation code: the edge-based model carries one variable per
-(commodity, edge) pair, the source-based model one per (source, edge)
-pair, and both enforce every capacity row up front.
+column generation code. Both are one node-arc LP built from arrays:
+each owner (a commodity in the edge-based model, a source in the
+source-based model) carries one flow variable per edge and one balance
+row per node, and every capacity row is enforced up front.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 
-from .errors import InputError
 from .instance import Instance
 from .lp import INFEASIBLE, OPTIMAL, LpBackend, SparseLp, get_backend
 
@@ -42,86 +41,44 @@ class DirectLp:
 def build_edge_lp(instance: Instance) -> DirectLp:
     """Per-commodity edge flows: |K|*|E| variables, balance rows per
     (node, commodity), one capacity row per edge."""
-    net = instance.network
-    K = len(instance.commodities)
-    E = net.edge_count
-    V = net.node_count
-
-    rows_l: list[int] = []
-    cols_l: list[int] = []
-    vals_l: list[float] = []
-    obj = np.tile(net.cost, K)
-    rhs = np.zeros(K * V + E)
-    senses = ["E"] * (K * V) + ["L"] * E
-    row_names = [f"bal_{i}_k{k}" for k in range(K) for i in range(V)]
-    row_names += [f"cap_{e}" for e in range(E)]
-    col_names = [f"f_k{k}_e{e}" for k in range(K) for e in range(E)]
-
-    for k, com in enumerate(instance.commodities):
-        rhs[k * V + com.source] = com.demand
-        rhs[k * V + com.sink] = -com.demand
-        base = k * E
-        for e in range(E):
-            rows_l.append(k * V + int(net.tail[e]))
-            cols_l.append(base + e)
-            vals_l.append(1.0)
-            rows_l.append(k * V + int(net.head[e]))
-            cols_l.append(base + e)
-            vals_l.append(-1.0)
-            rows_l.append(K * V + e)
-            cols_l.append(base + e)
-            vals_l.append(1.0)
-    rhs[K * V:] = net.capacity
-
-    lp = SparseLp(K * E, obj, senses, rhs,
-                  np.array(rows_l, dtype=np.int64),
-                  np.array(cols_l, dtype=np.int64),
-                  np.array(vals_l),
-                  col_names=col_names, row_names=row_names)
-    return DirectLp(EDGE_LP, lp, list(range(K)), instance)
+    supply = [[(c.source, c.demand), (c.sink, -c.demand)]
+              for c in instance.commodities]
+    return _node_arc_lp(EDGE_LP, instance, list(range(len(supply))), supply)
 
 
 def build_source_lp(instance: Instance) -> DirectLp:
     """Source-aggregated edge flows: |S|*|E| variables, balance rows per
     (node, source) with aggregated right-hand sides."""
+    groups = instance.groups
+    supply = [[(g.source, g.total_demand)] + [(t, -d) for t, d in g.sink_demands.items()]
+              for g in groups]
+    return _node_arc_lp(SOURCE_LP, instance, [g.source for g in groups], supply)
+
+
+def _node_arc_lp(kind: str, instance: Instance, owners: list[int],
+                 supply: list[list[tuple[int, float]]]) -> DirectLp:
+    """The node-arc LP with one block per owner.
+
+    Owner i's flow on edge e is column ``i*|E| + e``; its balance row at
+    node v is row ``i*|V| + v``, and the capacity row of edge e is row
+    ``|owners|*|V| + e``. Each column holds +1 at its tail row, -1 at its
+    head row and +1 at its capacity row, in that order. ``supply[i]``
+    lists owner i's (node, net supply) pairs; every other balance row is
+    zero. The nodes of one owner's pairs must be distinct.
+    """
     net = instance.network
-    S = len(instance.groups)
-    E = net.edge_count
-    V = net.node_count
-
-    rows_l: list[int] = []
-    cols_l: list[int] = []
-    vals_l: list[float] = []
-    obj = np.tile(net.cost, S)
-    rhs = np.zeros(S * V + E)
-    senses = ["E"] * (S * V) + ["L"] * E
-    row_names = [f"bal_{i}_s{g.source}" for g in instance.groups for i in range(V)]
-    row_names += [f"cap_{e}" for e in range(E)]
-    col_names = [f"f_s{g.source}_e{e}" for g in instance.groups for e in range(E)]
-
-    for gi, group in enumerate(instance.groups):
-        rhs[gi * V + group.source] = group.total_demand
-        for t, d in group.sink_demands.items():
-            rhs[gi * V + t] -= d
-        base = gi * E
-        for e in range(E):
-            rows_l.append(gi * V + int(net.tail[e]))
-            cols_l.append(base + e)
-            vals_l.append(1.0)
-            rows_l.append(gi * V + int(net.head[e]))
-            cols_l.append(base + e)
-            vals_l.append(-1.0)
-            rows_l.append(S * V + e)
-            cols_l.append(base + e)
-            vals_l.append(1.0)
-    rhs[S * V:] = net.capacity
-
-    lp = SparseLp(S * E, obj, senses, rhs,
-                  np.array(rows_l, dtype=np.int64),
-                  np.array(cols_l, dtype=np.int64),
-                  np.array(vals_l),
-                  col_names=col_names, row_names=row_names)
-    return DirectLp(SOURCE_LP, lp, [g.source for g in instance.groups], instance)
+    O, E, V = len(owners), net.edge_count, net.node_count
+    block = np.arange(O, dtype=np.int64)[:, None] * V
+    rows = np.stack([block + net.tail, block + net.head,
+                     np.broadcast_to(O * V + np.arange(E), (O, E))], axis=2)
+    rhs = np.zeros(O * V + E)
+    rhs[[i * V + v for i, pairs in enumerate(supply) for v, _ in pairs]] = \
+        [value for pairs in supply for _, value in pairs]
+    rhs[O * V:] = net.capacity
+    lp = SparseLp(O * E, np.tile(net.cost, O), ["E"] * (O * V) + ["L"] * E, rhs,
+                  rows.ravel(), np.repeat(np.arange(O * E), 3),
+                  np.tile([1.0, -1.0, 1.0], O * E))
+    return DirectLp(kind, lp, owners, instance)
 
 
 @dataclass
@@ -144,42 +101,3 @@ def solve_direct(direct: DirectLp, backend: str | LpBackend = "highs") -> Direct
     flows = {owner: np.asarray(sol.x[i * E:(i + 1) * E])
              for i, owner in enumerate(direct.owners)}
     return DirectSolution(OPTIMAL, float(sol.objective), flows)
-
-
-def export_lp(direct: DirectLp, stream: IO[str]) -> None:
-    """Write the model in CPLEX LP text format.
-
-    Rows are named ``bal_<node>_<owner>`` and ``cap_<edge>``; variables
-    ``f_<owner>_e<edge>``.
-    """
-    lp = direct.lp
-    if lp.col_names is None or lp.row_names is None:
-        raise InputError("model carries no names; build it with the builders here")
-    by_row: dict[int, list[tuple[int, float]]] = {}
-    for r, c, v in zip(lp.rows, lp.cols, lp.vals):
-        by_row.setdefault(int(r), []).append((int(c), float(v)))
-
-    stream.write("Minimize\n obj:")
-    parts = [f" {lp.objective[j]:+.17g} {lp.col_names[j]}" for j in range(lp.num_cols)
-             if lp.objective[j] != 0.0]
-    stream.write(_wrap(parts) + "\n")
-    stream.write("Subject To\n")
-    for r in range(lp.num_rows):
-        terms: dict[int, float] = {}
-        for c, v in by_row.get(r, []):
-            terms[c] = terms.get(c, 0.0) + v
-        parts = [f" {v:+.17g} {lp.col_names[c]}" for c, v in sorted(terms.items())
-                 if v != 0.0]
-        op = "=" if lp.senses[r] == "E" else "<="
-        stream.write(f" {lp.row_names[r]}:{_wrap(parts)} {op} {lp.rhs[r]:.17g}\n")
-    stream.write("Bounds\n")
-    stream.write("End\n")
-
-
-def _wrap(parts: list[str], width: int = 12) -> str:
-    out = []
-    for i, p in enumerate(parts):
-        out.append(p)
-        if (i + 1) % width == 0 and i + 1 < len(parts):
-            out.append("\n  ")
-    return "".join(out)

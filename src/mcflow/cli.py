@@ -13,6 +13,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .bench import (append_record_csv, load_instance, record_from_report,
                     run_suite)
 from .decompose import SourceEdgeFlow, columns_to_source_flows, decompose_all
@@ -91,22 +93,21 @@ def _solve_with_flows(instance: Instance, config: SolverConfig, want_flows: bool
         flows = None
         if report.status == "optimal":
             master = solver.master
-            cols = [master.columns[i] for i in master.active_column_ids]
-            x = [master.solution.x[i] for i in master.active_column_ids]
-            flows = columns_to_source_flows(instance, cols, x)
+            flows = columns_to_source_flows(instance, master.columns, master.solution.x)
         return report, flows
     report, direct = solve_direct_formulation(instance, config)
     flows = None
     if want_flows and report.status == "optimal":
-        merged: dict[int, dict[int, float]] = {}
-        for owner, per_edge in direct.flows.items():
-            source = owner if config.formulation == "source-lp" \
-                else instance.commodities[owner].source
-            bucket = merged.setdefault(source, {})
-            for e, f in enumerate(per_edge):
-                if f > 1e-12:
-                    bucket[e] = bucket.get(e, 0.0) + float(f)
-        flows = SourceEdgeFlow(merged)
+        owners = np.fromiter(direct.flows, dtype=np.int64)
+        if config.formulation == "edge-lp":
+            owners = instance.source[owners]
+        sources, group = np.unique(owners, return_inverse=True)
+        per_edge = np.array(list(direct.flows.values()))
+        merged = np.zeros((sources.size, instance.network.edge_count))
+        np.add.at(merged, group, np.where(per_edge > 1e-12, per_edge, 0.0))
+        flows = SourceEdgeFlow({
+            source: {e: float(row[e]) for e in np.flatnonzero(row).tolist()}
+            for source, row in zip(sources.tolist(), merged)})
     return report, flows
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DecompositionError
 from .graph import Network
 from .instance import Instance, SourceGroup
-from .master import TREE
+from .master import TREE, as_batch
 
 
 @dataclass
@@ -51,21 +51,24 @@ class CommodityPathFlow:
 def columns_to_source_flows(instance: Instance, columns, primal) -> SourceEdgeFlow:
     """Aggregate solution columns into per-source edge flows.
 
-    ``columns`` and ``primal`` must align; tree columns contribute their
-    demand-weighted coefficients times the convexity weight, path
-    columns their path indicator times the path flow.
+    ``columns`` (a :class:`ColumnBatch` or a sequence of columns) and
+    ``primal`` must align; tree columns contribute their demand-weighted
+    coefficients times the convexity weight, path columns their path
+    indicator times the path flow. Only columns with a positive value
+    contribute, and each total is summed in entry order.
     """
+    x = np.asarray(primal, dtype=np.float64)
+    keep = x > 0.0
+    used, x = as_batch(columns).take(keep), x[keep]
+    source = used.owner.copy()
+    path = used.kind != TREE
+    source[path] = instance.source[used.owner[path]]
+    E = instance.network.edge_count
+    keys, key_of = np.unique(source[used.col_of] * E + used.edges, return_inverse=True)
+    totals = np.bincount(key_of, weights=used.coefs * x[used.col_of])
     flows: dict[int, dict[int, float]] = {}
-    for col, xv in zip(columns, primal):
-        if xv <= 0.0:
-            continue
-        if col.kind == TREE:
-            source = col.owner
-        else:
-            source = instance.commodities[col.owner].source
-        per_edge = flows.setdefault(source, {})
-        for e, coef in zip(col.edges, col.coefs):
-            per_edge[e] = per_edge.get(e, 0.0) + coef * xv
+    for key, total in zip(keys.tolist(), totals.tolist()):
+        flows.setdefault(key // E, {})[key % E] = total
     return SourceEdgeFlow(flows)
 
 

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import logging
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
 import numpy as np
 
 from .errors import GenerationError, InputError, ParseError
-from .graph import Network
+from .graph import Network, dijkstra
 
 log = logging.getLogger(__name__)
 
@@ -275,7 +274,7 @@ def parse_tntp(net_stream: IO[str], trips_stream: IO[str], coefficient: float,
     od_pairs, n_zones = _parse_tntp_trips(trips_stream, n_nodes)
     network = Network(n_nodes, edges)
 
-    reachable_cache: dict[int, set[int]] = {}
+    reachable: dict[int, np.ndarray] = {}
     commodities: list[Commodity] = []
     dropped_zero = dropped_self = dropped_unreachable = 0
     merged: dict[tuple[int, int], float] = {}
@@ -286,9 +285,9 @@ def parse_tntp(net_stream: IO[str], trips_stream: IO[str], coefficient: float,
         if o == d:
             dropped_self += 1
             continue
-        if o not in reachable_cache:
-            reachable_cache[o] = _reachable_from(network, o)
-        if d not in reachable_cache[o]:
+        if o not in reachable:
+            reachable[o] = dijkstra(network, network.cost, o).settled
+        if not reachable[o][d]:
             dropped_unreachable += 1
             continue
         merged[(o, d)] = merged.get((o, d), 0.0) + demand / coefficient
@@ -412,19 +411,6 @@ def _parse_tntp_trips(stream: IO[str], n_nodes: int):
     if not od:
         raise ParseError("trips file contains no OD pairs")
     return od, n_zones
-
-
-def _reachable_from(network: Network, source: int) -> set[int]:
-    seen = {source}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for e in network.out_edges(v):
-            u = int(network.head[e])
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return seen
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ class SparseLp:
         senses: Per-row sense string, "E" or "L".
         rhs: Per-row right-hand side.
         rows/cols/vals: Coefficient triplets; duplicate entries add up.
-        col_names/row_names: Optional labels used by text export.
     """
 
     num_cols: int
@@ -57,8 +56,6 @@ class SparseLp:
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    col_names: list[str] | None = None
-    row_names: list[str] | None = None
 
     @property
     def num_rows(self) -> int:

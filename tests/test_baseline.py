@@ -1,13 +1,11 @@
-"""Direct LP builders: count contracts, oracle agreement, export."""
+"""Direct LP builders: count contracts, LP layout, oracle agreement."""
 
-import io
 import random
 
 import numpy as np
 import pytest
 
-from mcflow.baseline import (build_edge_lp, build_source_lp, export_lp,
-                             solve_direct)
+from mcflow.baseline import build_edge_lp, build_source_lp, solve_direct
 from mcflow.errors import BackendError
 from mcflow.graph import Network, dijkstra
 from mcflow.instance import Commodity, Instance, generate_random
@@ -48,6 +46,42 @@ class TestBuildSourceLp:
     def test_unique_sources_matches_edge_lp_size(self):
         inst = generate_random(10, 30, 5, 5, seed=1)
         assert build_source_lp(inst).num_vars == build_edge_lp(inst).num_vars
+
+
+class TestNodeArcLayout:
+    @pytest.fixture
+    def odd_edges(self):
+        # Edges 0 and 1 are parallel, 2 is a self-loop at node 1, 3 costs
+        # nothing; commodities 0 and 1 share the pair (0, 2).
+        net = Network(4, [(0, 1, 1.0, 4.0), (0, 1, 2.0, 10.0), (1, 1, 1.0, 10.0),
+                          (1, 2, 0.0, 10.0), (0, 2, 5.0, 10.0), (2, 3, 1.0, 10.0)])
+        return Instance.build(net, [Commodity(0, 2, 2.0), Commodity(0, 2, 3.0),
+                                    Commodity(1, 3, 1.0)])
+
+    @pytest.mark.parametrize("build, blocks", [
+        (build_edge_lp, [{0: 2.0, 2: -2.0}, {0: 3.0, 2: -3.0}, {1: 1.0, 3: -1.0}]),
+        (build_source_lp, [{0: 5.0, 2: -5.0}, {1: 1.0, 3: -1.0}]),
+    ])
+    def test_blocks_rhs_and_entries(self, odd_edges, build, blocks):
+        d = build(odd_edges)
+        lp, net = d.lp, odd_edges.network
+        O, E, V = len(blocks), net.edge_count, net.node_count
+        assert d.num_vars == O * E and lp.num_rows == O * V + E
+        assert d.nnz == 3 * O * E
+        assert np.all(np.bincount(lp.cols, minlength=d.num_vars) == 3)
+        for i, block in enumerate(blocks):
+            expected = np.zeros(V)
+            expected[list(block)] = list(block.values())
+            np.testing.assert_array_equal(lp.rhs[i * V:(i + 1) * V], expected)
+            # The self-loop keeps +1 and -1 on its node's row; they cancel.
+            loop = lp.cols == i * E + 2
+            assert sorted(zip(lp.rows[loop], lp.vals[loop])) == [
+                (i * V + 1, -1.0), (i * V + 1, 1.0), (O * V + 2, 1.0)]
+        np.testing.assert_array_equal(lp.rhs[O * V:], net.capacity)
+        for backend in ("highs", "builtin"):
+            sol = solve_direct(d, backend)
+            assert sol.status == OPTIMAL
+            assert sol.objective == pytest.approx(7.0)
 
 
 class TestSolveDirect:
@@ -99,16 +133,6 @@ class TestSolveDirect:
 
 
 class TestExport:
-    def test_lp_text_layout(self, triangle):
-        d = build_edge_lp(triangle)
-        buf = io.StringIO()
-        export_lp(d, buf)
-        text = buf.getvalue()
-        assert text.startswith("Minimize")
-        assert "bal_0_k0:" in text
-        assert "cap_1:" in text
-        assert text.rstrip().endswith("End")
-
     def test_source_lp_nonzero_accounting(self):
         # Variables/constraints/nonzeros follow |S|*|E| / |S|*|V|+|E| /
         # roughly 3 entries per variable.

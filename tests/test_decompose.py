@@ -35,6 +35,24 @@ class TestColumnsToSourceFlows:
         flows = columns_to_source_flows(triangle_capped, cols, [1.0, 1.0, 1.0])
         assert flows.flows[0] == pytest.approx({0: 2.0, 1: 1.0, 2: 1.0})
 
+    def test_zero_columns_skipped(self, triangle):
+        a = Column(owner=0, kind="tree", edges=(0, 1), coefs=(3.0, 2.0), cost=5.0)
+        b = Column(owner=0, kind="tree", edges=(2,), coefs=(3.0,), cost=9.0)
+        flows = columns_to_source_flows(triangle, [a, b], [1.0, 0.0])
+        assert flows.flows == {0: {0: 3.0, 1: 2.0}}
+
+    @pytest.mark.parametrize("formulation", ["tree", "path"])
+    def test_batch_equals_column_list(self, formulation):
+        from mcflow.engine import ColGenSolver, SolverConfig
+        inst = generate_random(10, 30, 8, 3, seed=5, tightness="tight")
+        solver = ColGenSolver(inst, SolverConfig(formulation=formulation))
+        assert solver.run().status == "optimal"
+        master = solver.master
+        x = master.solution.x
+        as_list = columns_to_source_flows(inst, list(master.columns), x.tolist())
+        assert columns_to_source_flows(inst, master.columns, x).flows == as_list.flows
+        assert sorted(as_list.flows) == [g.source for g in inst.groups]
+
 
 class TestDecompose:
     def test_line_hand_extraction(self, triangle):
