@@ -149,13 +149,14 @@ def run_suite(manifest: dict, output_dir: str | Path,
                          "name": ...}, ...],
           "formulations": ["tree", "path", ...],
           "tol": 1e-4, "timeout": 7200.0, "strategy": "auto",
-          "pricing": "full", "heuristic": "global", "backend": "highs"
+          "pricing": "full", "backend": "highs"
         }
 
     ``strategy`` may be ``auto`` or ``pricing-easy``; both run the one
     column generation loop, and tree and path records name it
-    ``pricing-easy``. Missing instance files are listed and skipped with
-    a warning.
+    ``pricing-easy``. Other keys, such as the ``heuristic`` of older
+    manifests, are ignored. Missing instance files are listed and
+    skipped with a warning.
     """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -182,7 +183,6 @@ def run_suite(manifest: dict, output_dir: str | Path,
                 timeout_seconds=timeout,
                 strategy=manifest.get("strategy", "auto"),
                 pricing_strategy=manifest.get("pricing", "full"),
-                heuristic_scope=manifest.get("heuristic", "global"),
                 lp_backend=manifest.get("backend", "highs"),
             )
             t0 = time.perf_counter()

@@ -56,8 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="both values run the one column generation loop")
     run.add_argument("--pricing", default="full",
                      choices=["full", "bounded", "astar"])
-    run.add_argument("--heuristic", default="global",
-                     choices=["global", "per-source"])
     run.add_argument("--backend", default="highs", choices=["highs", "builtin"])
     run.add_argument("--json", dest="json_file", help="write the RunRecord here")
     run.add_argument("--csv", dest="csv_file", help="append a CSV row here")
@@ -78,7 +76,6 @@ def _config_from_args(args) -> SolverConfig:
         timeout_seconds=args.timeout,
         strategy=args.strategy,
         pricing_strategy=args.pricing,
-        heuristic_scope=args.heuristic,
         lp_backend=args.backend,
     )
 

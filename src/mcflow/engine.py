@@ -58,8 +58,8 @@ from .lp import OPTIMAL as LP_OPTIMAL
 from .lp import get_backend
 from .master import PATH, TREE, ColumnBatch, RestrictedMaster, new_master
 from .pricing import (DualSnapshot, PricingOutcome, PricingStats,
-                      adjusted_weights, initial_columns, lagrangian_bound,
-                      limit_cut, price_paths, price_tree)
+                      initial_columns, lagrangian_bound, limit_cut,
+                      price_paths, price_tree)
 
 OPTIMAL = "optimal"
 TIMEOUT = "timeout"
@@ -80,15 +80,16 @@ class SolverConfig:
     timeout_seconds: float = 7200.0
     strategy: str = "auto"              # auto | pricing-easy: the same loop
     pricing_strategy: str = "full"      # full | bounded | astar
-    heuristic_scope: str = "global"     # global | per-source
     lp_backend: str = "highs"
     threads: int = 1                    # no effect: pricing is one kernel call per round
 
     def validate(self) -> None:
         if self.formulation not in FORMULATIONS:
             raise InputError(f"unknown formulation {self.formulation!r}")
-        if self.rel_tol <= 0:
+        if not self.rel_tol > 0:
             raise InputError("rel_tol must be positive")
+        if not self.timeout_seconds >= 0:
+            raise InputError("timeout_seconds must be nonnegative")
         if self.strategy == "master-easy":
             raise InputError("the master-easy strategy was removed; every solve "
                              "runs the pricing-easy loop")
@@ -96,8 +97,6 @@ class SolverConfig:
             raise InputError(f"unknown strategy {self.strategy!r}")
         if self.pricing_strategy not in ("full", "bounded", "astar"):
             raise InputError(f"unknown pricing strategy {self.pricing_strategy!r}")
-        if self.heuristic_scope not in ("global", "per-source"):
-            raise InputError(f"unknown heuristic scope {self.heuristic_scope!r}")
         if self.threads < 1:
             raise InputError("threads must be at least 1")
 
@@ -185,29 +184,19 @@ class ColGenSolver:
         self.message = ""
         self.infeasible_owners: tuple = ()
         self._escalations_left = BIG_M_ESCALATIONS
-        self._bounds: HeuristicBounds | dict[int, HeuristicBounds] | None = None
+        self._bounds: HeuristicBounds | None = None
         # Seed columns, one per owner in group order (the pricing columns
         # while mu is all zero), and the end offset of each group's seeds.
         self._seeds: ColumnBatch | None = None
         self._seed_ends: np.ndarray | None = None
         self._t0 = time.perf_counter()     # reset when the run starts
         if self.mode == PATH and config.pricing_strategy == "astar":
-            self._prepare_bounds()
-
-    # -- setup ---------------------------------------------------------------
-
-    def _prepare_bounds(self) -> None:
-        # Bounds are built under the original costs: the adjusted costs
-        # are always pointwise heavier, so admissibility is preserved
-        # across dual updates and nothing needs recomputing per round.
-        net = self.instance.network
-        if self.config.heuristic_scope == "global":
-            sinks = {t for g in self.instance.groups for t in g.sink_demands}
-            self._bounds = reverse_multi_target_bounds(net, net.cost, sinks)
-        else:
-            self._bounds = {g.source: reverse_multi_target_bounds(
-                                net, net.cost, set(g.sink_demands))
-                            for g in self.instance.groups}
+            # One bound to every sink, under the original costs: the
+            # adjusted costs are always pointwise heavier, so admissibility
+            # is preserved across dual updates and nothing is recomputed.
+            net = instance.network
+            self._bounds = reverse_multi_target_bounds(net, net.cost,
+                                                       np.unique(instance.sink))
 
     # -- main loop -----------------------------------------------------------
 
@@ -331,17 +320,15 @@ class ColGenSolver:
     def _price_kernel(self, sol, tolerance: float, limit) -> PricingOutcome:
         """One pricing call for all groups."""
         duals = DualSnapshot(sol.pi, sol.mu)
-        weights = adjusted_weights(self.instance.network, sol.mu)
         if self.mode == TREE:
             return price_tree(self.instance, self.instance.groups, duals,
-                              tolerance=tolerance, weights=weights, column_limit=limit,
+                              tolerance=tolerance, column_limit=limit,
                               deadline=self._deadline(),
                               incumbents=self.master.incumbent_trees(sol.x))
         return price_paths(self.instance, self.instance.groups, duals,
                            strategy=self.config.pricing_strategy,
                            bounds=self._bounds, tolerance=tolerance,
-                           weights=weights, column_limit=limit,
-                           deadline=self._deadline())
+                           column_limit=limit, deadline=self._deadline())
 
     def _price_seeds(self, sol, tolerance: float, limit) -> PricingOutcome:
         """The kernel's outcome when mu is all zero, without the kernel.
@@ -384,12 +371,11 @@ class ColGenSolver:
         wall = time.perf_counter() - self._t0
         objective = self.best_ub
         lower = self.best_lb
-        gap = 0.0 if self.status == OPTIMAL else relative_gap(objective, lower)
         return SolveReport(
             status=self.status or TIMEOUT,
             objective=float(objective),
             lower_bound=float(lower),
-            gap=float(gap),
+            gap=float(relative_gap(objective, lower)),
             iterations=self.iterations,
             peak_columns=self.peak_columns,
             active_rows=len(self.master.active_edges),

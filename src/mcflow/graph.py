@@ -1,15 +1,15 @@
 """Directed-graph storage and the shortest-path kernels used by pricing.
 
-The graph is an immutable compressed adjacency structure (forward and
-reverse) built once per instance, plus an index of its distinct
-(tail, head) pairs built on the first kernel call. Every kernel runs
-SciPy's compiled ``scipy.sparse.csgraph.dijkstra``: a call builds one
-sparse matrix from its weight vector, keeping per (tail, head) pair the
-cheapest parallel edge (ties go to the smallest edge id) and dropping
-self-loops, and runs Dijkstra from one source or from a whole batch of
-sources at once. Zero weights are kept as explicit entries, which
-csgraph treats as edges. Predecessor nodes are mapped back to edge ids
-through the pair index.
+The graph is an immutable edge list with a compressed index of each
+node's entering edges, built once per instance, plus an index of its
+distinct (tail, head) pairs built on the first kernel call. Every
+kernel runs SciPy's compiled ``scipy.sparse.csgraph.dijkstra``: a call
+builds one sparse matrix from its weight vector, keeping per (tail,
+head) pair the cheapest parallel edge (ties go to the smallest edge id)
+and dropping self-loops, and runs Dijkstra from one source or from a
+whole batch of sources at once. Zero weights are kept as explicit
+entries, which csgraph treats as edges. Predecessor nodes are mapped
+back to edge ids through the pair index.
 
 A kernel given an int source returns 1-D labels; given a sequence of
 sources it returns one row per source, as csgraph does with its own
@@ -49,7 +49,7 @@ class Network:
     """
 
     __slots__ = ("node_count", "edge_count", "tail", "head", "cost", "capacity",
-                 "_out_start", "_out_edges", "_in_start", "_in_edges", "_pairs")
+                 "_in_start", "_in_edges", "_pairs")
 
     def __init__(self, node_count: int, edges):
         if node_count < 1:
@@ -77,16 +77,12 @@ class Network:
         self.head = head
         self.cost = cost
         self.capacity = capacity
-        self._out_start, self._out_edges = _build_csr(tail, node_count)
-        self._in_start, self._in_edges = _build_csr(head, node_count)
+        self._in_start = _offsets(head, node_count)
+        self._in_edges = np.argsort(head, kind="stable")
         self._pairs: _PairIndex | None = None
         for a in (self.tail, self.head, self.cost, self.capacity,
-                  self._out_start, self._out_edges, self._in_start, self._in_edges):
+                  self._in_start, self._in_edges):
             a.setflags(write=False)
-
-    def out_edges(self, v: int) -> np.ndarray:
-        """Edge ids leaving node v, ordered by edge id."""
-        return self._out_edges[self._out_start[v]:self._out_start[v + 1]]
 
     def in_edges(self, v: int) -> np.ndarray:
         """Edge ids entering node v, ordered by edge id."""
@@ -106,16 +102,6 @@ class Network:
 
     def __repr__(self) -> str:
         return f"Network(nodes={self.node_count}, edges={self.edge_count})"
-
-
-def _build_csr(node_of_edge: np.ndarray, node_count: int):
-    """CSR index: start offsets per node plus edge ids sorted by (node, edge id)."""
-    order = np.argsort(node_of_edge, kind="stable").astype(np.int64)
-    counts = np.bincount(node_of_edge, minlength=node_count) if node_of_edge.size else \
-        np.zeros(node_count, dtype=np.int64)
-    start = np.zeros(node_count + 1, dtype=np.int64)
-    np.cumsum(counts, out=start[1:])
-    return start, order
 
 
 @dataclass(frozen=True)
@@ -180,7 +166,7 @@ class _PairIndex:
 
 
 def _offsets(rows: np.ndarray, node_count: int) -> np.ndarray:
-    """int32 CSR row offsets for entries sorted by row."""
+    """int32 CSR row offsets for the entries of ``rows`` sorted by row."""
     indptr = np.zeros(node_count + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=node_count), out=indptr[1:])
     return indptr
@@ -246,21 +232,19 @@ def _check_sources(net: Network, sources) -> int | np.ndarray:
     return src
 
 
-def _stop_keys(net: Network, sources, dest_duals) -> np.ndarray:
-    """Per source, the largest dual of its destinations: a 0-d array for
-    an int source, else one entry per source."""
-    per_source = [dest_duals] if np.ndim(sources) == 0 else list(dest_duals)
-    if len(per_source) != np.size(sources):
-        raise InputError(f"{len(per_source)} destination maps for "
-                         f"{np.size(sources)} sources")
-    keys = np.empty(len(per_source))
-    for i, duals in enumerate(per_source):
-        if not duals:
-            raise InputError("dest_duals must be nonempty")
-        for t in duals:
+def _stop_keys(net: Network, sources, stops) -> np.ndarray:
+    """Per source, its stop key: for an int source a 0-d array holding
+    the largest dual of its destination map, else the given keys."""
+    if np.ndim(sources) == 0:
+        if not stops:
+            raise InputError("the destination map must be nonempty")
+        for t in stops:
             net.check_node(t)
-        keys[i] = max(duals.values())
-    return keys.reshape(np.shape(sources))
+        return np.array(max(stops.values()), dtype=np.float64)
+    keys = np.asarray(stops, dtype=np.float64)
+    if keys.shape != (np.size(sources),):
+        raise InputError(f"stop keys of shape {keys.shape} for {np.size(sources)} sources")
+    return keys
 
 
 def _shortest_paths(net: Network, matrix: csr_matrix, pair_edges: np.ndarray,
@@ -341,26 +325,27 @@ def dijkstra(net: Network, w: np.ndarray, sources) -> SptResult:
 
 
 def dijkstra_bounded(net: Network, w: np.ndarray, sources,
-                     dest_duals) -> SptResult:
+                     stops) -> SptResult:
     """Dijkstra with the early stop test for pricing.
 
     A source's run settles exactly the nodes at distance below its stop
-    key ``max(dest_duals.values())``: past that key no destination can
-    be settled at a distance below its dual, so no further negative
-    classification is possible. Labels of settled nodes are identical
-    to a full run. One csgraph call serves all sources, limited at the
-    largest stop key.
+    key, the largest dual among its destinations: past that key no
+    destination can be settled at a distance below its dual, so no
+    further negative classification is possible. Labels of settled
+    nodes are identical to a full run. One csgraph call serves all
+    sources, limited at the largest stop key.
 
     Args:
         sources: Start node, or a sequence of start nodes.
-        dest_duals: For an int source, a nonempty map destination node
-            -> dual value; for a sequence, one such map per source. A
+        stops: For an int source, a nonempty map destination node ->
+            dual value, whose largest value is the stop key; a
             destination t is classified negative iff it is settled with
-            ``dist[t] < dest_duals[t]``.
+            ``dist[t] < stops[t]``. For a sequence of sources, one stop
+            key per source (a float array of the same length).
     """
     w = _check_weights(net, w)
     sources = _check_sources(net, sources)
-    keys = _stop_keys(net, sources, dest_duals)
+    keys = _stop_keys(net, sources, stops)
     pairs = net._pair_index()
     weights, pair_edges = pairs.cheapest(w)
     dist, parent = _shortest_paths(net, pairs.matrix(weights), pair_edges,
@@ -391,10 +376,10 @@ def _check_consistency(net: Network, w: np.ndarray, h: np.ndarray) -> None:
             f"h({net.tail[e]})={ht[e]!r} > w={w[e]!r} + h({net.head[e]})={hh[e]!r}")
 
 
-def astar(net: Network, w: np.ndarray, sources, dest_duals,
+def astar(net: Network, w: np.ndarray, sources, stops,
           bounds: HeuristicBounds) -> SptResult:
-    """A* with keys f(v) = g(v) + h(v) and the same stop test as
-    :func:`dijkstra_bounded`.
+    """A* with keys f(v) = g(v) + h(v) and the same stop keys and stop
+    test as :func:`dijkstra_bounded`.
 
     Runs as Dijkstra on the potential-reduced weights
     ``w + h(head) - h(tail)`` limited at ``key - h(source)``; a node is
@@ -407,7 +392,7 @@ def astar(net: Network, w: np.ndarray, sources, dest_duals,
     """
     w = _check_weights(net, w)
     sources = _check_sources(net, sources)
-    keys = _stop_keys(net, sources, dest_duals)
+    keys = _stop_keys(net, sources, stops)
     h = np.asarray(bounds.h, dtype=np.float64)
     if h.shape != (net.node_count,):
         raise InputError(f"heuristic has shape {h.shape}, expected ({net.node_count},)")
@@ -467,7 +452,7 @@ def reverse_multi_target_bounds(net: Network, w: np.ndarray,
     # entries act as parallel edges, and a self-loop never improves a label.
     n = net.node_count
     reverse = csr_matrix((w[net._in_edges], net.tail[net._in_edges].astype(np.int32),
-                          net._in_start.astype(np.int32)), shape=(n, n))
+                          net._in_start), shape=(n, n))
     dist = _csgraph_dijkstra(reverse, directed=True, indices=dests, min_only=True)
     dist.setflags(write=False)
     return HeuristicBounds(dist)

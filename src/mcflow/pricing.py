@@ -11,10 +11,11 @@ one depth level at a time, to obtain the edge flow coefficients.
 Reduced costs use the dual-adjusted weights ``cost - mu`` which are
 nonnegative by the master's dual normalization, so Dijkstra applies.
 The ``bounded`` and ``astar`` strategies settle only nodes below each
-source's stop key, past which no destination can price out. Duals and
-minimum reduced costs are owner-indexed float arrays (one entry per
-commodity in path mode, per node in tree mode), NaN where unknown: no
-demand row has that owner, or pricing did not reach it.
+source's stop key, the largest dual among its group's commodities, past
+which no destination can price out. Duals and minimum reduced costs are
+owner-indexed float arrays (one entry per commodity in path mode, per
+node in tree mode), NaN where unknown: no demand row has that owner, or
+pricing did not reach it.
 
 Columns leave pricing as one :class:`~mcflow.master.ColumnBatch` per
 call, built straight from the kernel's parent-edge arrays: path columns
@@ -113,12 +114,11 @@ def adjusted_weights(net: Network, mu: np.ndarray) -> np.ndarray:
     return w
 
 
-def _blocks(items: list, node_count: int, size: int | None = None,
-            deadline: float | None = None):
-    """Consecutive slices of ``items`` with at most ``size`` entries,
-    by default as many as fit one kernel call's entry budget. No slice
-    is yielded once ``time.perf_counter()`` has passed ``deadline``."""
-    size = size or max(1, SOURCE_BLOCK_ENTRIES // node_count)
+def _blocks(items: list, node_count: int, deadline: float | None = None):
+    """Consecutive slices of ``items``, each as long as fits one kernel
+    call's entry budget. No slice is yielded once ``time.perf_counter()``
+    has passed ``deadline``."""
+    size = max(1, SOURCE_BLOCK_ENTRIES // node_count)
     for lo in range(0, len(items), size):
         if deadline is not None and time.perf_counter() > deadline:
             return
@@ -315,23 +315,23 @@ def limit_cut(found_per_entry: np.ndarray, ends: np.ndarray, found: int,
 
 
 def price_paths(instance: Instance, groups, duals: DualSnapshot,
-                strategy: str = "full",
-                bounds: HeuristicBounds | dict[int, HeuristicBounds] | None = None,
-                tolerance: float = 0.0, weights: np.ndarray | None = None,
-                column_limit: int | None = None,
+                strategy: str = "full", bounds: HeuristicBounds | None = None,
+                tolerance: float = 0.0, column_limit: int | None = None,
                 deadline: float | None = None) -> PricingOutcome:
     """Price the path columns of one source group or a sequence of them.
 
-    One kernel call covers all groups (per block of sources): a
+    One kernel call covers all groups (per block of sources), under the
+    weights :func:`adjusted_weights` derives from ``duals.mu``: a
     commodity's reduced cost is ``dist[sink] - pi`` in its group's row,
     and its shortest path is emitted when that is below ``-tolerance``.
-    The ``bounded`` and ``astar`` strategies may leave sinks unsettled,
-    but any such sink is then proven to have no negative path, so the
-    clamped reduced-cost map stays exact.
+    The ``bounded`` and ``astar`` strategies stop each group's row at
+    the largest dual among its commodities and may leave sinks
+    unsettled, but any such sink is then proven to have no negative
+    path, so the clamped reduced-cost map stays exact.
 
     Args:
-        bounds: A* heuristic, either one shared by all groups or a map
-            source -> heuristic (then each group runs on its own).
+        bounds: A* heuristic shared by all groups, admissible for every
+            sink priced.
         column_limit: Stop after the first group, in the given order,
             that brings the emitted columns to this many; later groups
             are not reported.
@@ -343,36 +343,30 @@ def price_paths(instance: Instance, groups, duals: DualSnapshot,
     if strategy == "astar" and bounds is None:
         raise InputError("astar pricing requires heuristic bounds")
     net = instance.network
-    w = adjusted_weights(net, duals.mu) if weights is None else weights
-    per_source = strategy == "astar" and not isinstance(bounds, HeuristicBounds)
+    w = adjusted_weights(net, duals.mu)
 
     parts, stats, found = [], PricingStats(), 0
     min_rc = np.full(len(instance.commodities), np.nan)
-    for block in _blocks(_as_groups(groups), net.node_count,
-                         1 if per_source else None, deadline):
+    for block in _blocks(_as_groups(groups), net.node_count, deadline):
         sources = [g.source for g in block]
         sizes = [len(g.members) for g in block]
         ks = np.fromiter((k for g in block for k in g.members), np.int64, sum(sizes))
         rows = np.repeat(np.arange(len(block)), sizes)
         sinks = instance.sink[ks]
         pi = duals.of(ks)
+        ends = np.cumsum(sizes)
         if strategy == "full":
             spt = dijkstra(net, w, sources)
         else:
-            dest_duals = [{} for _ in block]
-            for r, t, p in zip(rows.tolist(), sinks.tolist(), pi.tolist()):
-                stop = dest_duals[r]
-                stop[t] = max(stop.get(t, -np.inf), p)
+            stops = np.maximum.reduceat(pi, ends - sizes)
             if strategy == "bounded":
-                spt = dijkstra_bounded(net, w, sources, dest_duals)
+                spt = dijkstra_bounded(net, w, sources, stops)
             else:
-                spt = astar(net, w, sources, dest_duals,
-                            bounds[sources[0]] if per_source else bounds)
+                spt = astar(net, w, sources, stops, bounds)
 
         settled = spt.settled[rows, sinks]
         rc = spt.dist[rows, sinks] - pi
         negative = settled & (rc < -tolerance)
-        ends = np.cumsum(sizes)
         cut = limit_cut(negative, ends, found, column_limit)
         count = len(block) if cut is None else cut
         upto = int(ends[count - 1])
@@ -389,17 +383,17 @@ def price_paths(instance: Instance, groups, duals: DualSnapshot,
 
 
 def price_tree(instance: Instance, groups, duals: DualSnapshot,
-               tolerance: float = 0.0, weights: np.ndarray | None = None,
-               column_limit: int | None = None,
+               tolerance: float = 0.0, column_limit: int | None = None,
                deadline: float | None = None,
                incumbents: np.ndarray | None = None) -> PricingOutcome:
     """Price the tree columns of one source group or a sequence of them.
 
-    The shortest-path tree under the adjusted weights minimizes every
-    member path simultaneously, so it minimizes the demand-weighted
-    reduced cost over all trees covering the group's sinks; the
-    reported minimum is therefore exact. One kernel call covers all
-    groups (per block of sources).
+    The shortest-path tree under the weights :func:`adjusted_weights`
+    derives from ``duals.mu`` minimizes every member path
+    simultaneously, so it minimizes the demand-weighted reduced cost
+    over all trees covering the group's sinks; the reported minimum is
+    therefore exact. One kernel call covers all groups (per block of
+    sources).
 
     ``incumbents``, one row per group, holds the parent edge of every
     node in the group's incumbent tree (-1 elsewhere). With it, a group
@@ -417,7 +411,7 @@ def price_tree(instance: Instance, groups, duals: DualSnapshot,
     limit. ``deadline`` is as in :func:`price_paths`.
     """
     net = instance.network
-    w = adjusted_weights(net, duals.mu) if weights is None else weights
+    w = adjusted_weights(net, duals.mu)
     parts, stats, found, start = [], PricingStats(), 0, 0
     min_rc = np.full(net.node_count, np.nan)
     for block in _blocks(_as_groups(groups), net.node_count, deadline=deadline):

@@ -15,7 +15,8 @@ from mcflow.baseline import build_source_lp, solve_direct
 from mcflow.bench import (CSV_HEADER, RunRecord, load_instance,
                           read_records_csv, record_from_report, run_suite,
                           write_records_csv)
-from mcflow.cli import (EXIT_INFEASIBLE, EXIT_OPTIMAL, EXIT_TIMEOUT, main)
+from mcflow.cli import (EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OPTIMAL, EXIT_TIMEOUT,
+                        main)
 from mcflow.engine import SolverConfig, solve
 from mcflow.instance import generate_random, write_native
 
@@ -87,6 +88,23 @@ class TestSolveCommand:
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert "invalid choice: 'master-easy'" in err
+        assert "Traceback" not in out + err
+
+    def test_removed_heuristic_flag_is_a_usage_error(self, triangle_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(triangle_file), "--formulation", "path",
+                  "--pricing", "astar", "--heuristic", "per-source"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert "unrecognized arguments: --heuristic per-source" in err
+        assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize("flag,value", [("--timeout", "nan"), ("--tol", "nan"),
+                                            ("--tol", "0")])
+    def test_invalid_number_is_an_error(self, triangle_file, capsys, flag, value):
+        assert main(["solve", flag, value, str(triangle_file)]) == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ")
         assert "Traceback" not in out + err
 
     def test_json_and_csv_outputs(self, triangle_file, tmp_path):

@@ -102,6 +102,16 @@ class TestSolveBasics:
             assert r.status == "optimal"
             assert r.objective == pytest.approx(6.0)
 
+    @pytest.mark.parametrize("field,value", [("timeout_seconds", float("nan")),
+                                             ("timeout_seconds", -1.0),
+                                             ("rel_tol", float("nan")),
+                                             ("rel_tol", 0.0)])
+    def test_config_refuses_nan_and_out_of_range(self, triangle, field, value):
+        config = SolverConfig(**{field: value})
+        for check in (config.validate, lambda: solve(triangle, config)):
+            with pytest.raises(InputError, match=field):
+                check()
+
 
 class TestStrategies:
     def test_master_easy_is_refused(self, triangle):
@@ -124,10 +134,8 @@ class TestStrategies:
     def test_pricing_strategies_same_objective(self):
         for seed in range(5):
             inst = generate_random(12, 34, 10, 3, seed=100 + seed, tightness="mixed")
-            objs = [solve(inst, cfg(formulation="path", pricing_strategy=p,
-                                    heuristic_scope=h)).objective
-                    for p, h in (("full", "global"), ("bounded", "global"),
-                                 ("astar", "global"), ("astar", "per-source"))]
+            objs = [solve(inst, cfg(formulation="path", pricing_strategy=p)).objective
+                    for p in ("full", "bounded", "astar")]
             for o in objs[1:]:
                 assert o == pytest.approx(objs[0], rel=1e-7)
 
@@ -202,6 +210,15 @@ class TestReport:
         assert r.peak_columns >= 1
         assert r.wall_time >= 0.0
         assert r.gap == 0.0
+
+    def test_optimal_gap_is_the_bound_gap(self):
+        # This run stops on rel_tol with the lower bound below the
+        # objective; the report must not round that gap to zero.
+        inst = generate_random(30, 120, 60, 8, seed=1, tightness="mixed")
+        r = solve(inst, SolverConfig(formulation="tree"))
+        assert r.status == "optimal"
+        assert 0.0 < r.gap <= SolverConfig().rel_tol
+        assert r.gap == mcflow.engine.relative_gap(r.objective, r.lower_bound)
 
     @pytest.mark.parametrize("form", ["tree", "path"])
     def test_slack_mass_traces_the_big_m_phase(self, triangle_capped, form):

@@ -510,8 +510,7 @@ class TestReroutedTrees:
             for groups, duals, kw, out in rounds:
                 tol = kw["tolerance"]
                 validate_columns(out.columns, inst)
-                exact = price_tree(inst, groups, duals, tolerance=tol,
-                                   weights=kw["weights"])
+                exact = price_tree(inst, groups, duals, tolerance=tol)
                 # The reported minima are those of single-column pricing.
                 minima, exact_minima = known(out), known(exact)
                 assert minima == {s: exact_minima[s] for s in minima}
@@ -534,7 +533,8 @@ class TestReroutedTrees:
                     extras += len(mine) - 1
                     for col in mine:
                         assert set(g.sink_demands) <= set(net.head[list(col.edges)].tolist())
-                        reduced = float(np.dot(col.coefs, kw["weights"][list(col.edges)]))
+                        w = adjusted_weights(net, duals.mu)
+                        reduced = float(np.dot(col.coefs, w[list(col.edges)]))
                         assert reduced - duals.pi[g.source] < -tol
         assert extras > 0
 
@@ -549,7 +549,7 @@ class TestReroutedTrees:
             for incumbents in (None, kw["incumbents"]):
                 del calls[:]
                 price_tree(inst, groups, duals, tolerance=kw["tolerance"],
-                           weights=kw["weights"], incumbents=incumbents)
+                           incumbents=incumbents)
                 assert len(calls) == 1
 
     def test_column_limit_keeps_the_exact_tree_first(self, monkeypatch):
@@ -557,8 +557,7 @@ class TestReroutedTrees:
         for inst in tight_instances():
             _, rounds = kernel_tree_rounds(monkeypatch, inst)
             for groups, duals, kw, _ in rounds:
-                args = dict(tolerance=kw["tolerance"], weights=kw["weights"],
-                            incumbents=kw["incumbents"])
+                args = dict(tolerance=kw["tolerance"], incumbents=kw["incumbents"])
                 full = price_tree(inst, groups, duals, **args)
                 owners = full.columns.owner.tolist()
                 for limit in range(1, len(full.columns) + 1):
