@@ -159,6 +159,9 @@ def cmd_solve(args) -> int:
         if not args.quiet:
             print(f"flow decomposition written to {args.flows_file} "
                   f"({phase:.3f}s, reported separately from solve time)")
+    elif args.flows_file and not args.quiet:
+        print(f"note         no flow file written to {args.flows_file}: "
+              f"status {record.status}")
     if args.json_file:
         Path(args.json_file).write_text(record.to_json() + "\n")
     if args.csv_file:

@@ -179,7 +179,6 @@ class ColGenSolver:
         self.best_lb = -np.inf
         self.best_ub = np.inf
         self.iterations: list[IterationStat] = []
-        self.peak_columns = 0
         self.status: str | None = None
         self.message = ""
         self.infeasible_owners: tuple = ()
@@ -209,7 +208,6 @@ class ColGenSolver:
             self.message = str(exc)
             self.infeasible_owners = exc.owners
             return self._report()
-        self.peak_columns = self.master.pool_size
 
         try:
             while self.status is None:
@@ -351,7 +349,6 @@ class ColGenSolver:
     def _add_columns(self, columns) -> int:
         before = self.master.pool_size
         self.master.add_column(columns)
-        self.peak_columns = max(self.peak_columns, self.master.pool_size)
         return self.master.pool_size - before
 
     # -- reporting -----------------------------------------------------------
@@ -377,7 +374,7 @@ class ColGenSolver:
             lower_bound=float(lower),
             gap=float(relative_gap(objective, lower)),
             iterations=self.iterations,
-            peak_columns=self.peak_columns,
+            peak_columns=self.master.pool_size,   # the pool never shrinks
             active_rows=len(self.master.active_edges),
             wall_time=wall,
             message=self.message,

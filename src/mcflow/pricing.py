@@ -192,17 +192,6 @@ def _tree_flows(net: Network, parent_edge: np.ndarray, loads):
     return row[order], edge[order], acc[carry[order]]
 
 
-def compute_tree_flows(net: Network, spt: SptResult,
-                       sink_demands: dict[int, float]) -> dict[int, float]:
-    """Demand-weighted flow per tree edge of a single-source run; every
-    sink must be reached."""
-    sinks = np.fromiter(sink_demands, np.int64, len(sink_demands))
-    demands = np.fromiter(sink_demands.values(), np.float64, len(sink_demands))
-    _, edges, flows = _tree_flows(net, spt.parent_edge,
-                                  (np.zeros_like(sinks), sinks, demands))
-    return dict(zip(edges.tolist(), flows.tolist()))
-
-
 def _tree_columns(net: Network, owners, parent_edge: np.ndarray, loads,
                   w: np.ndarray | None = None):
     """Tree columns of ``owners`` (one per parent-edge row) under the

@@ -135,6 +135,22 @@ class TestSolveCommand:
         assert totals[0] == pytest.approx(2.0)
         assert totals[1] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("quiet", [False, True])
+    def test_no_flow_file_on_infeasible_run(self, tmp_path, capsys, quiet):
+        path = tmp_path / "infeasible.mcf"
+        path.write_text(INFEASIBLE_MCF)
+        flows_file = tmp_path / "flows.txt"
+        args = ["solve", "--decompose-flows", str(flows_file), str(path)]
+        assert main(args + ["--quiet"] * quiet) == EXIT_INFEASIBLE
+        assert not flows_file.exists()
+        notes = [l for l in capsys.readouterr().out.splitlines()
+                 if "no flow file written" in l]
+        if quiet:
+            assert notes == []
+        else:
+            assert notes == [f"note         no flow file written to {flows_file}: "
+                             "status infeasible"]
+
     @pytest.mark.parametrize("formulation", ["source-lp", "edge-lp"])
     def test_direct_lp_solved_once_with_flows(self, triangle_file, tmp_path,
                                               monkeypatch, formulation):

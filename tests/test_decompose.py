@@ -5,9 +5,11 @@ import random
 import numpy as np
 import pytest
 
+from mcflow.cli import _solve_with_flows
 from mcflow.decompose import (CommodityPathFlow, SourceEdgeFlow,
                               columns_to_source_flows, decompose, decompose_all)
-from mcflow.errors import DecompositionError
+from mcflow.engine import SolverConfig
+from mcflow.errors import DecompositionError, InputError
 from mcflow.graph import Network
 from mcflow.instance import Commodity, Instance, generate_random
 from mcflow.master import Column
@@ -40,6 +42,13 @@ class TestColumnsToSourceFlows:
         b = Column(owner=0, kind="tree", edges=(2,), coefs=(3.0,), cost=9.0)
         flows = columns_to_source_flows(triangle, [a, b], [1.0, 0.0])
         assert flows.flows == {0: {0: 3.0, 1: 2.0}}
+
+    @pytest.mark.parametrize("primal", [[1.0], [1.0, 0.5, 0.5]])
+    def test_misaligned_primal_raises(self, triangle, primal):
+        a = Column(owner=0, kind="tree", edges=(0, 1), coefs=(3.0, 2.0), cost=5.0)
+        b = Column(owner=0, kind="tree", edges=(2,), coefs=(3.0,), cost=9.0)
+        with pytest.raises(InputError, match=f"2 columns but {len(primal)} primal"):
+            columns_to_source_flows(triangle, [a, b], primal)
 
     @pytest.mark.parametrize("formulation", ["tree", "path"])
     def test_batch_equals_column_list(self, formulation):
@@ -94,6 +103,27 @@ class TestDecompose:
         result = decompose(flows, inst.groups[0], net, inst)
         assert result[0].paths == [((0,), 1.0)]
 
+    def test_cycle_on_the_walk_is_canceled(self):
+        # a->b 1, b->c 0.5, c->b 0.5, b->d 1: the walk meets the cycle
+        # b->c->b before it reaches d.
+        net = Network(4, [(0, 1, 1.0, 9.0), (1, 2, 1.0, 9.0), (2, 1, 1.0, 9.0),
+                          (1, 3, 1.0, 9.0)])
+        inst = Instance.build(net, [Commodity(0, 3, 1.0)])
+        flows = SourceEdgeFlow({0: {0: 1.0, 1: 0.5, 2: 0.5, 3: 1.0}})
+        result = decompose(flows, inst.groups[0], net, inst)
+        assert result[0].paths == [((0, 3), 1.0)]
+
+    def test_commodities_sharing_a_pair_each_get_their_demand(self, triangle_net):
+        # Two commodities a->c (demands 0.5 and 1.5) and one a->b, one group.
+        inst = Instance.build(triangle_net, [Commodity(0, 2, 0.5), Commodity(0, 1, 1.0),
+                                             Commodity(0, 2, 1.5)])
+        flows = SourceEdgeFlow({0: {0: 2.0, 1: 1.0, 2: 1.0}})
+        result = decompose(flows, inst.groups[0], triangle_net, inst)
+        assert [r.commodity for r in result] == [0, 1, 2]
+        assert [r.total for r in result] == pytest.approx([0.5, 1.0, 1.5])
+        assert result[0].paths == [((0, 1), 0.5)]
+        assert result[2].paths == [((0, 1), 0.5), ((2,), 1.0)]
+
 
 class TestProperties:
     def solved_flows(self, inst):
@@ -145,3 +175,37 @@ class TestProperties:
         edge_cost = float(net.cost @ flows.total_per_edge(net.edge_count))
         assert path_cost == pytest.approx(edge_cost, rel=1e-9)
         assert path_cost == pytest.approx(report.objective, rel=1e-7)
+
+    def test_source_lp_flows_with_zero_cost_edges(self):
+        # Zero-cost rings, parallel edges and self-loops make degenerate
+        # optima whose flow support can hold cycles.
+        rng = random.Random(15)
+        for _ in range(100):
+            n = rng.randint(3, 8)
+            ring = rng.sample(range(n), n)
+            edges = [(ring[i], ring[(i + 1) % n], rng.choice([0.0, 1.0]), 50.0)
+                     for i in range(n)]
+            edges += [(rng.randrange(n), rng.randrange(n), rng.choice([0.0, 0.0, 1.0, 2.0]),
+                       rng.uniform(0.5, 4.0)) for _ in range(rng.randint(0, 2 * n))]
+            net = Network(n, edges)
+            pairs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 4))]
+            comms = [Commodity(s, t, rng.uniform(0.5, 3.0))
+                     for s, t in pairs + rng.sample(pairs, rng.randint(0, len(pairs)))]
+            inst = Instance.build(net, comms)
+            report, flows = _solve_with_flows(inst, SolverConfig(formulation="source-lp"),
+                                              want_flows=True)
+            assert report.status == "optimal"
+            paths = decompose_all(inst, flows)
+            assert [r.commodity for r in paths] == [k for g in inst.groups
+                                                    for k in g.members]
+            total = np.zeros(net.edge_count)
+            for r in paths:
+                com = inst.commodities[r.commodity]
+                assert r.total == pytest.approx(com.demand, rel=1e-7)
+                assert len(r.paths) <= net.edge_count
+                for edge_path, amount in r.paths:
+                    assert int(net.tail[edge_path[0]]) == com.source
+                    assert int(net.head[edge_path[-1]]) == com.sink
+                    np.add.at(total, list(edge_path), amount)
+            # Canceled cycles make path sums fall short of the edge flows, never exceed.
+            assert np.all(total <= flows.total_per_edge(net.edge_count) + 1e-9)

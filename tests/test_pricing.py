@@ -11,12 +11,11 @@ import mcflow.engine
 import mcflow.pricing
 from mcflow.engine import SolverConfig, solve
 from mcflow.errors import InfeasibleError, InputError
-from mcflow.graph import Network, dijkstra
+from mcflow.graph import Network
 from mcflow.instance import Commodity, Instance, generate_random
 from mcflow.master import TREE, RestrictedMaster, validate_columns
-from mcflow.pricing import (DualSnapshot, adjusted_weights, compute_tree_flows,
-                            initial_columns, lagrangian_bound, price_paths,
-                            price_tree)
+from mcflow.pricing import (DualSnapshot, adjusted_weights, initial_columns,
+                            lagrangian_bound, price_paths, price_tree)
 
 
 def snapshot(pi, edge_count, mu=None):
@@ -101,38 +100,40 @@ class TestPricePaths:
                 assert known(star) == known(full)
 
 
+def tree_flows(net, demands):
+    """Edge flows of the seed tree of each source group, in group order;
+    ``demands`` maps (source, sink) pairs to demand."""
+    inst = Instance.build(net, [Commodity(s, t, d) for (s, t), d in demands.items()])
+    return [dict(zip(col.edges, col.coefs)) for col in initial_columns(inst, "tree")]
+
+
 class TestComputeTreeFlows:
     def test_line_two_sinks(self, line_net):
-        spt = dijkstra(line_net, line_net.cost, 0)
-        flows = compute_tree_flows(line_net, spt, {1: 1.0, 2: 2.0})
+        flows, = tree_flows(line_net, {(0, 1): 1.0, (0, 2): 2.0})
         assert flows == {0: 3.0, 1: 2.0}
 
     def test_single_sink(self, line_net):
-        spt = dijkstra(line_net, line_net.cost, 0)
-        flows = compute_tree_flows(line_net, spt, {2: 2.0})
+        flows, = tree_flows(line_net, {(0, 2): 2.0})
         assert flows == {0: 2.0, 1: 2.0}
 
     def test_star(self):
         net = Network(4, [(0, 1, 1.0, 9.0), (0, 2, 1.0, 9.0), (0, 3, 1.0, 9.0)])
-        spt = dijkstra(net, net.cost, 0)
-        flows = compute_tree_flows(net, spt, {1: 1.0, 2: 1.0, 3: 1.0})
+        flows, = tree_flows(net, {(0, 1): 1.0, (0, 2): 1.0, (0, 3): 1.0})
         assert flows == {0: 1.0, 1: 1.0, 2: 1.0}
 
     def test_root_outflow_equals_total_demand(self):
         inst = generate_random(12, 30, 9, 2, seed=3)
         net = inst.network
-        for g in inst.groups:
-            spt = dijkstra(net, net.cost, g.source)
-            flows = compute_tree_flows(net, spt, g.sink_demands)
+        for g, col in zip(inst.groups, initial_columns(inst, "tree")):
+            flows = dict(zip(col.edges, col.coefs))
             out = sum(f for e, f in flows.items() if net.tail[e] == g.source)
             assert out == pytest.approx(g.total_demand)
 
     def test_flow_conservation_at_interior_nodes(self):
         inst = generate_random(14, 34, 10, 3, seed=8)
         net = inst.network
-        for g in inst.groups:
-            spt = dijkstra(net, net.cost, g.source)
-            flows = compute_tree_flows(net, spt, g.sink_demands)
+        for g, col in zip(inst.groups, initial_columns(inst, "tree")):
+            flows = dict(zip(col.edges, col.coefs))
             inflow = {}
             outflow = {}
             for e, f in flows.items():
