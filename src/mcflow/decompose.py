@@ -79,7 +79,7 @@ def columns_to_source_flows(instance: Instance, columns, primal) -> SourceEdgeFl
     return SourceEdgeFlow(flows)
 
 
-def decompose(source_flows: SourceEdgeFlow, group: SourceGroup, net: Network,
+def decompose(source_flows: SourceEdgeFlow, group: SourceGroup,
               instance: Instance) -> list[CommodityPathFlow]:
     """Extract per-commodity paths for one source group.
 
@@ -93,6 +93,7 @@ def decompose(source_flows: SourceEdgeFlow, group: SourceGroup, net: Network,
     :class:`DecompositionError` when the aggregated flows cannot cover a
     sink's demand (conservation violated beyond tolerance).
     """
+    net = instance.network
     zero_tol = 1e-9 * max(group.total_demand, 1.0)
     source = group.source
     residual = {e: f for e, f in source_flows.flows.get(source, {}).items()
@@ -172,7 +173,7 @@ def decompose_all(instance: Instance, source_flows: SourceEdgeFlow
     """Decompose every source group of an instance."""
     out: list[CommodityPathFlow] = []
     for group in instance.groups:
-        out.extend(decompose(source_flows, group, instance.network, instance))
+        out.extend(decompose(source_flows, group, instance))
     return out
 
 

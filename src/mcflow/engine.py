@@ -224,8 +224,8 @@ class ColGenSolver:
 
     def _seed_pool(self) -> None:
         self._seeds = initial_columns(self.instance, self.mode)
-        sizes = [1 if self.mode == TREE else len(g.members) for g in self.instance.groups]
-        self._seed_ends = np.cumsum(sizes)
+        self._seed_ends = np.arange(1, len(self.instance.groups) + 1) \
+            if self.mode == TREE else self.instance.group_arrays.member_start[1:]
         self.master.add_column(self._seeds)
 
     def _time_left(self) -> float:

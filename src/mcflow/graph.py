@@ -8,8 +8,10 @@ builds one sparse matrix from its weight vector, keeping per (tail,
 head) pair the cheapest parallel edge (ties go to the smallest edge id)
 and dropping self-loops, and runs Dijkstra from one source or from a
 whole batch of sources at once. Zero weights are kept as explicit
-entries, which csgraph treats as edges. Predecessor nodes are mapped
-back to edge ids through the pair index.
+entries, which csgraph treats as edges. csgraph returns predecessor
+nodes; the pair (u, v) of a node v reached from u is found by a search
+for column v inside row u of the pair index, which is the matrix's own
+CSR layout, and that pair's chosen edge is v's parent edge.
 
 A kernel given an int source returns 1-D labels; given a sequence of
 sources it returns one row per source, as csgraph does with its own
@@ -26,6 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
+# SciPy's private, compiled lookup of (row, column) entries of a CSR
+# matrix with sorted, unique columns: a binary search inside each row.
+from scipy.sparse._sparsetools import csr_sample_offsets
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .errors import InputError, InternalError
@@ -78,7 +83,7 @@ class Network:
         self.cost = cost
         self.capacity = capacity
         self._in_start = _offsets(head, node_count)
-        self._in_edges = np.argsort(head, kind="stable")
+        self._in_edges = stable_argsort(head)
         self._pairs: _PairIndex | None = None
         for a in (self.tail, self.head, self.cost, self.capacity,
                   self._in_start, self._in_edges):
@@ -108,15 +113,14 @@ class Network:
 class _PairIndex:
     """The distinct (tail, head) pairs of the non-loop edges.
 
-    Pairs are sorted by ``key = tail * node_count + head``, which is also
-    the row-major order of a CSR matrix, so pair i is stored entry i.
-    ``edges`` lists the non-loop edge ids sorted by (key, edge id),
+    Pairs are sorted by ``tail * node_count + head``, which is also the
+    row-major order of a CSR matrix, so pair i is stored entry i.
+    ``edges`` lists the non-loop edge ids sorted by (pair, edge id),
     ``start[i]`` is where pair i's parallel edges begin in it and
     ``pair_of[j]`` is the pair of ``edges[j]``.
     """
 
     node_count: int
-    keys: np.ndarray
     tails: np.ndarray
     heads: np.ndarray       # int32, the CSR column indices
     indptr: np.ndarray      # int32, the CSR row offsets
@@ -128,14 +132,15 @@ class _PairIndex:
     def build(tail: np.ndarray, head: np.ndarray, node_count: int) -> "_PairIndex":
         edges = np.flatnonzero(tail != head)
         keys = tail[edges] * node_count + head[edges]
-        order = np.lexsort((edges, keys))
+        # Edge ids ascend, so the stable sort breaks key ties by edge id.
+        order = stable_argsort(keys)
         edges, keys = edges[order], keys[order]
         first = np.ones(keys.size, dtype=bool)
         first[1:] = keys[1:] != keys[:-1]
         start = np.flatnonzero(first)
         pair_keys = keys[start]
         tails = pair_keys // node_count
-        index = _PairIndex(node_count, pair_keys, tails,
+        index = _PairIndex(node_count, tails,
                            (pair_keys % node_count).astype(np.int32),
                            _offsets(tails, node_count), edges, start,
                            np.cumsum(first) - 1)
@@ -163,6 +168,16 @@ class _PairIndex:
             return csr_matrix((weights, self.heads, self.indptr), shape=(n, n))
         return csr_matrix((weights[keep], self.heads[keep],
                            _offsets(self.tails[keep], n)), shape=(n, n))
+
+
+def stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of nonnegative integer keys.
+
+    The keys are cast to the narrowest unsigned type that holds them,
+    which lets NumPy sort 8- and 16-bit keys by radix.
+    """
+    return np.argsort(keys.astype(np.min_scalar_type(keys.max(initial=0))),
+                      kind="stable")
 
 
 def _offsets(rows: np.ndarray, node_count: int) -> np.ndarray:
@@ -249,14 +264,23 @@ def _stop_keys(net: Network, sources, stops) -> np.ndarray:
 
 def _shortest_paths(net: Network, matrix: csr_matrix, pair_edges: np.ndarray,
                     sources, limit: float = INF):
-    """One csgraph call; returns distances and parent edge ids."""
+    """One csgraph call; returns distances and parent edge ids.
+
+    A reached node's predecessor u and the node v name the pair (u, v),
+    found by a search inside row u of the pair index; ``pair_edges``
+    gives the edge that pair stands for.
+    """
     dist, pred = _csgraph_dijkstra(matrix, directed=True, indices=sources,
                                    return_predecessors=True, limit=limit)
+    n = net.node_count
+    pairs = net._pair_index()
+    flat = pred.reshape(-1)
+    has = np.flatnonzero(flat >= 0)
+    pos = np.empty(has.size, dtype=np.int32)
+    csr_sample_offsets(n, n, pairs.indptr, pairs.heads, has.size, flat[has],
+                       (has % n).astype(np.int32), pos)
     parent = np.full(pred.shape, -1, dtype=np.int64)
-    has = pred >= 0
-    node = np.broadcast_to(np.arange(net.node_count), pred.shape)
-    keys = pred[has].astype(np.int64) * net.node_count + node[has]
-    parent[has] = pair_edges[np.searchsorted(net._pair_index().keys, keys)]
+    parent.reshape(-1)[has] = pair_edges[pos]
     return dist, parent
 
 
@@ -267,8 +291,9 @@ def tree_levels(net: Network, parent_edge: np.ndarray):
     ``parent_edge`` to the flat index of its tree parent (-1 for roots
     and unreached nodes), and ``levels[d]`` holds the flat indices of
     the nodes at depth d + 1, so every parent of ``levels[d]`` is a root
-    or in ``levels[d - 1]``. Depths come from pointer jumping, which
-    needs log2(depth) vectorized passes.
+    or in ``levels[d - 1]``, and each level is in flat-index order.
+    Depths come from pointer jumping, which needs log2(depth) vectorized
+    passes.
     """
     pe = parent_edge.reshape(-1)
     n = net.node_count
@@ -284,23 +309,9 @@ def tree_levels(net: Network, parent_edge: np.ndarray):
         anc[live] = anc[a]
         live = live[anc[live] >= 0]
     node_depth = depth[idx]
-    ordered = idx[np.argsort(node_depth, kind="stable")]
+    ordered = idx[stable_argsort(node_depth)]
     ends = np.cumsum(np.bincount(node_depth)[1:]).tolist() if idx.size else []
     return up, [ordered[lo:hi] for lo, hi in zip([0] + ends, ends)]
-
-
-def spt_path(net: Network, spt: SptResult, v: int) -> list[int]:
-    """Edge ids of the tree path from a single-source run's source to
-    settled node v."""
-    if not spt.settled[v]:
-        raise InternalError(f"node {v} is not settled; no final path exists")
-    edges: list[int] = []
-    while spt.parent_edge[v] >= 0:
-        e = int(spt.parent_edge[v])
-        edges.append(e)
-        v = int(net.tail[e])
-    edges.reverse()
-    return edges
 
 
 def dijkstra(net: Network, w: np.ndarray, sources) -> SptResult:

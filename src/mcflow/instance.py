@@ -13,12 +13,13 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO, Iterable
 
 import numpy as np
 
 from .errors import GenerationError, InputError, ParseError
-from .graph import Network, dijkstra
+from .graph import Network, dijkstra, stable_argsort
 
 log = logging.getLogger(__name__)
 
@@ -61,6 +62,47 @@ class SourceGroup:
 
 
 @dataclass(frozen=True)
+class GroupArrays:
+    """The source groups of an instance as flat read-only arrays, in
+    group order.
+
+    Group i has source ``source[i]``, its members are
+    ``members[member_start[i]:member_start[i + 1]]``, and its sinks and
+    summed demands (``SourceGroup.sink_demands``) are ``sink`` and
+    ``demand`` at ``load_start[i]:load_start[i + 1]``.
+    """
+
+    source: np.ndarray
+    member_start: np.ndarray
+    members: np.ndarray
+    load_start: np.ndarray
+    sink: np.ndarray
+    demand: np.ndarray
+
+    @staticmethod
+    def build(source: np.ndarray, sink: np.ndarray, demand: np.ndarray,
+              node_count: int) -> "GroupArrays":
+        """The groups of the commodities with these fields, as
+        :func:`group_by_source` forms them."""
+        # Stable sorts keep commodity ids ascending among equal keys, which
+        # is group_by_source's member order and the order it sums demands in.
+        members = stable_argsort(source)
+        member_start = _run_starts(source[members])
+        pair = source * node_count + sink
+        loads = stable_argsort(pair)
+        pair_start = _run_starts(pair[loads])
+        first = loads[pair_start[:-1]]
+        pair_of = np.repeat(np.arange(first.size), np.diff(pair_start))
+        arrays = GroupArrays(source[members[member_start[:-1]]], member_start, members,
+                             _run_starts(source[first]), sink[first],
+                             np.bincount(pair_of, weights=demand[loads],
+                                         minlength=first.size))
+        for a in vars(arrays).values():
+            a.setflags(write=False)
+        return arrays
+
+
+@dataclass(frozen=True)
 class Instance:
     """A full multi-commodity flow instance.
 
@@ -88,6 +130,13 @@ class Instance:
             values.flags.writeable = False
             object.__setattr__(self, name, values)
 
+    @cached_property
+    def group_arrays(self) -> GroupArrays:
+        """``groups`` as flat arrays, built on first use so that instances
+        never priced do not pay for them."""
+        return GroupArrays.build(self.source, self.sink, self.demand,
+                                 self.network.node_count)
+
     @property
     def source_count(self) -> int:
         return len(self.groups)
@@ -109,6 +158,14 @@ class Instance:
                 raise InputError(f"commodity {i} has identical source and sink {c.source}")
         groups = tuple(group_by_source(commodities))
         return Instance(network, commodities, groups, name, meta or {})
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of a sorted array starts, then its
+    size."""
+    change = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    return np.concatenate([[0], change, [keys.size]]) if keys.size \
+        else np.zeros(1, dtype=np.int64)
 
 
 def group_by_source(commodities: Iterable[Commodity]) -> list[SourceGroup]:

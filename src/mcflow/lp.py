@@ -206,8 +206,11 @@ class HighsModel:
     def solve(self, time_limit: float | None = None) -> LpSolution:
         """Run HiGHS; a run stopped by ``time_limit`` (seconds) reports
         :data:`TIME_LIMIT` with no solution."""
+        # HiGHS compares its limit with its run time summed over every
+        # solve of this model, so the limit of this solve starts from there.
         self._h.setOptionValue(
-            "time_limit", self._inf if time_limit is None else max(0.0, time_limit))
+            "time_limit", self._inf if time_limit is None
+            else self._h.getRunTime() + max(0.0, time_limit))
         self._h.run()
         status = self._h.getModelStatus()
         info = self._h.getInfo()

@@ -55,6 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InternalError, LpTimeLimit
+from .graph import stable_argsort
 from .instance import Instance
 from .lp import (INFEASIBLE, OPTIMAL, TIME_LIMIT, HighsBackend, HighsModel,
                  LpBackend, LpSolution, SparseLp, get_backend)
@@ -288,13 +289,19 @@ def validate_columns(cols, instance: Instance) -> None:
     net = instance.network
     c = _Checks(b)
     edges, col_of, lengths = b.edges, b.col_of, b.lengths
-    order = np.lexsort((edges, col_of))
-    repeated = (edges[order][1:] == edges[order][:-1]) & \
-        (col_of[order][1:] == col_of[order][:-1])
-    c.check_entries(order[1:][repeated],
-                    lambda i: f"column repeats edges: {b[i].edges}")
-    c.check(lengths == 0, lambda i: "column has empty support")
     unknown = (edges < 0) | (edges >= net.edge_count)
+    # Entries come column by column, so sorting the single key
+    # column * span + edge rank brings each column's equal edges together.
+    # Edge ids are their own ranks unless some are unknown.
+    span, rank = net.edge_count, edges
+    if np.count_nonzero(unknown):
+        ids, rank = np.unique(edges, return_inverse=True)
+        span = ids.size
+    key = np.sort(col_of * span + rank)
+    repeated = np.zeros(n, dtype=bool)
+    repeated[key[1:][key[1:] == key[:-1]] // span] = True
+    c.check(repeated, lambda i: f"column repeats edges: {b[i].edges}")
+    c.check(lengths == 0, lambda i: "column has empty support")
     if np.count_nonzero(unknown):
         c.check_entries(unknown, lambda i: "column references unknown edge "
                         f"{b[i].edges[c.first_entry(unknown, i)]}")
@@ -342,7 +349,7 @@ def _check_paths(c: _Checks, is_path: np.ndarray, head: np.ndarray,
     # keeps that order among equal (column, node) keys.
     key = np.concatenate([np.arange(n), col_of]) * instance.network.node_count \
         + np.concatenate([source, head])
-    order = key.argsort(kind="stable")
+    order = stable_argsort(key)
     seen = np.zeros(key.size, dtype=bool)
     seen[order[1:]] = key[order][1:] == key[order][:-1]
     stray = jump | seen[n:]
@@ -367,14 +374,14 @@ def _check_trees(c: _Checks, is_tree: np.ndarray, head: np.ndarray,
     col_of, total = b.col_of, b.edges.size
     nodes = instance.network.node_count
     is_source = np.zeros(nodes, dtype=bool)
-    is_source[[g.source for g in instance.groups]] = True
+    is_source[instance.group_arrays.source] = True
     owner_ok = (b.owner >= 0) & (b.owner < nodes)
     c.check(is_tree & ~(owner_ok & is_source[np.where(owner_ok, b.owner, 0)]),
             lambda i: f"tree column owner {int(b.owner[i])} is not a source")
     c.check_entries(b.coefs <= 0, lambda i: "tree column coefficients must be "
                     "positive", is_tree)
     key = col_of * nodes + head
-    order = key.argsort(kind="stable")
+    order = stable_argsort(key)
     key = key[order]
     c.check_entries(order[1:][key[1:] == key[:-1]],
                     lambda i: "tree column support has a node with in-degree > 1",

@@ -7,7 +7,10 @@ stay below ``SOURCE_BLOCK_ENTRIES`` entries. A round given a deadline
 starts no block once that has passed; the owners of later blocks are
 then left unpriced. A group's row classifies every member commodity at
 once; tree pricing additionally pushes the member demands up the tree,
-one depth level at a time, to obtain the edge flow coefficients.
+one depth level at a time, to obtain the edge flow coefficients. A
+block's members and sink loads are read from the instance's flat group
+arrays (:class:`~mcflow.instance.GroupArrays`), so no round loops in
+Python over commodities or sinks.
 Reduced costs use the dual-adjusted weights ``cost - mu`` which are
 nonnegative by the master's dual normalization, so Dijkstra applies.
 The ``bounded`` and ``astar`` strategies settle only nodes below each
@@ -30,9 +33,9 @@ rerouted tree for every branch tip of that tree whose tree path differs
 from its incumbent path, which takes that path from the exact tree and
 every other parent from the incumbent. All rerouted trees of a block are
 costed together by the same level-by-level flow push, on a (candidates
-x nodes) parent matrix, without another kernel call. The reported
-minimum reduced cost stays the exact tree's, so Lagrangian bounds stay
-valid.
+x nodes) parent matrix, without another kernel call, in chunks; a
+round past its deadline starts no further chunk. The reported minimum
+reduced cost stays the exact tree's, so Lagrangian bounds stay valid.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import numpy as np
 from .errors import InfeasibleError, InputError
 from .graph import (HeuristicBounds, Network, SptResult, astar, dijkstra,
                     dijkstra_bounded, tree_levels)
-from .instance import Instance, SourceGroup
+from .instance import GroupArrays, Instance, SourceGroup
 from .master import PATH, TREE, ColumnBatch
 
 # Upper bound on (sources in one kernel call) x (nodes): each call's dense
@@ -114,7 +117,7 @@ def adjusted_weights(net: Network, mu: np.ndarray) -> np.ndarray:
     return w
 
 
-def _blocks(items: list, node_count: int, deadline: float | None = None):
+def _blocks(items: np.ndarray, node_count: int, deadline: float | None = None):
     """Consecutive slices of ``items``, each as long as fits one kernel
     call's entry budget. No slice is yielded once ``time.perf_counter()``
     has passed ``deadline``."""
@@ -125,8 +128,34 @@ def _blocks(items: list, node_count: int, deadline: float | None = None):
         yield items[lo:lo + size]
 
 
-def _as_groups(groups) -> list[SourceGroup]:
-    return [groups] if isinstance(groups, SourceGroup) else list(groups)
+def _group_index(flat: GroupArrays, groups) -> np.ndarray:
+    """Positions in the instance's groups of one source group or a
+    sequence of them, found by source; raises :class:`InputError` for a
+    source that has no group in the instance."""
+    groups = [groups] if isinstance(groups, SourceGroup) else groups
+    sources = np.array([g.source for g in groups], dtype=np.int64)
+    index = np.searchsorted(flat.source, sources)
+    known = index < flat.source.size
+    known[known] = flat.source[index[known]] == sources[known]
+    if not known.all():
+        raise InputError(f"source {sources[~known][0]} has no group in the instance")
+    return index
+
+
+def _entries(start: np.ndarray, block: np.ndarray):
+    """``(row, index)`` of every entry of the groups ``block``, whose
+    entries lie at ``start[g]:start[g + 1]`` of a :class:`GroupArrays`
+    array, in group order; ``row`` is the group's position in ``block``."""
+    lo, sizes = start[block], start[block + 1] - start[block]
+    row = np.repeat(np.arange(block.size), sizes)
+    return row, np.arange(row.size) + (lo - np.cumsum(sizes) + sizes)[row]
+
+
+def _members(flat: GroupArrays, block: np.ndarray):
+    """``(row, commodity)`` arrays over the members of the groups
+    ``block``, in group and member order."""
+    row, at = _entries(flat.member_start, block)
+    return row, flat.members[at]
 
 
 def _path_columns(net: Network, spt: SptResult, rows: np.ndarray,
@@ -157,15 +186,12 @@ def _path_columns(net: Network, spt: SptResult, rows: np.ndarray,
                        cost)
 
 
-def _sink_loads(groups: list[SourceGroup]):
+def _sink_loads(flat: GroupArrays, block: np.ndarray):
     """``(row, sink, demand)`` arrays with one entry per sink of every
-    group, ``row`` being the group's index, in group and sink order."""
-    sizes = [len(g.sink_demands) for g in groups]
-    total = sum(sizes)
-    sinks = np.fromiter((t for g in groups for t in g.sink_demands), np.int64, total)
-    demands = np.fromiter((d for g in groups for d in g.sink_demands.values()),
-                          np.float64, total)
-    return np.repeat(np.arange(len(groups)), sizes), sinks, demands
+    group of ``block``, ``row`` being the group's position in ``block``,
+    in group and sink order."""
+    row, at = _entries(flat.load_start, block)
+    return row, flat.sink[at], flat.demand[at]
 
 
 def _tree_flows(net: Network, parent_edge: np.ndarray, loads):
@@ -188,7 +214,7 @@ def _tree_flows(net: Network, parent_edge: np.ndarray, loads):
     pe = parent_edge.reshape(-1)
     carry = np.flatnonzero((pe >= 0) & (acc > 0))
     row, edge = carry // n, pe[carry]
-    order = np.lexsort((edge, row))
+    order = np.argsort(row * net.edge_count + edge)     # unique keys
     return row[order], edge[order], acc[carry[order]]
 
 
@@ -209,7 +235,7 @@ def _tree_columns(net: Network, owners, parent_edge: np.ndarray, loads,
 
 def _rerouted_trees(net: Network, spt_parent: np.ndarray, incumbent: np.ndarray,
                     loads, trees: ColumnBatch, priced: np.ndarray, w: np.ndarray,
-                    pi: np.ndarray, tolerance: float):
+                    pi: np.ndarray, tolerance: float, deadline: float | None = None):
     """The extra tree columns of one block of groups.
 
     Row i of ``spt_parent`` and ``incumbent`` holds the parent edges of
@@ -224,7 +250,9 @@ def _rerouted_trees(net: Network, spt_parent: np.ndarray, incumbent: np.ndarray,
     candidate reroutes its path too. Candidates equal to the exact tree
     are dropped; the others are costed in chunks of at most
     ``SOURCE_BLOCK_ENTRIES`` parent-matrix entries and kept when their
-    reduced cost is below ``-tolerance``.
+    reduced cost is below ``-tolerance``. No chunk is started once
+    ``time.perf_counter()`` has passed ``deadline``; the columns kept
+    from earlier chunks are returned.
 
     Returns the kept columns, their group indices and reduced costs.
     """
@@ -264,6 +292,8 @@ def _rerouted_trees(net: Network, spt_parent: np.ndarray, incumbent: np.ndarray,
     parts, groups, reduced = [], [], []
     chunk = max(1, SOURCE_BLOCK_ENTRIES // n)
     for lo in range(0, load.size, chunk):
+        if deadline is not None and time.perf_counter() > deadline:
+            break
         group = rows[load[lo:lo + chunk]]
         cand = incumbent[group]
         mine = (pos >= lo) & (pos < lo + chunk)
@@ -334,15 +364,15 @@ def price_paths(instance: Instance, groups, duals: DualSnapshot,
     net = instance.network
     w = adjusted_weights(net, duals.mu)
 
+    flat = instance.group_arrays
     parts, stats, found = [], PricingStats(), 0
     min_rc = np.full(len(instance.commodities), np.nan)
-    for block in _blocks(_as_groups(groups), net.node_count, deadline):
-        sources = [g.source for g in block]
-        sizes = [len(g.members) for g in block]
-        ks = np.fromiter((k for g in block for k in g.members), np.int64, sum(sizes))
-        rows = np.repeat(np.arange(len(block)), sizes)
+    for block in _blocks(_group_index(flat, groups), net.node_count, deadline):
+        sources = flat.source[block]
+        rows, ks = _members(flat, block)
         sinks = instance.sink[ks]
         pi = duals.of(ks)
+        sizes = flat.member_start[block + 1] - flat.member_start[block]
         ends = np.cumsum(sizes)
         if strategy == "full":
             spt = dijkstra(net, w, sources)
@@ -397,24 +427,30 @@ def price_tree(instance: Instance, groups, duals: DualSnapshot,
     ``column_limit`` counts every emitted column: pricing stops after
     the group that brings them to the limit, and that group keeps its
     exact tree and then its most negative rerouted trees up to the
-    limit. ``deadline`` is as in :func:`price_paths`.
+    limit. ``deadline`` is as in :func:`price_paths`, and once it has
+    passed no further chunk of rerouted trees is costed either: a group
+    then keeps its exact tree and the rerouted trees costed so far.
     """
     net = instance.network
     w = adjusted_weights(net, duals.mu)
+    flat = instance.group_arrays
     parts, stats, found, start = [], PricingStats(), 0, 0
     min_rc = np.full(net.node_count, np.nan)
-    for block in _blocks(_as_groups(groups), net.node_count, deadline=deadline):
-        sources = [g.source for g in block]
-        pi = duals.of(np.array(sources))
+    for block in _blocks(_group_index(flat, groups), net.node_count, deadline=deadline):
+        sources = flat.source[block]
+        pi = duals.of(sources)
         spt = dijkstra(net, w, sources)
-        for i, g in enumerate(block):
-            missing = [t for t in g.sink_demands if not spt.settled[i, t]]
-            if missing:
-                raise InfeasibleError(
-                    f"sinks {missing} unreachable from source {g.source}",
-                    owners=tuple(k for k in g.members if instance.sink[k] in missing))
+        loads = _sink_loads(flat, block)
+        rows, sinks, _ = loads
+        missing = ~spt.settled[rows, sinks]
+        if missing.any():
+            i = rows[missing.argmax()]
+            lost = sinks[missing & (rows == i)]
+            _, ks = _members(flat, block[i:i + 1])
+            raise InfeasibleError(
+                f"sinks {lost.tolist()} unreachable from source {sources[i]}",
+                owners=tuple(ks[np.isin(instance.sink[ks], lost)].tolist()))
         ends = np.arange(1, len(block) + 1)
-        loads = _sink_loads(block)
         trees, weighted = _tree_columns(net, sources, spt.parent_edge, loads, w)
         reduced = weighted - pi
         negative = reduced < -tolerance
@@ -428,7 +464,7 @@ def price_tree(instance: Instance, groups, duals: DualSnapshot,
             priced[group] = True
             extra, extra_group, extra_rc = _rerouted_trees(
                 net, spt.parent_edge, incumbents[start:start + len(block)], loads,
-                trees, priced, w, pi, tolerance)
+                trees, priced, w, pi, tolerance, deadline)
             # Group order; in a group the exact tree, then by reduced cost.
             order = np.lexsort((np.concatenate([np.full(group.size, -np.inf), extra_rc]),
                                 np.concatenate([group, extra_group])))
@@ -478,13 +514,13 @@ def initial_columns(instance: Instance, mode: str) -> ColumnBatch:
     if mode not in (TREE, PATH):
         raise InputError(f"unknown mode {mode!r}")
     net = instance.network
+    flat = instance.group_arrays
     parts: list[ColumnBatch] = []
     unreachable: list[int] = []
-    for block in _blocks(list(instance.groups), net.node_count):
-        spt = dijkstra(net, net.cost, [g.source for g in block])
-        sizes = [len(g.members) for g in block]
-        ks = np.fromiter((k for g in block for k in g.members), np.int64, sum(sizes))
-        rows = np.repeat(np.arange(len(block)), sizes)
+    for block in _blocks(np.arange(len(instance.groups)), net.node_count):
+        sources = flat.source[block]
+        spt = dijkstra(net, net.cost, sources)
+        rows, ks = _members(flat, block)
         sinks = instance.sink[ks]
         reached = spt.settled[rows, sinks]
         if not reached.all():
@@ -492,8 +528,8 @@ def initial_columns(instance: Instance, mode: str) -> ColumnBatch:
         if unreachable:
             continue
         if mode == TREE:
-            parts.append(_tree_columns(net, [g.source for g in block],
-                                       spt.parent_edge, _sink_loads(block))[0])
+            parts.append(_tree_columns(net, sources, spt.parent_edge,
+                                       _sink_loads(flat, block))[0])
         else:
             parts.append(_path_columns(net, spt, rows, sinks, ks))
     if unreachable:

@@ -67,7 +67,7 @@ class TestDecompose:
     def test_line_hand_extraction(self, triangle):
         flows = SourceEdgeFlow({0: {0: 3.0, 1: 2.0}})
         group = triangle.groups[0]
-        result = decompose(flows, group, triangle.network, triangle)
+        result = decompose(flows, group, triangle)
         by_sink = {triangle.commodities[r.commodity].sink: r for r in result}
         assert by_sink[1].paths == [((0,), 1.0)]
         assert by_sink[2].paths == [((0, 1), 2.0)]
@@ -76,7 +76,7 @@ class TestDecompose:
         net = Network(2, [(0, 1, 1.0, 9.0)])
         inst = Instance.build(net, [Commodity(0, 1, 4.0)])
         flows = SourceEdgeFlow({0: {0: 4.0}})
-        result = decompose(flows, inst.groups[0], net, inst)
+        result = decompose(flows, inst.groups[0], inst)
         assert result[0].paths == [((0,), 4.0)]
 
     def test_split_flow_two_paths(self, triangle):
@@ -84,7 +84,7 @@ class TestDecompose:
         net = triangle.network
         inst = Instance.build(net, [Commodity(0, 2, 2.0)])
         flows = SourceEdgeFlow({0: {0: 1.0, 1: 1.0, 2: 1.0}})
-        result = decompose(flows, inst.groups[0], net, inst)
+        result = decompose(flows, inst.groups[0], inst)
         assert len(result[0].paths) == 2
         amounts = sorted(a for _, a in result[0].paths)
         assert amounts == pytest.approx([1.0, 1.0])
@@ -93,14 +93,14 @@ class TestDecompose:
     def test_insufficient_flow_raises(self, triangle):
         flows = SourceEdgeFlow({0: {0: 1.0}})
         with pytest.raises(DecompositionError, match="imbalance"):
-            decompose(flows, triangle.groups[0], triangle.network, triangle)
+            decompose(flows, triangle.groups[0], triangle)
 
     def test_cycle_in_support_is_canceled(self):
         # Flow support contains the 2-cycle b<->c carrying no net demand.
         net = Network(3, [(0, 1, 1.0, 9.0), (1, 2, 1.0, 9.0), (2, 1, 1.0, 9.0)])
         inst = Instance.build(net, [Commodity(0, 1, 1.0)])
         flows = SourceEdgeFlow({0: {0: 1.0, 1: 0.5, 2: 0.5}})
-        result = decompose(flows, inst.groups[0], net, inst)
+        result = decompose(flows, inst.groups[0], inst)
         assert result[0].paths == [((0,), 1.0)]
 
     def test_cycle_on_the_walk_is_canceled(self):
@@ -110,7 +110,7 @@ class TestDecompose:
                           (1, 3, 1.0, 9.0)])
         inst = Instance.build(net, [Commodity(0, 3, 1.0)])
         flows = SourceEdgeFlow({0: {0: 1.0, 1: 0.5, 2: 0.5, 3: 1.0}})
-        result = decompose(flows, inst.groups[0], net, inst)
+        result = decompose(flows, inst.groups[0], inst)
         assert result[0].paths == [((0, 3), 1.0)]
 
     def test_commodities_sharing_a_pair_each_get_their_demand(self, triangle_net):
@@ -118,7 +118,7 @@ class TestDecompose:
         inst = Instance.build(triangle_net, [Commodity(0, 2, 0.5), Commodity(0, 1, 1.0),
                                              Commodity(0, 2, 1.5)])
         flows = SourceEdgeFlow({0: {0: 2.0, 1: 1.0, 2: 1.0}})
-        result = decompose(flows, inst.groups[0], triangle_net, inst)
+        result = decompose(flows, inst.groups[0], inst)
         assert [r.commodity for r in result] == [0, 1, 2]
         assert [r.total for r in result] == pytest.approx([0.5, 1.0, 1.5])
         assert result[0].paths == [((0, 1), 0.5)]

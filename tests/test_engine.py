@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import random
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from mcflow.engine import ColGenSolver, SolveReport, SolverConfig, solve
 from mcflow.errors import InputError
 from mcflow.graph import Network, dijkstra
 from mcflow.instance import Commodity, Instance, generate_random
-from mcflow.lp import HighsBackend
+from mcflow.lp import OPTIMAL, HighsBackend, HighsModel
 
 
 def cfg(**kw):
@@ -403,6 +404,38 @@ class TestLpTimeLimit:
         oracle = solve_direct(build_source_lp(inst)).objective
         assert r.lower_bound <= oracle + 1e-6 * abs(oracle)
         assert r.objective >= oracle - 1e-6 * abs(oracle)
+
+    def test_limit_counts_from_this_solve(self):
+        # A live model's earlier warm solves add up to more than the limit
+        # of the next one, which needs far less than that limit: it must
+        # end optimal. Each solve gets new costs, so it has to pivot.
+        m = 30
+        rng = np.random.default_rng(5)
+        model = HighsModel()
+        model.add_rows(["E"] * (2 * m), np.ones(2 * m))
+        # Column i * m + j ships from supply row i to demand row m + j.
+        cols = np.arange(m * m)
+        model.add_cols(rng.uniform(1, 10, m * m), np.arange(0, 2 * m * m + 1, 2),
+                       np.stack([cols // m, m + cols % m], axis=1).reshape(-1),
+                       np.ones(2 * m * m))
+        longest = 0.0
+
+        def warm_solve(limit=None):
+            nonlocal longest
+            model.set_costs(cols, rng.uniform(1, 10, m * m))
+            t0 = time.perf_counter()
+            sol = model.solve(limit)
+            longest = max(longest, time.perf_counter() - t0)
+            return sol
+
+        while True:
+            sol = warm_solve()
+            assert sol.status == OPTIMAL and sol.simplex_iterations > 0
+            limit = max(20 * longest, 0.25)
+            if model._h.getRunTime() > 2 * limit:
+                break
+        sol = warm_solve(limit)
+        assert sol.status == OPTIMAL and sol.simplex_iterations > 0
 
 
 def solver_config_keywords(path: Path, function: str) -> set[str]:

@@ -5,13 +5,28 @@ import random
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
+import mcflow.graph
 from mcflow.errors import InputError
 from mcflow.graph import (HeuristicBounds, Network, astar, dijkstra,
                           dijkstra_bounded, reverse_multi_target_bounds,
-                          spt_path)
+                          tree_levels)
+from mcflow.pricing import _tree_flows
 
 INF = math.inf
+
+
+def spt_path(net, spt, v):
+    """Edge ids of the tree path from a single-source run's source to
+    settled node v."""
+    assert spt.settled[v]
+    edges = []
+    while spt.parent_edge[v] >= 0:
+        e = int(spt.parent_edge[v])
+        edges.append(e)
+        v = int(net.tail[e])
+    return edges[::-1]
 
 
 def bellman_ford(net, w, source):
@@ -363,3 +378,116 @@ class TestBatchedKernels:
         assert spt.settled.all()
         assert spt_path(net, spt, 3) == [0, 1, 2]
         assert spt.dist.tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
+# Straightforward references for the kernels' sorts and searches; the
+# kernels must match them bit for bit.
+
+def searchsorted_shortest_paths(net, matrix, pair_edges, sources, limit=INF):
+    """``graph._shortest_paths`` mapping each predecessor u of node v to
+    its pair by a binary search for u * n + v among all pair keys."""
+    dist, pred = csgraph_dijkstra(matrix, directed=True, indices=sources,
+                                  return_predecessors=True, limit=limit)
+    n = net.node_count
+    pairs = net._pair_index()
+    parent = np.full(pred.shape, -1, dtype=np.int64)
+    has = pred >= 0
+    node = np.broadcast_to(np.arange(n), pred.shape)
+    keys = pred[has].astype(np.int64) * n + node[has]
+    parent[has] = pair_edges[np.searchsorted(pairs.tails * n + pairs.heads, keys)]
+    return dist, parent
+
+
+def int64_tree_levels(net, parent_edge):
+    """``graph.tree_levels`` with a stable sort of int64 depths."""
+    pe = parent_edge.reshape(-1)
+    n = net.node_count
+    idx = np.flatnonzero(pe >= 0)
+    up = np.full(pe.size, -1, dtype=np.int64)
+    up[idx] = idx - idx % n + net.tail[pe[idx]]
+    depth = (pe >= 0).astype(np.int64)
+    anc = up.copy()
+    live = idx
+    while live.size:
+        a = anc[live]
+        depth[live] += depth[a]
+        anc[live] = anc[a]
+        live = live[anc[live] >= 0]
+    node_depth = depth[idx]
+    ordered = idx[np.argsort(node_depth, kind="stable")]
+    ends = np.cumsum(np.bincount(node_depth)[1:]).tolist() if idx.size else []
+    return up, [ordered[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+
+def lexsort_tree_flows(net, parent_edge, loads):
+    """``pricing._tree_flows`` on the reference levels, ordered by a
+    two-key sort on (row, edge)."""
+    n = net.node_count
+    rows, sinks, demands = loads
+    up, levels = int64_tree_levels(net, parent_edge)
+    acc = np.zeros(parent_edge.size)
+    acc[rows * n + sinks] = demands
+    for level in reversed(levels):
+        np.add.at(acc, up[level], acc[level])
+    pe = parent_edge.reshape(-1)
+    carry = np.flatnonzero((pe >= 0) & (acc > 0))
+    row, edge = carry // n, pe[carry]
+    order = np.lexsort((edge, row))
+    return row[order], edge[order], acc[carry[order]]
+
+
+def kernel_runs(net, w, sources, duals):
+    """Full, bounded and A* runs from the same sources."""
+    h = reverse_multi_target_bounds(net, w, {t for d in duals for t in d})
+    keys = np.array([max(d.values()) for d in duals])
+    return [dijkstra(net, w, sources), dijkstra_bounded(net, w, sources, keys),
+            astar(net, w, sources, keys, h)]
+
+
+def long_paths():
+    """Chains deep enough for 16- and 32-bit depths, with a shortcut and
+    a node no edge enters."""
+    for n in (300, 70_000):
+        edges = [(v, v + 1, 1.0, 1.0) for v in range(n - 2)] + [(0, n // 2, 0.0, 1.0)]
+        yield Network(n, edges)
+
+
+class TestKernelReferences:
+    def test_parent_edges_match_the_searchsorted_mapping(self, monkeypatch):
+        for net, w, sources, duals in rich_cases(4, 60):
+            new = kernel_runs(net, w, sources, duals)
+            with monkeypatch.context() as m:
+                m.setattr(mcflow.graph, "_shortest_paths", searchsorted_shortest_paths)
+                m.setattr(mcflow.graph, "tree_levels", int64_tree_levels)
+                old = kernel_runs(net, w, sources, duals)
+            for a, b in zip(new, old):
+                assert np.array_equal(a.parent_edge, b.parent_edge)
+                assert np.array_equal(a.dist, b.dist)
+                assert np.array_equal(a.settled, b.settled)
+
+    def test_levels_match_the_int64_sort(self):
+        cases = [(net, kernel_runs(net, w, sources, duals))
+                 for net, w, sources, duals in rich_cases(5, 60)]
+        cases += [(net, [dijkstra(net, net.cost, [0, 1, net.node_count - 1])])
+                  for net in long_paths()]
+        for net, runs in cases:
+            for spt in runs:
+                up, levels = tree_levels(net, spt.parent_edge)
+                ref_up, ref_levels = int64_tree_levels(net, spt.parent_edge)
+                assert np.array_equal(up, ref_up)
+                assert len(levels) == len(ref_levels)
+                for level, ref in zip(levels, ref_levels):
+                    assert np.array_equal(level, ref)
+
+    def test_tree_flows_match_the_lexsort(self):
+        rng = np.random.default_rng(6)
+        for net, w, sources, duals in rich_cases(6, 60):
+            for spt in kernel_runs(net, w, sources, duals):
+                # Demands at random settled nodes, several per row.
+                rows, nodes = np.nonzero(spt.settled)
+                pick = rng.random(rows.size) < 0.5
+                loads = (rows[pick], nodes[pick], rng.uniform(0.5, 5.0, int(pick.sum())))
+                got = _tree_flows(net, spt.parent_edge, loads)
+                want = lexsort_tree_flows(net, spt.parent_edge, loads)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)

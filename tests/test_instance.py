@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mcflow.errors import GenerationError, InputError, ParseError
-from mcflow.graph import dijkstra
+from mcflow.graph import Network, dijkstra
 from mcflow.instance import (Commodity, Instance, TNTP_COEFFICIENTS,
                              generate_random, group_by_source, parse_native,
                              parse_tntp, write_native)
@@ -274,3 +274,33 @@ class TestInstanceBuild:
     def test_rejects_self_pair(self, triangle_net):
         with pytest.raises(InputError):
             Instance.build(triangle_net, [Commodity(1, 1, 1.0)])
+
+    def test_group_arrays_follow_group_by_source(self):
+        # Few nodes and many commodities, so (source, sink) pairs repeat;
+        # summed demands must equal group_by_source's bit for bit.
+        rng = random.Random(4)
+        repeated = 0
+        for _ in range(40):
+            n = rng.randint(2, 8)
+            net = Network(n, [(v, (v + 1) % n, 1.0, 1.0) for v in range(n)])
+            comms = []
+            for _ in range(rng.randint(1, 40)):
+                s, t = rng.sample(range(n), 2)
+                comms.append(Commodity(s, t, rng.uniform(0.1, 10.0)))
+            flat = Instance.build(net, comms).group_arrays
+            groups = group_by_source(comms)
+            assert flat.source.tolist() == [g.source for g in groups]
+            assert flat.member_start.tolist() == \
+                np.cumsum([0] + [len(g.members) for g in groups]).tolist()
+            assert flat.members.tolist() == [k for g in groups for k in g.members]
+            assert flat.load_start.tolist() == \
+                np.cumsum([0] + [len(g.sink_demands) for g in groups]).tolist()
+            assert flat.sink.tolist() == [t for g in groups for t in g.sink_demands]
+            assert flat.demand.tolist() == [d for g in groups for d in g.sink_demands.values()]
+            repeated += len(comms) > flat.sink.size
+        assert repeated > 0
+
+    def test_group_arrays_of_no_commodities(self, triangle_net):
+        flat = Instance.build(triangle_net, []).group_arrays
+        assert flat.member_start.tolist() == flat.load_start.tolist() == [0]
+        assert flat.source.size == flat.members.size == flat.sink.size == 0

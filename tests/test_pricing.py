@@ -3,6 +3,7 @@ tree optimality, and the Lagrangian bound."""
 
 import itertools
 import random
+import types
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import mcflow.pricing
 from mcflow.engine import SolverConfig, solve
 from mcflow.errors import InfeasibleError, InputError
 from mcflow.graph import Network
-from mcflow.instance import Commodity, Instance, generate_random
+from mcflow.instance import Commodity, Instance, SourceGroup, generate_random
 from mcflow.master import TREE, RestrictedMaster, validate_columns
 from mcflow.pricing import (DualSnapshot, adjusted_weights, initial_columns,
                             lagrangian_bound, price_paths, price_tree)
@@ -202,6 +203,16 @@ class TestOwnerArrays:
     def test_tree_owner_without_a_dual_is_named(self, triangle, pi):
         with pytest.raises(InputError, match="no dual for owner 0$"):
             price_tree(triangle, triangle.groups[0], DualSnapshot(pi, np.zeros(3)))
+
+    @pytest.mark.parametrize("source", [1, 7])
+    def test_group_of_another_instance_is_refused(self, triangle, source):
+        # Pricing reads a group's members and sinks from the instance, so
+        # a group whose source has no group there is refused, not guessed.
+        group = SourceGroup(source, (0,), {2: 1.0}, 1.0)
+        duals = DualSnapshot(np.zeros(8), np.zeros(3))
+        for price in (price_paths, price_tree):
+            with pytest.raises(InputError, match=f"source {source} has no group"):
+                price(triangle, [triangle.groups[0], group], duals)
 
     def test_mapping_and_array_give_identical_outcomes(self):
         from mcflow.graph import reverse_multi_target_bounds
@@ -572,6 +583,42 @@ class TestReroutedTrees:
                     assert set(known(out)) == set(priced)
                     cut_inside_a_group += limit < len(owners) and owners[limit] == last
         assert cut_inside_a_group > 0
+
+    def test_deadline_stops_between_candidate_chunks(self, monkeypatch):
+        # One group per block and one candidate per chunk, under a clock
+        # that reads 0, 1, 2, ...: the first block reads 0, its candidate
+        # chunks read 1 to m, and a deadline of c + 0.5 lets exactly c of
+        # them be costed. The next block then finds the deadline passed.
+        def ticking():
+            return types.SimpleNamespace(perf_counter=itertools.count().__next__)
+
+        cut_extras = 0
+        for inst in tight_instances():
+            _, rounds = kernel_tree_rounds(monkeypatch, inst)
+            for groups, duals, kw, _ in rounds:
+                monkeypatch.setattr(mcflow.pricing, "SOURCE_BLOCK_ENTRIES",
+                                    inst.network.node_count)
+                args = dict(tolerance=kw["tolerance"], incumbents=kw["incumbents"])
+                full = price_tree(inst, groups, duals, **args)
+                mine = full.columns[:int(np.sum(full.columns.owner == groups[0].source))]
+                clock = ticking()
+                monkeypatch.setattr(mcflow.pricing, "time", clock)
+                price_tree(inst, groups[:1], duals, deadline=1e9, **args)
+                m = clock.perf_counter() - 1        # chunks of the first group
+                kept = []
+                for c in range(m + 1):
+                    monkeypatch.setattr(mcflow.pricing, "time", ticking())
+                    out = price_tree(inst, groups, duals, deadline=c + 0.5, **args)
+                    assert out.stats.runs == 1
+                    assert known(out) == {groups[0].source: known(full)[groups[0].source]}
+                    # The exact tree first, then the extras costed so far.
+                    assert out.columns[:1] == mine[:1]
+                    assert set(kept) <= set(out.columns) <= set(mine)
+                    kept = list(out.columns)
+                    cut_extras += len(kept) < len(mine)
+                assert kept == list(mine)
+                monkeypatch.undo()
+        assert cut_extras > 0
 
     def test_no_extras_without_a_priced_exact_tree(self):
         inst = tight_instances()[1]

@@ -116,6 +116,10 @@ def mutations(col, instance, rng):
                         coefs=tuple(coefs + [coefs[i]])))
     for e in (rng.randrange(net.edge_count), net.edge_count, -1):
         out.append(recosted(col, instance, edges=tuple(edges[:i] + [e] + edges[i + 1:])))
+    # Unknown ids far outside the edge range, distinct or repeated.
+    for extra in ([-2**62], [2**62, -2**62], [-7, -7], [2**62, 5, 2**62]):
+        out.append(recosted(col, instance, edges=tuple(edges + extra),
+                            coefs=tuple(coefs + [1.0] * len(extra))))
     out.append(recosted(col, instance, edges=tuple(edges[::-1]), coefs=tuple(coefs[::-1])))
     for owner in (rng.randrange(net.node_count), len(instance.commodities), -1,
                   rng.randrange(len(instance.commodities))):
