@@ -129,8 +129,11 @@ class SolveReport:
     """Outcome of one solve: bounds, status, and the iteration trace.
 
     ``infeasible_owners`` names commodity ids: those with an unreachable
-    sink, or whose demand row (in tree mode, their source's) keeps slack
-    after big-M escalation; none when capacity rows keep the slack.
+    sink, or whose demand row (in tree mode, their source's, which then
+    holds that one commodity) keeps slack after big-M escalation. It is
+    empty when capacity rows keep the slack, which is always the case in
+    tree mode when some source has several commodities; the message then
+    names the edges.
     """
 
     status: str

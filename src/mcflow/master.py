@@ -3,11 +3,18 @@
 The master keeps a pool of priced columns, the demand rows (one per
 commodity in path mode, one per source in tree mode), and a lazily
 grown set of capacity rows. Slack variables at big-M cost guarantee
-feasibility before enough columns and rows exist; which rows get slack
-follows the row-count rule: demand rows when there are fewer of them
-than edges, capacity rows otherwise. Capacity duals are normalized to
-be nonpositive after every solve, so the adjusted pricing weights
-``cost - mu`` stay nonnegative.
+feasibility before enough columns and rows exist. Which rows get slack
+follows the slack rule: demand rows when every demand row holds exactly
+one commodity and there are fewer of them than edges, capacity rows
+otherwise. So a tree master whose source rows aggregate several
+commodities prices an overloaded edge per unit of excess flow, not as
+the loss of a whole source's demand. Big-M is one price per unit of
+flow in both modes, the total edge cost: slack that covers a demand
+row's whole demand costs big-M times that demand, and an artificial
+(injected only when the restriction is infeasible) ten times its row's
+slack price.
+Capacity duals are normalized to be nonpositive after every solve, so
+the adjusted pricing weights ``cost - mu`` stay nonnegative.
 
 Columns move from pricing to the master as a :class:`ColumnBatch`:
 per-column ``kind``, ``owner``, ``lengths`` and ``cost`` arrays and
@@ -437,16 +444,18 @@ class RestrictedMaster:
         else:
             self.owners = np.array([g.source for g in instance.groups], dtype=np.int64)
             self.demand_rhs = np.ones(len(instance.groups))
-        self.slack_policy = "demand" if len(self.owners) < net.edge_count else "edge"
+        # Every demand row holds exactly one commodity when there are as many
+        # rows as commodities (a group has at least one member).
+        self.slack_policy = ("demand" if len(self.owners) == len(instance.commodities)
+                             and len(self.owners) < net.edge_count else "edge")
         total_cost = float(net.cost.sum())
-        big_m = total_cost
-        if mode == TREE:
-            big_m *= float(sum(instance.demand.tolist()))
-        self.big_m = max(1.0, big_m)
+        # The price of one unit of flow on a capacity row's slack.
+        self.big_m = max(1.0, total_cost)
         # Demand-row slack prices: one unit of convexity slack stands for the
         # whole group's demand, so its penalty scales with that demand. This
-        # keeps the tree and path masters exactly equivalent LPs whenever
-        # every group has a single member.
+        # keeps the tree and path masters exactly equivalent LPs when every
+        # group has a single member, the only tree masters with demand slack.
+        # Artificials cost ten times their row's slack price.
         if mode == TREE:
             self.demand_slack_costs = np.array(
                 [max(1.0, total_cost * g.total_demand) for g in instance.groups])
@@ -708,7 +717,7 @@ class RestrictedMaster:
         else:
             extra = [(n_demand + np.arange(n_cap), -1.0, np.full(n_cap, self.big_m))]
         if self._use_artificials:
-            extra.append((np.arange(n_demand), 1.0, np.full(n_demand, 10.0 * self.big_m)))
+            extra.append((np.arange(n_demand), 1.0, 10.0 * self.demand_slack_costs))
         # One variable per extra row, each with a single entry.
         rows = [indices] + [r for r, _, _ in extra]
         vals = [values] + [np.full(r.size, v) for r, v, _ in extra]
@@ -737,8 +746,9 @@ class RestrictedMaster:
 
         Capacity duals are clipped to be nonpositive (so the adjusted
         costs ``c - mu`` stay nonnegative) and inactive edges expose a
-        zero dual. If the LP is infeasible, artificial variables priced
-        above big-M are injected once and the solve is repeated.
+        zero dual. If the LP is infeasible, one artificial per demand row,
+        priced at ten times the row's slack price, is injected once and
+        the solve is repeated.
 
         On ``highs`` the live model is updated and re-solved warm, and
         ``time_limit`` (seconds for this call) is a hard limit: HiGHS
@@ -834,7 +844,7 @@ class RestrictedMaster:
                                                 *self._column_matrix(synced))])
 
         if self._use_artificials and not self._art_cols.size:
-            self._art_cols = model.add_cols(np.full(n_demand, 10.0 * self.big_m),
+            self._art_cols = model.add_cols(10.0 * self.demand_slack_costs,
                                             np.arange(n_demand + 1), np.arange(n_demand),
                                             np.ones(n_demand))
 
@@ -843,7 +853,7 @@ class RestrictedMaster:
                             self.demand_slack_costs if self.slack_policy == "demand"
                             else np.full(self._slack_cols.size, self.big_m))
             if self._art_cols.size:
-                model.set_costs(self._art_cols, np.full(n_demand, 10.0 * self.big_m))
+                model.set_costs(self._art_cols, 10.0 * self.demand_slack_costs)
             self._costs_changed = False
 
     def _require_solution(self) -> RmpSolution:

@@ -61,14 +61,13 @@ class TestSolveBasics:
     @pytest.mark.parametrize("policy", ["demand", "edge"])
     def test_infeasible_owners_are_commodities(self, form, policy):
         if policy == "demand":
-            # 3 path rows and 2 tree rows on 4 edges. Commodity 0 needs 5
-            # units on edge 0->1 of capacity 1; its tree row is source 0's,
-            # whose group also holds commodity 1.
+            # 2 single-commodity rows on 4 edges in both modes. Commodity 0
+            # needs 5 units on edge 0->1 of capacity 1; its tree row is
+            # source 0's, whose group holds only commodity 0.
             net = Network(4, [(0, 1, 1.0, 1.0), (0, 2, 1.0, 9.0), (2, 3, 1.0, 9.0),
                               (3, 0, 1.0, 9.0)])
-            commodities = [Commodity(0, 1, 5.0), Commodity(0, 2, 1.0),
-                           Commodity(2, 3, 1.0)]
-            expected = (0,) if form == "path" else (0, 1)
+            commodities = [Commodity(0, 1, 5.0), Commodity(2, 3, 1.0)]
+            expected = (0,)
         else:
             # 3 path rows and 2 tree rows on 2 edges of capacity 1, which
             # must carry 2 units each: the slack is on capacity rows.
@@ -83,6 +82,25 @@ class TestSolveBasics:
         assert r.infeasible_owners == expected
         if policy == "edge":
             assert "capacity rows of edges [0, 1]" in r.message
+
+    def test_infeasible_multi_member_tree_names_edges(self):
+        # 3 path rows and 2 tree rows on 4 edges, but source 0's tree row
+        # holds commodities 0 and 1, so the tree master puts its slack on
+        # capacity rows: commodity 0's 5 units overload edge 0->1.
+        net = Network(4, [(0, 1, 1.0, 1.0), (0, 2, 1.0, 9.0), (2, 3, 1.0, 9.0),
+                          (3, 0, 1.0, 9.0)])
+        inst = Instance.build(net, [Commodity(0, 1, 5.0), Commodity(0, 2, 1.0),
+                                    Commodity(2, 3, 1.0)])
+        tree = ColGenSolver(inst, cfg(formulation="tree"))
+        assert tree.master.slack_policy == "edge"
+        r = tree.run()
+        assert r.status == "infeasible"
+        assert r.infeasible_owners == ()
+        assert "capacity rows of edges [0]" in r.message
+        # The path master keeps demand slack and names commodity 0.
+        path = ColGenSolver(inst, cfg(formulation="path"))
+        assert path.master.slack_policy == "demand"
+        assert path.run().infeasible_owners == (0,)
 
     def test_capacity_infeasible_detected(self):
         net = Network(2, [(0, 1, 1.0, 1.0)])
@@ -339,16 +357,18 @@ EDGE_SLACK_SIZE = (8, 16, 20, 4)
 class TestLiveMaster:
     @pytest.mark.parametrize("form", ["tree", "path"])
     @pytest.mark.parametrize("options", [
-        {},
-        # 20 path rows on 16 edges: the row-count rule picks edge slack.
-        {"size": EDGE_SLACK_SIZE},
+        # Multi-member groups: edge slack in tree mode only.
+        {"tree": "edge", "path": "demand"},
+        # 20 path rows on 16 edges: edge slack in both modes.
+        {"size": EDGE_SLACK_SIZE, "tree": "edge", "path": "edge"},
+        # One commodity per source: demand slack in both modes.
+        {"size": (12, 36, 4, 4), "tree": "demand", "path": "demand"},
     ])
     def test_every_solve_matches_a_cold_solve(self, form, options):
         size = options.get("size", (12, 36, 14, 4))
         inst = generate_random(*size, seed=21, tightness="tight")
         solver = ColGenSolver(inst, cfg(formulation=form))
-        edge_slack = form == "path" and size == EDGE_SLACK_SIZE
-        assert solver.master.slack_policy == ("edge" if edge_slack else "demand")
+        assert solver.master.slack_policy == options[form]
         count = checked_against_cold_solves(solver)
         r = solver.run()
         assert r.status == "optimal"
@@ -366,6 +386,29 @@ class TestLiveMaster:
         assert r.status == "infeasible"
         assert solver._escalations_left == 0
         assert count[0] == r.iteration_count
+
+    def test_unique_source_tree_and_path_agree(self):
+        # Acceptance criterion 2 on the live HiGHS master: with one commodity
+        # per source, the tree and path masters take the same slack policy
+        # and the same iteration objectives. The instances are the first 20
+        # of the acceptance suite's stream.
+        rng = random.Random(77)
+        for trial in range(20):
+            n = rng.randint(6, 20)
+            s = rng.randint(2, min(9, n - 1))
+            m = rng.randint(n, 60)
+            inst = generate_random(n, m, s, s, seed=30_000 + trial,
+                                   tightness=("loose", "tight", "mixed")[trial % 3])
+            assert all(len(g.members) == 1 for g in inst.groups)
+            tree, path = (ColGenSolver(inst, cfg(formulation=form, lp_backend="highs"))
+                          for form in ("tree", "path"))
+            assert tree.master.slack_policy == path.master.slack_policy
+            reports = tree.run(), path.run()
+            assert reports[0].status == reports[1].status == "optimal"
+            objectives = [[it.rmp_objective for it in r.iterations] for r in reports]
+            assert len(objectives[0]) == len(objectives[1])
+            assert objectives[0] == pytest.approx(objectives[1], rel=1e-9, abs=1e-9), \
+                f"trial {trial}"
 
 
 class TestLpTimeLimit:

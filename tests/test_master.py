@@ -5,6 +5,7 @@ import pytest
 
 from mcflow.engine import ColGenSolver, SolverConfig
 from mcflow.errors import InputError, LpTimeLimit
+from mcflow.graph import Network
 from mcflow.instance import Commodity, Instance, generate_random
 from mcflow.lp import HighsBackend
 from mcflow.master import (Column, ColumnBatch, RestrictedMaster, new_master,
@@ -21,7 +22,7 @@ PATH_BC = Column(owner=2, kind="path", edges=(1,), coefs=(1.0,), cost=1.0)
 @pytest.fixture
 def triangle_three(triangle_capped):
     """``triangle_capped`` plus k2: b->c demand 0.5. Three path rows on
-    three edges, so the row-count rule picks edge slack in path mode."""
+    three edges, so the slack rule picks edge slack in path mode."""
     return Instance.build(triangle_capped.network,
                           [*triangle_capped.commodities, Commodity(1, 2, 0.5)])
 
@@ -39,16 +40,36 @@ class TestNewMaster:
 
     def test_slack_policy_rule(self, triangle, triangle_three):
         # 2 path rows < 3 edges -> demand slack; 3 path rows on 3 edges ->
-        # edge slack; 2 tree rows (sources a and b) -> demand slack.
+        # edge slack; 2 tree rows on 3 edges, but source a's row holds k0
+        # and k1 -> edge slack.
         assert new_master(triangle, "path").slack_policy == "demand"
         assert new_master(triangle_three, "path").slack_policy == "edge"
-        assert new_master(triangle_three, "tree").slack_policy == "demand"
+        assert new_master(triangle_three, "tree").slack_policy == "edge"
+
+    @pytest.mark.parametrize("mode,commodities,policy", [
+        # 2 path rows < 3 edges.
+        ("path", [(0, 2, 2.0), (0, 1, 1.0)], "demand"),
+        # 3 path rows on 3 edges.
+        ("path", [(0, 2, 2.0), (0, 1, 1.0), (1, 2, 0.5)], "edge"),
+        # 2 single-member tree rows < 3 edges.
+        ("tree", [(0, 2, 2.0), (1, 2, 0.5)], "demand"),
+        # 3 single-member tree rows on 3 edges.
+        ("tree", [(0, 2, 2.0), (1, 2, 0.5), (2, 0, 1.0)], "edge"),
+        # 2 tree rows < 3 edges, but source a's row holds two commodities
+        # on one (source, sink) pair.
+        ("tree", [(0, 2, 2.0), (0, 2, 1.0), (1, 2, 0.5)], "edge"),
+    ])
+    def test_slack_policy_table(self, triangle_net, mode, commodities, policy):
+        inst = Instance.build(triangle_net, [Commodity(*c) for c in commodities])
+        assert new_master(inst, mode).slack_policy == policy
 
     def test_big_m_values(self, triangle):
         path_m = new_master(triangle, "path")
         tree_m = new_master(triangle, "tree")
         assert path_m.big_m == pytest.approx(5.0)          # sum of edge costs
-        assert tree_m.big_m == pytest.approx(5.0 * 3.0)    # times total demand
+        assert tree_m.big_m == pytest.approx(5.0)          # per unit of flow too
+        # A source row's slack drops the group's whole demand of 3.
+        assert tree_m.demand_slack_costs.tolist() == pytest.approx([5.0 * 3.0])
 
 
 class TestAddColumn:
@@ -230,12 +251,36 @@ class TestSolveRmp:
         assert sol.pi[0] == pytest.approx(5.0)
         assert np.all(sol.mu == 0.0)
 
-    def test_slack_only_master(self, triangle):
-        m = new_master(triangle, "tree")
+    def test_slack_only_master(self, triangle_net):
+        # One single-member source row (k0: a->c demand 2) on 3 edges keeps
+        # demand slack, priced at big-M times the demand.
+        m = new_master(Instance.build(triangle_net, [Commodity(0, 2, 2.0)]), "tree")
+        assert m.slack_policy == "demand"
         sol = m.solve_rmp()
-        assert sol.objective == pytest.approx(m.big_m)
-        assert sol.pi[0] == pytest.approx(m.big_m)
+        assert sol.objective == pytest.approx(m.big_m * 2.0)
+        assert sol.pi[0] == pytest.approx(m.big_m * 2.0)
         assert sol.slack.max() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("backend", ["builtin", "highs"])
+    def test_artificials_cost_ten_slack_prices_of_their_row(self, backend):
+        # Two multi-member sources, so edge slack and no demand slack. Source
+        # 0 sends 21 units over 0->1 and 20 over 1->2: its only tree costs
+        # 41, more than 10 x big-M = 10 x 2.2. Source 3 has no column, so its
+        # row needs an artificial; source 0's row must keep its tree.
+        net = Network(6, [(0, 1, 1.0, 99.0), (1, 2, 1.0, 99.0), (3, 4, 0.1, 99.0),
+                          (3, 5, 0.1, 99.0)])
+        inst = Instance.build(net, [Commodity(0, 1, 1.0), Commodity(0, 2, 20.0),
+                                    Commodity(3, 4, 1.0), Commodity(3, 5, 1.0)])
+        m = new_master(inst, "tree")
+        assert m.slack_policy == "edge"
+        m.add_column(Column(owner=0, kind="tree", edges=(0, 1), coefs=(21.0, 20.0),
+                            cost=41.0))
+        assert 41.0 > 10.0 * m.big_m
+        sol = m.solve_rmp(backend)
+        assert sol.x.tolist() == pytest.approx([1.0])
+        assert sol.artificial == pytest.approx(1.0)
+        # Source 3's artificial: 10 x its row's slack price, 2.2 x demand 2.
+        assert sol.objective == pytest.approx(41.0 + 10.0 * 2.2 * 2.0)
 
     def test_path_mode_two_columns(self, triangle):
         m = new_master(triangle, "path")
