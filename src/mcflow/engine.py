@@ -27,7 +27,10 @@ escalated up to three times before the instance is declared infeasible.
 While every capacity dual is zero, the pricing weights are the original
 edge costs the seed columns were priced under, so such a round takes its
 outcome from the seed batch, selected with array operations, instead of
-running a kernel.
+running a kernel. The master solve before the first such round, of the
+seed columns alone, is solved in closed form (see :mod:`mcflow.master`),
+so a run that ends after its first iteration solves no LP and builds no
+HiGHS model.
 
 The time left of ``timeout_seconds`` is passed to every master solve as
 its LP time limit, which HiGHS enforces; a solve stopped there ends the
@@ -110,7 +113,8 @@ class IterationStat:
     ``early_stops`` counts the groups whose bounded or A* kernel row
     stopped before settling every sink of its group; ``simplex_iterations``
     counts the pivots of the iteration's master solve (HiGHS's
-    ``simplex_iteration_count``; 0 on the builtin backend).
+    ``simplex_iteration_count``; 0 on the builtin backend, and 0 for the
+    seed solve, which the master solves in closed form).
     """
 
     rmp_objective: float

@@ -174,8 +174,12 @@ def stable_argsort(keys: np.ndarray) -> np.ndarray:
     """``np.argsort(keys, kind="stable")`` of nonnegative integer keys.
 
     The keys are cast to the narrowest unsigned type that holds them,
-    which lets NumPy sort 8- and 16-bit keys by radix.
+    which lets NumPy sort 8- and 16-bit keys by radix. Below a few hundred
+    keys the cast costs more than radix sorting saves, so short arrays are
+    sorted as they are.
     """
+    if keys.size < 256:
+        return np.argsort(keys, kind="stable")
     return np.argsort(keys.astype(np.min_scalar_type(keys.max(initial=0))),
                       kind="stable")
 

@@ -106,8 +106,9 @@ class GroupArrays:
 class Instance:
     """A full multi-commodity flow instance.
 
-    ``groups`` partitions the commodity list by source node and is
-    derived at construction time. ``meta`` carries parser notes (for
+    ``groups`` partitions the commodity list by source node;
+    :meth:`build` derives it, with :attr:`group_arrays`, from the
+    commodity arrays. ``meta`` carries parser notes (for
     example counts of dropped OD pairs) and does not participate in the
     data model proper. ``source``, ``sink`` and ``demand`` hold the
     commodities' fields as arrays indexed by commodity id, built once.
@@ -132,8 +133,9 @@ class Instance:
 
     @cached_property
     def group_arrays(self) -> GroupArrays:
-        """``groups`` as flat arrays, built on first use so that instances
-        never priced do not pay for them."""
+        """``groups`` as flat arrays. :meth:`build` sets them, as it
+        derives ``groups`` from them; an instance constructed directly
+        builds them on first use."""
         return GroupArrays.build(self.source, self.sink, self.demand,
                                  self.network.node_count)
 
@@ -148,24 +150,55 @@ class Instance:
     @staticmethod
     def build(network: Network, commodities: Iterable[Commodity], name: str = "",
               meta: dict | None = None) -> "Instance":
+        """The instance of these commodities on ``network``, with its
+        groups and :attr:`group_arrays` derived from the commodity
+        arrays. Raises :class:`InputError` for the first bad commodity."""
         commodities = tuple(commodities)
-        for i, c in enumerate(commodities):
-            network.check_node(c.source)
-            network.check_node(c.sink)
-            if c.demand <= 0:
-                raise InputError(f"commodity {i} has nonpositive demand {c.demand}")
-            if c.source == c.sink:
-                raise InputError(f"commodity {i} has identical source and sink {c.source}")
-        groups = tuple(group_by_source(commodities))
-        return Instance(network, commodities, groups, name, meta or {})
+        # Built with no groups so that its commodity arrays, made once by
+        # __post_init__, serve the checks and the grouping.
+        inst = Instance(network, commodities, (), name, meta or {})
+        source, sink, demand = inst.source, inst.sink, inst.demand
+        n = network.node_count
+        bad = (np.minimum(source, sink) < 0) | (np.maximum(source, sink) >= n) \
+            | (demand <= 0) | (source == sink)
+        if np.count_nonzero(bad):
+            i = int(np.argmax(bad))
+            _check_commodity(network, i, commodities[i])
+        flat = GroupArrays.build(source, sink, demand, n)
+        object.__setattr__(inst, "groups", _source_groups(flat))
+        inst.__dict__["group_arrays"] = flat        # the cached property's slot
+        return inst
+
+
+def _check_commodity(network: Network, i: int, c: Commodity) -> None:
+    """Raise :class:`InputError` if commodity ``i`` is invalid."""
+    network.check_node(c.source)
+    network.check_node(c.sink)
+    if c.demand <= 0:
+        raise InputError(f"commodity {i} has nonpositive demand {c.demand}")
+    if c.source == c.sink:
+        raise InputError(f"commodity {i} has identical source and sink {c.source}")
+
+
+def _source_groups(flat: GroupArrays) -> tuple[SourceGroup, ...]:
+    """The groups held by ``flat``, equal to :func:`group_by_source`'s."""
+    members, sinks, demands = (a.tolist() for a in (flat.members, flat.sink, flat.demand))
+    member_start, load_start = flat.member_start.tolist(), flat.load_start.tolist()
+    groups = []
+    for i, s in enumerate(flat.source.tolist()):
+        lo, hi = load_start[i], load_start[i + 1]
+        sink_demands = dict(zip(sinks[lo:hi], demands[lo:hi]))
+        groups.append(SourceGroup(s, tuple(members[member_start[i]:member_start[i + 1]]),
+                                  sink_demands, sum(sink_demands.values())))
+    return tuple(groups)
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
     """Where each run of equal values of a sorted array starts, then its
     size."""
-    change = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-    return np.concatenate([[0], change, [keys.size]]) if keys.size \
-        else np.zeros(1, dtype=np.int64)
+    cut = np.ones(keys.size + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=cut[1:-1])
+    return np.flatnonzero(cut)
 
 
 def group_by_source(commodities: Iterable[Commodity]) -> list[SourceGroup]:

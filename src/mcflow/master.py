@@ -44,8 +44,15 @@ A solve's demand duals ``RmpSolution.pi`` are an owner-indexed array
 ``owners`` order, or the capacity rows of ``active_edges`` under the
 edge slack policy.
 
+The seed restriction, with no capacity row and one pooled column per
+demand row that is no dearer than the row's slack price, is solved in
+closed form on every backend: each column carries its row's right-hand
+side and each row's dual is its column's cost. A run that ends after
+its first iteration therefore solves no LP.
+
 On the ``highs`` backend the master keeps one :class:`HighsModel` for
-its whole life, created on the first solve. Each solve first brings that
+its whole life, created on the first solve that needs an LP. That first
+solve starts without a basis. Each solve first brings that
 model up to date (new capacity rows with the entries of the columns
 already in it, new pool columns in one batch, escalated slack costs)
 and then lets HiGHS re-solve from the basis it kept. Other backends get
@@ -417,7 +424,8 @@ class RmpSolution:
     """Primal/dual snapshot of the latest restricted master solve.
 
     ``simplex_iterations`` counts the LP pivots of the solve, both runs
-    when artificials were injected.
+    when artificials were injected, and is 0 for the closed-form solve of
+    the seed restriction.
     """
 
     objective: float
@@ -481,7 +489,8 @@ class RestrictedMaster:
         self._use_artificials = False
         self.solution: RmpSolution | None = None
 
-        # Live HiGHS model, built on the first solve (see _sync_model).
+        # Live HiGHS model, built on the first solve that needs an LP (see
+        # _sync_model).
         self._model: HighsModel | None = None
         self._col_vars = np.zeros(0, dtype=np.int64)  # model column per pool id
         self._cap_rows = 0                  # active_edges[:_cap_rows] are rows
@@ -750,12 +759,21 @@ class RestrictedMaster:
         priced at ten times the row's slack price, is injected once and
         the solve is repeated.
 
-        On ``highs`` the live model is updated and re-solved warm, and
+        The seed restriction (no capacity row, one pooled column per
+        demand row, each no dearer than its row's slack price) is solved
+        in closed form on every backend, with zero pivots and no LP, and
+        ``time_limit`` does not apply to it. Every other state is solved
+        as an LP. On ``highs`` the live model is then built if it does
+        not exist yet, otherwise updated and re-solved warm, and
         ``time_limit`` (seconds for this call) is a hard limit: HiGHS
         stops there and :class:`LpTimeLimit` is raised. Other backends
         rebuild the LP, solve it cold and ignore ``time_limit``.
         """
         backend = get_backend(backend)
+        seed = self._seed_solution()
+        if seed is not None:
+            self.solution = seed
+            return seed
         live = isinstance(backend, HighsBackend)
         deadline = None if time_limit is None else time.perf_counter() + time_limit
         solve = (lambda: self._solve_model(deadline)) if live else \
@@ -787,6 +805,29 @@ class RestrictedMaster:
         self.solution = RmpSolution(sol.objective, x, pi, mu, slack, artificial,
                                     sol.simplex_iterations)
         return self.solution
+
+    def _seed_solution(self) -> RmpSolution | None:
+        """The optimum of the seed restriction, or None in any other state.
+
+        The seed restriction has no capacity row and exactly one pooled
+        column per demand row, each no dearer than its row's slack price
+        (both have coefficient 1 on the row). Its optimum routes each
+        row's right-hand side through the row's column, prices the row at
+        that column's cost and leaves every slack, artificial and
+        capacity dual at zero.
+        """
+        n = len(self.owners)
+        row = self._row
+        if self.active_edges or self.pool_size != n \
+                or not np.all(np.bincount(row, minlength=n) == 1) \
+                or not np.all(self._cost <= self.demand_slack_costs[row]):
+            return None
+        x = self.demand_rhs[row]
+        pi = np.full(self._row_of.size, np.nan)
+        pi[self.owners[row]] = self._cost
+        slack = np.zeros(n if self.slack_policy == "demand" else 0)
+        return RmpSolution(float(self._cost @ x), x, pi,
+                           np.zeros(self.instance.network.edge_count), slack)
 
     # -- live HiGHS model ---------------------------------------------------
 

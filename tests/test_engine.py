@@ -332,6 +332,28 @@ class TestSeedRound:
         assert r.objective == pytest.approx(r.lower_bound, rel=1e-9)
         assert calls == []
 
+    @pytest.mark.parametrize("form", ["tree", "path"])
+    @pytest.mark.parametrize("backend", ["builtin", "highs"])
+    def test_one_iteration_solve_runs_no_lp(self, monkeypatch, form, backend):
+        # A loose instance ends after its seed solve, which the master
+        # solves in closed form: no LP is solved and no HiGHS model built.
+        import mcflow.lp
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an LP was solved")
+
+        inst = generate_random(14, 44, 40, 4, seed=3, tightness="loose")
+        oracle = solve_direct(build_source_lp(inst)).objective
+        for cls in (mcflow.lp.HighsModel, mcflow.lp.HighsBackend,
+                    mcflow.lp.SimplexBackend):
+            monkeypatch.setattr(cls, "solve", refuse)
+        solver = ColGenSolver(inst, cfg(formulation=form, lp_backend=backend))
+        r = solver.run()
+        assert r.status == "optimal" and r.iteration_count == 1
+        assert solver.master._model is None
+        assert r.iterations[0].simplex_iterations == 0
+        assert r.objective == pytest.approx(oracle, rel=1e-9)
+
 
 def checked_against_cold_solves(solver):
     """Make every master solve of ``solver`` compare its objective with a

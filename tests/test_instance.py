@@ -275,6 +275,37 @@ class TestInstanceBuild:
         with pytest.raises(InputError):
             Instance.build(triangle_net, [Commodity(1, 1, 1.0)])
 
+    def test_groups_equal_group_by_source(self):
+        # Few nodes and many commodities, so (source, sink) pairs repeat and
+        # the summed demands and totals must match bit for bit.
+        rng = random.Random(8)
+        for _ in range(40):
+            n = rng.randint(2, 8)
+            net = Network(n, [(v, (v + 1) % n, 1.0, 1.0) for v in range(n)])
+            comms = [Commodity(*rng.sample(range(n), 2), rng.uniform(0.1, 10.0))
+                     for _ in range(rng.randint(1, 40))]
+            expected = tuple(group_by_source(comms))
+            groups = Instance.build(net, comms).groups
+            assert groups == expected
+            for g, e in zip(groups, expected):
+                assert list(g.sink_demands) == list(e.sink_demands)
+                assert [type(v) for v in (g.source, *g.members, *g.sink_demands)] \
+                    == [int] * (1 + len(g.members) + len(g.sink_demands))
+        assert Instance.build(net, []).groups == ()
+
+    @pytest.mark.parametrize("bad,message", [
+        (Commodity(0, 3, 1.0), r"node id 3 out of range \[0, 3\)"),
+        (Commodity(-1, 2, 1.0), r"node id -1 out of range"),
+        (Commodity(0, 2, -1.0), "commodity 1 has nonpositive demand -1.0"),
+        (Commodity(2, 2, 1.0), "commodity 1 has identical source and sink 2"),
+    ])
+    def test_first_bad_commodity_is_named(self, triangle_net, bad, message):
+        # Commodity 2 is bad too (an unknown sink and no demand); the error
+        # must be commodity 1's, with its first failed check.
+        comms = [Commodity(0, 1, 1.0), bad, Commodity(1, 9, 0.0)]
+        with pytest.raises(InputError, match=f"^{message}"):
+            Instance.build(triangle_net, comms)
+
     def test_group_arrays_follow_group_by_source(self):
         # Few nodes and many commodities, so (source, sink) pairs repeat;
         # summed demands must equal group_by_source's bit for bit.

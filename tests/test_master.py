@@ -329,6 +329,62 @@ class TestSolveRmp:
         assert m.violated_capacities() == []
 
 
+class TestSeedSolve:
+    """The seed restriction (no capacity row, one column per demand row)
+    is solved in closed form; it must equal a cold LP solve."""
+
+    @pytest.mark.parametrize("mode,size,policy", [
+        ("path", (12, 36, 14, 4), "demand"),
+        ("path", (8, 16, 20, 4), "edge"),
+        ("tree", (12, 36, 4, 4), "demand"),
+        ("tree", (12, 36, 14, 4), "edge"),
+    ])
+    @pytest.mark.parametrize("backend", ["builtin", "highs"])
+    def test_equals_a_cold_solve(self, mode, size, policy, backend):
+        inst = generate_random(*size, seed=21, tightness="tight")
+        m = new_master(inst, mode)
+        assert m.slack_policy == policy
+        m.add_column(initial_columns(inst, mode))
+        sol = m.solve_rmp(backend)
+        assert m._model is None
+        assert sol.simplex_iterations == 0 and sol.artificial == 0.0
+        cold = HighsBackend().solve(m.build_lp()[0])
+        n, rows = m.pool_size, len(m.owners)
+        assert sol.objective == pytest.approx(cold.objective, rel=1e-12)
+        np.testing.assert_allclose(sol.x, cold.x[:n], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(sol.slack, cold.x[n:], atol=1e-12)
+        assert sol.slack.size == (rows if policy == "demand" else 0)
+        np.testing.assert_allclose(sol.pi[m.owners], cold.duals[:rows], rtol=1e-12)
+        assert np.isnan(np.delete(sol.pi, m.owners)).all()
+        assert cold.duals.size == rows and not sol.mu.any()
+        assert sol.mu.size == inst.network.edge_count
+
+    def test_dearer_than_slack_takes_the_lp(self, triangle):
+        # k0's only path costs 2 per unit, more than its slack price of 1.5,
+        # so k0 ships on slack at the LP optimum.
+        m = new_master(triangle, "path")
+        m.add_column([PATH_ABC, PATH_AB])
+        m.demand_slack_costs = np.array([1.5, 5.0])
+        sol = m.solve_rmp()
+        assert m._model is not None
+        assert sol.x.tolist() == pytest.approx([0.0, 1.0])
+        assert sol.slack.tolist() == pytest.approx([2.0, 0.0])
+        assert sol.pi[:2].tolist() == pytest.approx([1.5, 1.0])
+        assert sol.objective == pytest.approx(1.5 * 2.0 + 1.0)
+
+    @pytest.mark.parametrize("extra", ["row", "column"])
+    def test_other_states_take_the_lp(self, triangle_capped, extra):
+        m = new_master(triangle_capped, "path")
+        m.add_column([PATH_ABC, PATH_AB])
+        if extra == "row":
+            m.add_capacity_rows([1])
+        else:
+            m.add_column(PATH_AC)
+        sol = m.solve_rmp()
+        assert m._model is not None
+        assert_matches_cold(m, sol)
+
+
 class TestDualNormalization:
     def test_mu_nonpositive_and_adjusted_costs_nonnegative(self):
         inst = generate_random(12, 30, 10, 3, seed=2, tightness="tight")
@@ -391,9 +447,13 @@ class TestLiveModel:
         assert m._model is None
         m.add_column(TREE_COL)
         m.solve_rmp()
+        # The seed restriction is solved in closed form.
+        assert m._model is None
+        m.add_capacity_rows([1])
+        m.solve_rmp()
         model = m._model
         assert model is not None
-        m.add_capacity_rows([1])
+        m.add_capacity_rows([0])
         m.solve_rmp()
         assert m._model is model
 
