@@ -2,13 +2,13 @@
 separation, and pricing until the relative gap closes.
 
 Every iteration solves the master, adds the violated capacity rows and
-prices the sources in order, stopping the sweep after the group that
-brings the columns found to N = max(|S|, 100), where |S| is the number
-of sources. A sweep that prices every group is complete and refreshes
-the Lagrangian bound; a complete sweep that adds no column while no row
-was violated ends the run. This is the ``pricing-easy`` loop, the only
-one; ``strategy`` accepts ``auto`` and ``pricing-easy`` for it. Duals,
-minimum reduced costs and owner weights are owner-indexed arrays (see
+prices every source group, emitting every column that prices out. A
+round that prices every group is complete and refreshes the Lagrangian
+bound; only the time budget's deadline leaves a round incomplete. A
+complete round that adds no column while no row was violated ends the
+run. This is the ``pricing-easy`` loop, the only one; ``strategy``
+accepts ``auto`` and ``pricing-easy`` for it. Duals, minimum reduced
+costs and owner weights are owner-indexed arrays (see
 :mod:`mcflow.pricing`), so the Lagrangian bound is one dot product.
 
 A kernel tree round hands pricing each source's incumbent, its pooled
@@ -16,9 +16,8 @@ column with the largest value in the last master solve
 (:meth:`~mcflow.master.RestrictedMaster.incumbent_trees`). A source
 whose exact tree prices out then also gets rerouted trees, at most one
 per branch tip of that tree (see :func:`~mcflow.pricing.price_tree`),
-so a round can add more than |S| columns. N counts every emitted column; the group that
-reaches it keeps its exact tree first, then its most negative rerouted
-trees up to N.
+so a round can add more than |S| columns: each group's exact tree, then
+its rerouted trees that price out, most negative first.
 
 Every column the master pools stays in the restriction for the whole
 solve. When pricing finds nothing while slack remains, big-M is
@@ -61,8 +60,8 @@ from .lp import OPTIMAL as LP_OPTIMAL
 from .lp import get_backend
 from .master import PATH, TREE, ColumnBatch, RestrictedMaster, new_master
 from .pricing import (DualSnapshot, PricingOutcome, PricingStats,
-                      initial_columns, lagrangian_bound, limit_cut,
-                      price_paths, price_tree)
+                      initial_columns, lagrangian_bound, price_paths,
+                      price_tree)
 
 OPTIMAL = "optimal"
 TIMEOUT = "timeout"
@@ -110,6 +109,8 @@ class IterationStat:
 
     ``slack_mass`` is the sum of the master's slack values in the
     iteration's solve (positive while the run is in its big-M phase);
+    ``pricing_runs`` counts the source groups the round priced, which is
+    every group (|S|) unless the time budget's deadline cut the round;
     ``early_stops`` counts the groups whose bounded or A* kernel row
     stopped before settling every sink of its group; ``simplex_iterations``
     counts the pivots of the iteration's master solve (HiGHS's
@@ -174,7 +175,6 @@ class ColGenSolver:
         self.instance = instance
         self.config = config
         self.mode = config.formulation
-        self.column_limit = max(len(instance.groups), 100)
         self.backend = get_backend(config.lp_backend)
         self.master: RestrictedMaster = new_master(instance, self.mode)
         # Lagrangian weight per owner id: its demand row's right-hand side.
@@ -192,9 +192,8 @@ class ColGenSolver:
         self._escalations_left = BIG_M_ESCALATIONS
         self._bounds: HeuristicBounds | None = None
         # Seed columns, one per owner in group order (the pricing columns
-        # while mu is all zero), and the end offset of each group's seeds.
+        # while mu is all zero).
         self._seeds: ColumnBatch | None = None
-        self._seed_ends: np.ndarray | None = None
         self._t0 = time.perf_counter()     # reset when the run starts
         if self.mode == PATH and config.pricing_strategy == "astar":
             # One bound to every sink, under the original costs: the
@@ -231,8 +230,6 @@ class ColGenSolver:
 
     def _seed_pool(self) -> None:
         self._seeds = initial_columns(self.instance, self.mode)
-        self._seed_ends = np.arange(1, len(self.instance.groups) + 1) \
-            if self.mode == TREE else self.instance.group_arrays.member_start[1:]
         self.master.add_column(self._seeds)
 
     def _time_left(self) -> float:
@@ -263,7 +260,7 @@ class ColGenSolver:
         if viol:
             self.master.add_capacity_rows(viol)
             it.rows_added = len(viol)
-        columns, min_rc, stats, complete = self._price_round(limit=self.column_limit)
+        columns, min_rc, stats, complete = self._price_round()
         it.pricing_runs, it.early_stops = stats.runs, stats.early_stops
         it.columns_added = self._add_columns(columns)
         if complete:
@@ -306,52 +303,47 @@ class ColGenSolver:
 
     # -- pricing -------------------------------------------------------------
 
-    def _price_round(self, limit: int | None = None):
-        """Price groups in source order.
+    def _price_round(self):
+        """Price every group in source order.
 
-        Returns (columns, min_reduced_cost, stats, complete). ``limit``
-        stops the sweep after the group that brings the columns found to
-        that many, and a kernel sweep starts no block of sources once the
-        time budget has run out. Owners of groups left unpriced have a
-        NaN minimum, and the round is complete when every group was priced.
+        Returns (columns, min_reduced_cost, stats, complete). A kernel
+        round starts no block of sources once the time budget has run
+        out; owners of groups left unpriced have a NaN minimum, and the
+        round is complete when every group was priced.
         """
         sol = self.master.solution
         tolerance = 1e-9 * (1.0 + abs(sol.objective))
         price = self._price_kernel if sol.mu.any() else self._price_seeds
-        outcome = price(sol, tolerance, limit)
+        outcome = price(sol, tolerance)
         complete = outcome.stats.runs == len(self.instance.groups)
         return outcome.columns, outcome.min_reduced_cost, outcome.stats, complete
 
-    def _price_kernel(self, sol, tolerance: float, limit) -> PricingOutcome:
+    def _price_kernel(self, sol, tolerance: float) -> PricingOutcome:
         """One pricing call for all groups."""
         duals = DualSnapshot(sol.pi, sol.mu)
         if self.mode == TREE:
             return price_tree(self.instance, self.instance.groups, duals,
-                              tolerance=tolerance, column_limit=limit,
-                              deadline=self._deadline(),
+                              tolerance=tolerance, deadline=self._deadline(),
                               incumbents=self.master.incumbent_trees(sol.x))
         return price_paths(self.instance, self.instance.groups, duals,
                            strategy=self.config.pricing_strategy,
                            bounds=self._bounds, tolerance=tolerance,
-                           column_limit=limit, deadline=self._deadline())
+                           deadline=self._deadline())
 
-    def _price_seeds(self, sol, tolerance: float, limit) -> PricingOutcome:
+    def _price_seeds(self, sol, tolerance: float) -> PricingOutcome:
         """The kernel's outcome when mu is all zero, without the kernel.
 
         The weights then equal the original costs the seed columns were
         priced under, so each owner's cheapest column is its seed and
-        the reduced cost is its cost minus the owner's dual. Group order
-        and the column limit are honoured as the kernels do.
+        the reduced cost is its cost minus the owner's dual. The seeds
+        that price out are emitted in group order, as the kernels do.
         """
         seeds = self._seeds
         reduced = seeds.cost - sol.pi[seeds.owner]
-        negative = reduced < -tolerance
-        runs = limit_cut(negative, self._seed_ends, 0, limit) or self._seed_ends.size
-        cut = int(self._seed_ends[runs - 1])
         min_rc = np.full(self.owner_weights.size, np.nan)
-        min_rc[seeds.owner[:cut]] = np.minimum(reduced[:cut], 0.0)
-        return PricingOutcome(seeds.take(np.flatnonzero(negative[:cut])), min_rc,
-                              PricingStats(runs=runs))
+        min_rc[seeds.owner] = np.minimum(reduced, 0.0)
+        return PricingOutcome(seeds.take(np.flatnonzero(reduced < -tolerance)), min_rc,
+                              PricingStats(runs=len(self.instance.groups)))
 
     def _add_columns(self, columns) -> int:
         before = self.master.pool_size

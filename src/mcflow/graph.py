@@ -459,9 +459,15 @@ def reverse_multi_target_bounds(net: Network, w: np.ndarray,
     for any weight vector pointwise >= ``w``.
     """
     w = _check_weights(net, w)
-    dests = sorted({net.check_node(t) for t in destinations})
-    if not dests:
+    given = (np.asarray(destinations, dtype=np.int64)
+             if isinstance(destinations, np.ndarray)
+             else np.fromiter(destinations, dtype=np.int64))
+    dests = np.unique(given)
+    if not dests.size:
         raise InputError("destinations must be nonempty")
+    if dests[0] < 0 or dests[-1] >= net.node_count:
+        # Name the first one out of range, in the order given.
+        net.check_node(int(given[(given < 0) | (given >= net.node_count)][0]))
     # The entering edges of each node, parallel edges and self-loops
     # included: csgraph relaxes every stored entry on its own, so parallel
     # entries act as parallel edges, and a self-loop never improves a label.

@@ -100,8 +100,8 @@ class PricingOutcome:
     ``columns`` is the batch of columns that price out, in group order.
     ``min_reduced_cost`` holds, per owner id, the most negative reduced
     cost clamped at zero (zero therefore means "proven nonnegative"),
-    and NaN for ids of no priced group, such as owners skipped by a
-    column limit or a deadline.
+    and NaN for ids of no priced group, such as the owners of blocks a
+    deadline left unpriced.
     """
 
     columns: ColumnBatch
@@ -321,28 +321,17 @@ def _rerouted_trees(net: Network, spt_parent: np.ndarray, incumbent: np.ndarray,
     return ColumnBatch.concat(parts), np.concatenate(groups), np.concatenate(reduced)
 
 
-def limit_cut(found_per_entry: np.ndarray, ends: np.ndarray, found: int,
-              column_limit: int | None) -> int | None:
-    """Groups to keep of a block whose groups end at entries ``ends``,
-    entry i emitting ``found_per_entry[i]`` columns: up to the first
-    group that brings the columns found to ``column_limit`` (``found``
-    before the block), or None when no group does."""
-    if column_limit is None:
-        return None
-    hit = np.flatnonzero(found + np.cumsum(found_per_entry)[ends - 1] >= column_limit)
-    return int(hit[0]) + 1 if hit.size else None
-
-
 def price_paths(instance: Instance, groups, duals: DualSnapshot,
                 strategy: str = "full", bounds: HeuristicBounds | None = None,
-                tolerance: float = 0.0, column_limit: int | None = None,
-                deadline: float | None = None) -> PricingOutcome:
+                tolerance: float = 0.0, deadline: float | None = None
+                ) -> PricingOutcome:
     """Price the path columns of one source group or a sequence of them.
 
     One kernel call covers all groups (per block of sources), under the
     weights :func:`adjusted_weights` derives from ``duals.mu``: a
     commodity's reduced cost is ``dist[sink] - pi`` in its group's row,
-    and its shortest path is emitted when that is below ``-tolerance``.
+    and its shortest path is emitted when that is below ``-tolerance``,
+    in group and member order.
     The ``bounded`` and ``astar`` strategies stop each group's row at
     the largest dual among its commodities and may leave sinks
     unsettled, but any such sink is then proven to have no negative
@@ -351,9 +340,6 @@ def price_paths(instance: Instance, groups, duals: DualSnapshot,
     Args:
         bounds: A* heuristic shared by all groups, admissible for every
             sink priced.
-        column_limit: Stop after the first group, in the given order,
-            that brings the emitted columns to this many; later groups
-            are not reported.
         deadline: A ``time.perf_counter()`` value after which no further
             block of sources is priced; later groups are not reported.
     """
@@ -365,19 +351,18 @@ def price_paths(instance: Instance, groups, duals: DualSnapshot,
     w = adjusted_weights(net, duals.mu)
 
     flat = instance.group_arrays
-    parts, stats, found = [], PricingStats(), 0
+    parts, stats = [], PricingStats()
     min_rc = np.full(len(instance.commodities), np.nan)
     for block in _blocks(_group_index(flat, groups), net.node_count, deadline):
         sources = flat.source[block]
         rows, ks = _members(flat, block)
         sinks = instance.sink[ks]
         pi = duals.of(ks)
-        sizes = flat.member_start[block + 1] - flat.member_start[block]
-        ends = np.cumsum(sizes)
         if strategy == "full":
             spt = dijkstra(net, w, sources)
         else:
-            stops = np.maximum.reduceat(pi, ends - sizes)
+            sizes = flat.member_start[block + 1] - flat.member_start[block]
+            stops = np.maximum.reduceat(pi, np.cumsum(sizes) - sizes)
             if strategy == "bounded":
                 spt = dijkstra_bounded(net, w, sources, stops)
             else:
@@ -385,25 +370,17 @@ def price_paths(instance: Instance, groups, duals: DualSnapshot,
 
         settled = spt.settled[rows, sinks]
         rc = spt.dist[rows, sinks] - pi
-        negative = settled & (rc < -tolerance)
-        cut = limit_cut(negative, ends, found, column_limit)
-        count = len(block) if cut is None else cut
-        upto = int(ends[count - 1])
-        keep = np.flatnonzero(negative[:upto])
+        keep = np.flatnonzero(settled & (rc < -tolerance))
         parts.append(_path_columns(net, spt, rows[keep], sinks[keep], ks[keep]))
-        found += keep.size
-        min_rc[ks[:upto]] = np.where(settled, np.minimum(rc, 0.0), 0.0)[:upto]
-        stats.runs += count
+        min_rc[ks] = np.where(settled, np.minimum(rc, 0.0), 0.0)
+        stats.runs += len(block)
         if strategy != "full":
-            stats.early_stops += np.unique(rows[:upto][~settled[:upto]]).size
-        if cut is not None:
-            break
+            stats.early_stops += np.unique(rows[~settled]).size
     return PricingOutcome(ColumnBatch.concat(parts), min_rc, stats)
 
 
 def price_tree(instance: Instance, groups, duals: DualSnapshot,
-               tolerance: float = 0.0, column_limit: int | None = None,
-               deadline: float | None = None,
+               tolerance: float = 0.0, deadline: float | None = None,
                incumbents: np.ndarray | None = None) -> PricingOutcome:
     """Price the tree columns of one source group or a sequence of them.
 
@@ -422,19 +399,17 @@ def price_tree(instance: Instance, groups, duals: DualSnapshot,
     incumbent path, in which that path's nodes take their tree parent
     and every other node keeps its incumbent parent. Those that price
     out are emitted, most negative first; the kernel is not called
-    again, and the reported minimum stays the exact tree's.
+    again, and the reported minimum stays the exact tree's. Columns come
+    in group order.
 
-    ``column_limit`` counts every emitted column: pricing stops after
-    the group that brings them to the limit, and that group keeps its
-    exact tree and then its most negative rerouted trees up to the
-    limit. ``deadline`` is as in :func:`price_paths`, and once it has
-    passed no further chunk of rerouted trees is costed either: a group
-    then keeps its exact tree and the rerouted trees costed so far.
+    ``deadline`` is as in :func:`price_paths`, and once it has passed no
+    further chunk of rerouted trees is costed either: a group then keeps
+    its exact tree and the rerouted trees costed so far.
     """
     net = instance.network
     w = adjusted_weights(net, duals.mu)
     flat = instance.group_arrays
-    parts, stats, found, start = [], PricingStats(), 0, 0
+    parts, stats, start = [], PricingStats(), 0
     min_rc = np.full(net.node_count, np.nan)
     for block in _blocks(_group_index(flat, groups), net.node_count, deadline=deadline):
         sources = flat.source[block]
@@ -450,38 +425,23 @@ def price_tree(instance: Instance, groups, duals: DualSnapshot,
             raise InfeasibleError(
                 f"sinks {lost.tolist()} unreachable from source {sources[i]}",
                 owners=tuple(ks[np.isin(instance.sink[ks], lost)].tolist()))
-        ends = np.arange(1, len(block) + 1)
         trees, weighted = _tree_columns(net, sources, spt.parent_edge, loads, w)
         reduced = weighted - pi
         negative = reduced < -tolerance
-        # Rerouted trees only add columns, so the limit is reached no
-        # later than by the exact trees alone.
-        count = limit_cut(negative, ends, found, column_limit) or len(block)
-        group = np.flatnonzero(negative[:count])
+        group = np.flatnonzero(negative)
         emitted = trees.take(group)
         if incumbents is not None and group.size:
-            priced = np.zeros(len(block), dtype=bool)
-            priced[group] = True
             extra, extra_group, extra_rc = _rerouted_trees(
                 net, spt.parent_edge, incumbents[start:start + len(block)], loads,
-                trees, priced, w, pi, tolerance, deadline)
+                trees, negative, w, pi, tolerance, deadline)
             # Group order; in a group the exact tree, then by reduced cost.
             order = np.lexsort((np.concatenate([np.full(group.size, -np.inf), extra_rc]),
                                 np.concatenate([group, extra_group])))
             emitted = ColumnBatch.concat([emitted, extra]).take(order)
-            group = np.concatenate([group, extra_group])[order]
-            cut = limit_cut(np.bincount(group, minlength=count), ends[:count], found,
-                            column_limit)
-            if cut is not None:
-                count = cut
-                emitted = emitted[:column_limit - found]
         parts.append(emitted)
-        found += len(emitted)
-        min_rc[sources[:count]] = np.minimum(reduced[:count], 0.0)
-        stats.runs += count
+        min_rc[sources] = np.minimum(reduced, 0.0)
+        stats.runs += len(block)
         start += len(block)
-        if column_limit is not None and found >= column_limit:
-            break
     return PricingOutcome(ColumnBatch.concat(parts), min_rc, stats)
 
 

@@ -139,16 +139,20 @@ class TestStrategies:
             with pytest.raises(InputError, match="master-easy strategy was removed"):
                 check()
 
-
-    def test_pricing_easy_column_limit(self):
-        inst = generate_random(12, 36, 12, 6, seed=5, tightness="tight")
-        solver = ColGenSolver(inst, cfg(formulation="tree", strategy="pricing-easy"))
-        assert solver.column_limit == 100       # N = max(|S|, 100)
-        solver.column_limit = 1
-        r = solver.run()
+    @pytest.mark.parametrize("form,size,seed,tightness", [
+        ("tree", (100, 400, 400, 5), 271828, "mixed"),
+        ("path", (40, 160, 150, 4), 0, "tight")])
+    def test_every_round_prices_every_source(self, form, size, seed, tightness):
+        # A round that stops before the last group gives no Lagrangian
+        # bound; these solves have rounds that find over 100 columns.
+        inst = generate_random(*size, seed=seed, tightness=tightness)
+        r = solve(inst, cfg(formulation=form))
         assert r.status == "optimal"
-        # No iteration may add more than one column.
-        assert all(it.columns_added <= 1 for it in r.iterations)
+        for it in r.iterations:
+            assert it.pricing_runs == len(inst.groups)
+            assert np.isfinite(it.lower_bound)
+        oracle = solve_direct(build_source_lp(inst), "highs").objective
+        assert r.objective == pytest.approx(oracle, rel=1e-6)
 
     def test_pricing_strategies_same_objective(self):
         for seed in range(5):
@@ -290,7 +294,7 @@ class TestSeedRound:
         ("tree", "full"), ("path", "full"), ("path", "bounded"), ("path", "astar")])
     def test_seed_round_equals_kernel_round(self, monkeypatch, form, kernel):
         rng = random.Random(11)
-        priced = cut = 0
+        priced = 0
         for seed in range(8):
             inst = generate_random(14, 44, 24, 4, seed=seed, tightness="mixed")
             solver = ColGenSolver(inst, cfg(formulation=form, pricing_strategy=kernel))
@@ -302,20 +306,18 @@ class TestSeedRound:
             pi = sol.pi.copy()
             pi[seeds.owner] = seeds.cost * [rng.uniform(0.8, 1.3) for _ in seeds]
             solver.master.solution = dataclasses.replace(sol, pi=pi)
-            for limit in (None, 1, 3):
-                seeded = solver._price_round(limit=limit)
-                with monkeypatch.context() as m:
-                    m.setattr(solver, "_price_seeds", solver._price_kernel)
-                    kernel_round = solver._price_round(limit=limit)
-                # Early stops are the kernel's own; a seed round has none.
-                assert seeded[2].early_stops == 0
-                runs = lambda r: (r[0], r[2].runs, r[3])  # noqa: E731
-                assert runs(kernel_round) == runs(seeded)
-                # The same minima, unknown (NaN) for the same owners.
-                np.testing.assert_array_equal(kernel_round[1], seeded[1])
-                priced += len(seeded[0])
-                cut += limit is not None and seeded[2].runs < len(inst.groups)
-        assert priced > 0 and cut > 0
+            seeded = solver._price_round()
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_price_seeds", solver._price_kernel)
+                kernel_round = solver._price_round()
+            # Early stops are the kernel's own; a seed round has none.
+            assert seeded[2].early_stops == 0
+            runs = lambda r: (r[0], r[2].runs, r[3])  # noqa: E731
+            assert runs(kernel_round) == runs(seeded)
+            # The same minima, unknown (NaN) for the same owners.
+            np.testing.assert_array_equal(kernel_round[1], seeded[1])
+            priced += len(seeded[0])
+        assert priced > 0
 
     @pytest.mark.parametrize("form,kernel", [
         ("tree", "full"), ("path", "full"), ("path", "bounded"), ("path", "astar")])

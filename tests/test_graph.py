@@ -251,6 +251,25 @@ class TestReverseBounds:
             h_sub = reverse_multi_target_bounds(net, w, sub)
             assert np.all(h_all.h <= h_sub.h + 1e-12)
 
+    @pytest.mark.parametrize("dests,bad", [({0, 5}, 5), ({-1, 2}, -1),
+                                           (np.array([2, 5, -1]), 5),
+                                           (np.array([-4, 1, 9]), -4)])
+    def test_names_the_first_destination_out_of_range(self, triangle_net, dests, bad):
+        with pytest.raises(InputError, match=rf"node id {bad} out of range \[0, 3\)"):
+            reverse_multi_target_bounds(triangle_net, triangle_net.cost, dests)
+
+    @pytest.mark.parametrize("dests", [set(), np.array([], dtype=np.int64)])
+    def test_refuses_no_destination(self, triangle_net, dests):
+        with pytest.raises(InputError, match="destinations must be nonempty"):
+            reverse_multi_target_bounds(triangle_net, triangle_net.cost, dests)
+
+    def test_set_and_array_give_the_same_bounds(self):
+        for net, w, _, duals in rich_cases(4, 10):
+            dests = sorted({t for d in duals for t in d})
+            by_set = reverse_multi_target_bounds(net, w, set(dests)).h
+            by_array = reverse_multi_target_bounds(net, w, np.array(dests[::-1] * 2)).h
+            np.testing.assert_array_equal(by_set, by_array)
+
 
 def rich_network(rng, max_nodes=40):
     """Random graph with parallel edges, self-loops, zero weights and

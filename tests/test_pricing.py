@@ -235,25 +235,20 @@ class TestOwnerArrays:
             tree_array = np.full(net.node_count, np.nan)
             for source, dual in tree_pi.items():
                 tree_array[source] = dual
-            # A column limit leaves later owners unpriced, so NaN minima.
-            for limit in (None, 2):
-                outcomes = []
-                for path, tree in ((path_pi, tree_pi), (path_array, tree_array)):
-                    runs = [price_paths(inst, inst.groups, DualSnapshot(path, mu),
-                                        strategy=kernel, bounds=bounds,
-                                        column_limit=limit)
-                            for kernel in ("full", "bounded", "astar")]
-                    runs += [price_tree(inst, inst.groups, DualSnapshot(tree, mu),
-                                        column_limit=limit, incumbents=given)
-                             for given in (None, incumbents)]
-                    outcomes.append(runs)
-                for by_mapping, by_array in zip(*outcomes):
-                    assert by_mapping.columns == by_array.columns
-                    np.testing.assert_array_equal(by_mapping.min_reduced_cost,
-                                                  by_array.min_reduced_cost)
-                    assert by_mapping.stats == by_array.stats
-                    if limit is not None:
-                        assert by_array.stats.runs < len(inst.groups)
+            outcomes = []
+            for path, tree in ((path_pi, tree_pi), (path_array, tree_array)):
+                runs = [price_paths(inst, inst.groups, DualSnapshot(path, mu),
+                                    strategy=kernel, bounds=bounds)
+                        for kernel in ("full", "bounded", "astar")]
+                runs += [price_tree(inst, inst.groups, DualSnapshot(tree, mu),
+                                    incumbents=given)
+                         for given in (None, incumbents)]
+                outcomes.append(runs)
+            for by_mapping, by_array in zip(*outcomes):
+                assert by_mapping.columns == by_array.columns
+                np.testing.assert_array_equal(by_mapping.min_reduced_cost,
+                                              by_array.min_reduced_cost)
+                assert by_mapping.stats == by_array.stats
 
 
 def enumerate_tree_minimum(inst, group, duals):
@@ -432,13 +427,12 @@ class TestBatchedPricing:
 
             def run_all():
                 runs = [column_key(price_tree(inst, inst.groups, tree_duals,
-                                              column_limit=limit, incumbents=given))
-                        for limit in (None, 1, 4, 9) for given in (None, incumbents)]
+                                              incumbents=given))
+                        for given in (None, incumbents)]
                 for strategy in ("full", "bounded", "astar"):
-                    for limit in (None, 3, 12):
-                        runs.append(column_key(price_paths(
-                            inst, inst.groups, path_duals, strategy=strategy,
-                            bounds=bounds, column_limit=limit)))
+                    runs.append(column_key(price_paths(
+                        inst, inst.groups, path_duals, strategy=strategy,
+                        bounds=bounds)))
                 seeds = [initial_columns(inst, m) for m in ("tree", "path")]
                 return runs, seeds
 
@@ -449,16 +443,6 @@ class TestBatchedPricing:
                                     per_call * net.node_count)
                 assert run_all() == expected
             monkeypatch.undo()
-
-    def test_column_limit_stops_after_the_group_that_reaches_it(self):
-        inst = generate_random(12, 36, 30, 6, seed=2, tightness="loose")
-        duals = DualSnapshot(pi={k: 1e3 for k in range(30)},
-                             mu=np.zeros(inst.network.edge_count))
-        out = price_paths(inst, inst.groups, duals, column_limit=1)
-        first = inst.groups[0]
-        assert [c.owner for c in out.columns] == list(first.members)
-        assert set(known(out)) == set(first.members)
-        assert out.stats.runs == 1
 
     def test_vectorized_tree_flows_conserve_flow(self):
         # Zero-cost and parallel edges make many trees tie.
@@ -525,9 +509,7 @@ class TestReroutedTrees:
                 exact = price_tree(inst, groups, duals, tolerance=tol)
                 # The reported minima are those of single-column pricing.
                 minima, exact_minima = known(out), known(exact)
-                assert minima == {s: exact_minima[s] for s in minima}
-                if kw["column_limit"] is None:
-                    assert set(minima) == set(exact_minima)
+                assert minima == exact_minima
                 first = {c.owner: c for c in exact.columns}
                 for g in groups:
                     mine = [c for c in out.columns if c.owner == g.source]
@@ -563,26 +545,6 @@ class TestReroutedTrees:
                 price_tree(inst, groups, duals, tolerance=kw["tolerance"],
                            incumbents=incumbents)
                 assert len(calls) == 1
-
-    def test_column_limit_keeps_the_exact_tree_first(self, monkeypatch):
-        cut_inside_a_group = 0
-        for inst in tight_instances():
-            _, rounds = kernel_tree_rounds(monkeypatch, inst)
-            for groups, duals, kw, _ in rounds:
-                args = dict(tolerance=kw["tolerance"], incumbents=kw["incumbents"])
-                full = price_tree(inst, groups, duals, **args)
-                owners = full.columns.owner.tolist()
-                for limit in range(1, len(full.columns) + 1):
-                    out = price_tree(inst, groups, duals, column_limit=limit, **args)
-                    # Columns come in group order, each group's exact tree
-                    # first, so the limit keeps a prefix of the full round.
-                    assert out.columns == full.columns[:limit]
-                    last = owners[limit - 1]
-                    priced = [g.source for g in groups][:out.stats.runs]
-                    assert priced[-1] == last
-                    assert set(known(out)) == set(priced)
-                    cut_inside_a_group += limit < len(owners) and owners[limit] == last
-        assert cut_inside_a_group > 0
 
     def test_deadline_stops_between_candidate_chunks(self, monkeypatch):
         # One group per block and one candidate per chunk, under a clock
