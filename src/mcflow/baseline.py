@@ -88,11 +88,16 @@ class DirectSolution:
     flows: dict[int, np.ndarray]
 
 
-def solve_direct(direct: DirectLp, backend: str | LpBackend = "highs") -> DirectSolution:
+def solve_direct(direct: DirectLp, backend: str | LpBackend = "highs",
+                 time_limit: float | None = None) -> DirectSolution:
     """Solve a direct formulation; per-owner edge flows come back keyed
-    by commodity id (edge model) or source id (source model)."""
+    by commodity id (edge model) or source id (source model).
+
+    ``time_limit`` (seconds) is passed to the backend; ``highs`` stops
+    there and the solution's status is :data:`~mcflow.lp.TIME_LIMIT`.
+    """
     backend = get_backend(backend)
-    sol = backend.solve(direct.lp)
+    sol = backend.solve(direct.lp, time_limit=time_limit)
     if sol.status == INFEASIBLE:
         return DirectSolution(INFEASIBLE, np.inf, {})
     if sol.status != OPTIMAL:

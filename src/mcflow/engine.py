@@ -40,7 +40,8 @@ optimality claim). The budget is also checked before every iteration,
 which ends such a run; either way the report's message says why.
 
 Direct solves of the edge-based and source-based LPs are routed through
-the same entry point for convenience.
+the same entry point for convenience; HiGHS stops them at the time left
+after the LP is built.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .graph import HeuristicBounds, reverse_multi_target_bounds
 from .instance import Instance
 from .lp import INFEASIBLE as LP_INFEASIBLE
 from .lp import OPTIMAL as LP_OPTIMAL
+from .lp import TIME_LIMIT as LP_TIME_LIMIT
 from .lp import get_backend
 from .master import PATH, TREE, ColumnBatch, RestrictedMaster, new_master
 from .pricing import (DualSnapshot, PricingOutcome, PricingStats,
@@ -243,8 +245,7 @@ class ColGenSolver:
         sol = self.master.solve_rmp(self.backend,
                                     time_limit=max(0.0, self._time_left()))
         viol = self.master.violated_capacities()
-        slack_ok = (sol.slack.max(initial=0.0) <= self._slack_tol
-                    and sol.artificial <= self._slack_tol)
+        slack_ok = sol.slack.max(initial=0.0) <= self._slack_tol
         if not viol and slack_ok:
             self.best_ub = min(self.best_ub, sol.objective)
             if relative_gap(sol.objective, self.best_lb) <= self.config.rel_tol:
@@ -392,13 +393,24 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolveReport
 def solve_direct_formulation(instance: Instance, config: SolverConfig
                              ) -> tuple[SolveReport, DirectSolution]:
     """Build and solve the edge-based or source-based LP once; returns
-    the report and the direct solution with its per-owner flows."""
+    the report and the direct solution with its per-owner flows.
+
+    The time left of ``timeout_seconds`` after building the LP is the
+    backend's time limit; a solve stopped there ends with status
+    ``timeout``.
+    """
     config.validate()
     t0 = time.perf_counter()
     build = build_edge_lp if config.formulation == EDGE_LP else build_source_lp
     direct = build(instance)
-    sol = solve_direct(direct, config.lp_backend)
+    budget = config.timeout_seconds
+    sol = solve_direct(direct, config.lp_backend,
+                       time_limit=max(0.0, budget - (time.perf_counter() - t0)))
     wall = time.perf_counter() - t0
+    if sol.status == LP_TIME_LIMIT:
+        return SolveReport(TIMEOUT, np.inf, -np.inf, np.inf, wall_time=wall,
+                           message=f"the time budget of {budget:g} s ran out in "
+                                   "the direct LP solve"), sol
     if sol.status == LP_INFEASIBLE:
         return SolveReport(INFEASIBLE, np.inf, np.inf, np.inf, wall_time=wall,
                            message="direct LP is infeasible"), sol

@@ -101,7 +101,9 @@ class LpBackend:
 
     name: str = "abstract"
 
-    def solve(self, lp: SparseLp) -> LpSolution:
+    def solve(self, lp: SparseLp, time_limit: float | None = None) -> LpSolution:
+        """Solve ``lp``; a backend that enforces ``time_limit`` (seconds)
+        reports :data:`TIME_LIMIT` when it stops there."""
         raise NotImplementedError
 
 
@@ -115,7 +117,8 @@ class SimplexBackend(LpBackend):
         self.max_nnz = max_nnz
         self.max_dense_entries = max_dense_entries
 
-    def solve(self, lp: SparseLp) -> LpSolution:
+    def solve(self, lp: SparseLp, time_limit: float | None = None) -> LpSolution:
+        """Solve ``lp`` to the end; ``time_limit`` is ignored."""
         lp.validate()
         if lp.nnz > self.max_nnz:
             raise BackendError(
@@ -259,7 +262,7 @@ class HighsBackend(LpBackend):
 
     name = "highs"
 
-    def solve(self, lp: SparseLp) -> LpSolution:
+    def solve(self, lp: SparseLp, time_limit: float | None = None) -> LpSolution:
         from scipy import sparse
 
         lp.validate()
@@ -269,7 +272,7 @@ class HighsBackend(LpBackend):
         matrix = sparse.csc_matrix(
             (lp.vals, (lp.rows, lp.cols)), shape=(lp.num_rows, lp.num_cols))
         model.add_cols(lp.objective, matrix.indptr, matrix.indices, matrix.data)
-        return model.solve()
+        return model.solve(time_limit)
 
 
 _BACKENDS = {"builtin": SimplexBackend, "highs": HighsBackend}

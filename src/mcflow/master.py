@@ -2,17 +2,18 @@
 
 The master keeps a pool of priced columns, the demand rows (one per
 commodity in path mode, one per source in tree mode), and a lazily
-grown set of capacity rows. Slack variables at big-M cost guarantee
-feasibility before enough columns and rows exist. Which rows get slack
-follows the slack rule: demand rows when every demand row holds exactly
-one commodity and there are fewer of them than edges, capacity rows
-otherwise. So a tree master whose source rows aggregate several
-commodities prices an overloaded edge per unit of excess flow, not as
-the loss of a whole source's demand. Big-M is one price per unit of
-flow in both modes, the total edge cost: slack that covers a demand
-row's whole demand costs big-M times that demand, and an artificial
-(injected only when the restriction is infeasible) ten times its row's
-slack price.
+grown set of capacity rows. Slack variables at big-M cost keep every
+restriction feasible before enough columns and rows exist. Which rows
+get slack follows the slack rule: demand rows when every demand row
+holds exactly one commodity and there are fewer of them than edges,
+capacity rows otherwise. So a tree master whose source rows aggregate
+several commodities prices an overloaded edge per unit of excess flow,
+not as the loss of a whole source's demand. Big-M is one price per unit
+of flow in both modes, the total edge cost: slack that covers a demand
+row's whole demand costs big-M times that demand. Under capacity-row
+slack each demand row needs a pooled column before the master can be
+solved; the engine pools one seed column per row before its first
+solve.
 Capacity duals are normalized to be nonpositive after every solve, so
 the adjusted pricing weights ``cost - mu`` stay nonnegative.
 
@@ -62,7 +63,6 @@ solved cold. Both get the same coefficients in the same order.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -71,8 +71,8 @@ import numpy as np
 from .errors import InputError, InternalError, LpTimeLimit
 from .graph import stable_argsort
 from .instance import Instance
-from .lp import (INFEASIBLE, OPTIMAL, TIME_LIMIT, HighsBackend, HighsModel,
-                 LpBackend, LpSolution, SparseLp, get_backend)
+from .lp import (OPTIMAL, TIME_LIMIT, HighsBackend, HighsModel, LpBackend,
+                 LpSolution, SparseLp, get_backend)
 
 PATH = "path"
 TREE = "tree"
@@ -423,9 +423,8 @@ def _check_trees(c: _Checks, is_tree: np.ndarray, head: np.ndarray,
 class RmpSolution:
     """Primal/dual snapshot of the latest restricted master solve.
 
-    ``simplex_iterations`` counts the LP pivots of the solve, both runs
-    when artificials were injected, and is 0 for the closed-form solve of
-    the seed restriction.
+    ``simplex_iterations`` counts the LP pivots of the solve, and is 0
+    for the closed-form solve of the seed restriction.
     """
 
     objective: float
@@ -433,7 +432,6 @@ class RmpSolution:
     pi: np.ndarray
     mu: np.ndarray
     slack: np.ndarray
-    artificial: float = 0.0
     simplex_iterations: int = 0
 
 
@@ -463,7 +461,6 @@ class RestrictedMaster:
         # whole group's demand, so its penalty scales with that demand. This
         # keeps the tree and path masters exactly equivalent LPs when every
         # group has a single member, the only tree masters with demand slack.
-        # Artificials cost ten times their row's slack price.
         if mode == TREE:
             self.demand_slack_costs = np.array(
                 [max(1.0, total_cost * g.total_demand) for g in instance.groups])
@@ -486,7 +483,6 @@ class RestrictedMaster:
         self.active_edges: list[int] = []
         # Per edge: its position in active_edges, or -1 without a row.
         self._cap_pos = np.full(net.edge_count, -1, dtype=np.int64)
-        self._use_artificials = False
         self.solution: RmpSolution | None = None
 
         # Live HiGHS model, built on the first solve that needs an LP (see
@@ -494,8 +490,7 @@ class RestrictedMaster:
         self._model: HighsModel | None = None
         self._col_vars = np.zeros(0, dtype=np.int64)  # model column per pool id
         self._cap_rows = 0                  # active_edges[:_cap_rows] are rows
-        # Model columns of the slack per slack row and artificial per demand row.
-        self._slack_cols = self._art_cols = np.zeros(0, dtype=np.int64)
+        self._slack_cols = np.zeros(0, dtype=np.int64)  # model column per slack row
         self._costs_changed = False
 
     # -- column pool --------------------------------------------------------
@@ -575,23 +570,23 @@ class RestrictedMaster:
                                    np.sort(batch.edges[lo:lo + batch.lengths[i]])))
 
     def _append(self, batch: ColumnBatch, hashes: np.ndarray) -> None:
-        """Validate new columns and append their arrays to the pool."""
-        known = (batch.owner >= 0) & (batch.owner < self._row_of.size)
-        rows = np.where(known, self._row_of[np.where(known, batch.owner, 0)], -1)
-        wrong = (rows < 0) | (batch.kind != self.mode)
+        """Validate new columns and append their arrays to the pool.
+
+        A valid column of the master's kind has a demand row: path owners
+        are commodities and tree owners are sources.
+        """
+        wrong = batch.kind != self.mode
         if np.count_nonzero(wrong):
-            # A column's owner and kind are checked after its structure: the
-            # first column failing them ends the batch the validator sees, so
+            # A column's kind is checked after its structure: the first
+            # column of another kind ends the batch the validator sees, so
             # the error raised is always the first bad column's first failure.
             i = int(np.argmax(wrong))
             validate_columns(batch.take(np.arange(i + 1)), self.instance)
-            if rows[i] < 0:
-                raise InternalError(f"no demand row for owner {int(batch.owner[i])}")
             raise InputError(f"{self.mode} master only accepts {self.mode} columns")
         validate_columns(batch, self.instance)
         first = self.pool_size
         self._cost = np.concatenate([self._cost, batch.cost])
-        self._row = np.concatenate([self._row, rows])
+        self._row = np.concatenate([self._row, self._row_of[batch.owner]])
         self._hash = np.concatenate([self._hash, hashes])
         self._edge = np.concatenate([self._edge, batch.edges])
         self._coef = np.concatenate([self._coef, batch.coefs])
@@ -715,37 +710,28 @@ class RestrictedMaster:
 
         Returns the LP and the pool ids of the LP's column variables in
         order, which are all pool ids. Variable layout: columns, then one
-        slack per slack row, then artificials, each in row order.
+        slack per slack row in row order, each with a single entry.
         """
         n_demand = len(self.owners)
         n_cap = len(self.active_edges)
         n_pool = self.pool_size
         starts, indices, values = self._column_matrix()
         if self.slack_policy == "demand":
-            extra = [(np.arange(n_demand), 1.0, self.demand_slack_costs)]
+            slack_rows, sign, slack_costs = np.arange(n_demand), 1.0, self.demand_slack_costs
         else:
-            extra = [(n_demand + np.arange(n_cap), -1.0, np.full(n_cap, self.big_m))]
-        if self._use_artificials:
-            extra.append((np.arange(n_demand), 1.0, 10.0 * self.demand_slack_costs))
-        # One variable per extra row, each with a single entry.
-        rows = [indices] + [r for r, _, _ in extra]
-        vals = [values] + [np.full(r.size, v) for r, v, _ in extra]
-        obj = [self._cost] + [c for _, _, c in extra]
-        n = n_pool + sum(r.size for r, _, _ in extra)
-        cols = np.concatenate([np.repeat(np.arange(n_pool), np.diff(starts)),
-                               np.arange(n_pool, n)])
-
-        senses = ["E"] * n_demand + ["L"] * n_cap
-        rhs = np.concatenate([self.demand_rhs,
-                              self.instance.network.capacity[self.active_edges]])
+            slack_rows, sign, slack_costs = (n_demand + np.arange(n_cap), -1.0,
+                                             np.full(n_cap, self.big_m))
+        n = n_pool + slack_rows.size
         lp = SparseLp(
             num_cols=n,
-            objective=np.concatenate(obj),
-            senses=senses,
-            rhs=rhs,
-            rows=np.concatenate(rows),
-            cols=cols,
-            vals=np.concatenate(vals),
+            objective=np.concatenate([self._cost, slack_costs]),
+            senses=["E"] * n_demand + ["L"] * n_cap,
+            rhs=np.concatenate([self.demand_rhs,
+                                self.instance.network.capacity[self.active_edges]]),
+            rows=np.concatenate([indices, slack_rows]),
+            cols=np.concatenate([np.repeat(np.arange(n_pool), np.diff(starts)),
+                                 np.arange(n_pool, n)]),
+            vals=np.concatenate([values, np.full(slack_rows.size, sign)]),
         )
         return lp, list(range(n_pool))
 
@@ -755,17 +741,17 @@ class RestrictedMaster:
 
         Capacity duals are clipped to be nonpositive (so the adjusted
         costs ``c - mu`` stay nonnegative) and inactive edges expose a
-        zero dual. If the LP is infeasible, one artificial per demand row,
-        priced at ten times the row's slack price, is injected once and
-        the solve is repeated.
+        zero dual. Slack keeps every restriction feasible, except one
+        under capacity-row slack with a demand row that has no pooled
+        column: that raises :class:`InputError` naming the rows' owners.
 
         The seed restriction (no capacity row, one pooled column per
         demand row, each no dearer than its row's slack price) is solved
         in closed form on every backend, with zero pivots and no LP, and
         ``time_limit`` does not apply to it. Every other state is solved
-        as an LP. On ``highs`` the live model is then built if it does
+        as one LP. On ``highs`` the live model is then built if it does
         not exist yet, otherwise updated and re-solved warm, and
-        ``time_limit`` (seconds for this call) is a hard limit: HiGHS
+        ``time_limit`` (seconds for the LP solve) is a hard limit: HiGHS
         stops there and :class:`LpTimeLimit` is raised. Other backends
         rebuild the LP, solve it cold and ignore ``time_limit``.
         """
@@ -774,35 +760,29 @@ class RestrictedMaster:
         if seed is not None:
             self.solution = seed
             return seed
+        n_demand = len(self.owners)
+        if self.slack_policy == "edge":
+            bare = self.owners[np.bincount(self._row, minlength=n_demand) == 0]
+            if bare.size:
+                raise InputError(f"the demand rows of owners {bare[:10].tolist()} have "
+                                 "no pooled column; under capacity-row slack every "
+                                 "demand row needs one")
         live = isinstance(backend, HighsBackend)
-        deadline = None if time_limit is None else time.perf_counter() + time_limit
-        solve = (lambda: self._solve_model(deadline)) if live else \
-            (lambda: backend.solve(self.build_lp()[0]))
-        sol = solve()
-        if sol.status == INFEASIBLE and not self._use_artificials:
-            self._use_artificials = True
-            pivots = sol.simplex_iterations
-            sol = solve()
-            sol.simplex_iterations += pivots
+        sol = self._solve_model(time_limit) if live else backend.solve(self.build_lp()[0])
         _check_rmp_solution(sol)
         if live:
-            x, slack, art = (sol.x[c] for c in (self._col_vars, self._slack_cols,
-                                                self._art_cols))
+            x, slack = sol.x[self._col_vars], sol.x[self._slack_cols]
         else:
-            # build_lp's layout: columns, one slack per slack row, artificials.
-            n = self.pool_size
-            m = n + len(self.owners if self.slack_policy == "demand" else self.active_edges)
-            x, slack, art = sol.x[:n], sol.x[n:m], sol.x[m:]
-        artificial = float(art.sum())
+            # build_lp's layout: columns, then one slack per slack row.
+            x, slack = sol.x[:self.pool_size], sol.x[self.pool_size:]
 
         # Both layouts put the demand rows first and the capacity rows of
         # active_edges after them, in order.
-        n_demand = len(self.owners)
         pi = np.full(self._row_of.size, np.nan)
         pi[self.owners] = sol.duals[:n_demand]
         mu = np.zeros(self.instance.network.edge_count)
         mu[self.active_edges] = np.minimum(0.0, sol.duals[n_demand:])
-        self.solution = RmpSolution(sol.objective, x, pi, mu, slack, artificial,
+        self.solution = RmpSolution(sol.objective, x, pi, mu, slack,
                                     sol.simplex_iterations)
         return self.solution
 
@@ -813,8 +793,8 @@ class RestrictedMaster:
         column per demand row, each no dearer than its row's slack price
         (both have coefficient 1 on the row). Its optimum routes each
         row's right-hand side through the row's column, prices the row at
-        that column's cost and leaves every slack, artificial and
-        capacity dual at zero.
+        that column's cost and leaves every slack and capacity dual at
+        zero.
         """
         n = len(self.owners)
         row = self._row
@@ -831,10 +811,9 @@ class RestrictedMaster:
 
     # -- live HiGHS model ---------------------------------------------------
 
-    def _solve_model(self, deadline: float | None) -> LpSolution:
+    def _solve_model(self, time_limit: float | None) -> LpSolution:
         self._sync_model()
-        limit = None if deadline is None else deadline - time.perf_counter()
-        sol = self._model.solve(limit)
+        sol = self._model.solve(time_limit)
         if sol.status == TIME_LIMIT:
             raise LpTimeLimit("the restricted master LP reached its time limit")
         return sol
@@ -844,11 +823,10 @@ class RestrictedMaster:
 
         Model layout: demand rows first, then capacity rows in
         ``active_edges`` order; columns in order of insertion, so pool
-        columns, slacks and artificials interleave and are tracked by
-        index.
+        columns and slacks interleave and are tracked by index.
         """
-        n_demand = len(self.owners)
         if self._model is None:
+            n_demand = len(self.owners)
             self._model = HighsModel()
             self._model.add_rows(["E"] * n_demand, self.demand_rhs)
             if self.slack_policy == "demand":
@@ -884,17 +862,10 @@ class RestrictedMaster:
                 [self._col_vars, model.add_cols(self._cost[synced:],
                                                 *self._column_matrix(synced))])
 
-        if self._use_artificials and not self._art_cols.size:
-            self._art_cols = model.add_cols(10.0 * self.demand_slack_costs,
-                                            np.arange(n_demand + 1), np.arange(n_demand),
-                                            np.ones(n_demand))
-
         if self._costs_changed:
             model.set_costs(self._slack_cols,
                             self.demand_slack_costs if self.slack_policy == "demand"
                             else np.full(self._slack_cols.size, self.big_m))
-            if self._art_cols.size:
-                model.set_costs(self._art_cols, 10.0 * self.demand_slack_costs)
             self._costs_changed = False
 
     def _require_solution(self) -> RmpSolution:

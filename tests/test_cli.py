@@ -72,6 +72,20 @@ class TestSolveCommand:
                      "--quiet", str(path)])
         assert code == EXIT_TIMEOUT
 
+    def test_direct_lp_timeout_exit_code(self, tmp_path):
+        # HiGHS needs seconds for this LP without a limit.
+        inst = generate_random(300, 1200, 2000, 10, seed=271828, tightness="tight")
+        path = tmp_path / "large.mcf"
+        with open(path, "w") as f:
+            write_native(inst, f)
+        json_file = tmp_path / "run.json"
+        code = main(["solve", "--formulation", "source-lp", "--timeout", "0.05",
+                     "--quiet", "--json", str(json_file), str(path)])
+        payload = json.loads(json_file.read_text())
+        assert code == EXIT_TIMEOUT
+        assert payload["status"] == "timeout"
+        assert payload["wall_time_s"] < 1.0
+
     def test_infeasible_exit_code(self, tmp_path):
         path = tmp_path / "bad.mcf"
         path.write_text(INFEASIBLE_MCF)

@@ -19,6 +19,12 @@ PATH_AB = Column(owner=1, kind="path", edges=(0,), coefs=(1.0,), cost=1.0)
 PATH_BC = Column(owner=2, kind="path", edges=(1,), coefs=(1.0,), cost=1.0)
 
 
+def two_source_net():
+    """0->1->2 at cost 1 per edge and 3->4, 3->5 at cost 0.1 per edge."""
+    return Network(6, [(0, 1, 1.0, 99.0), (1, 2, 1.0, 99.0), (3, 4, 0.1, 99.0),
+                       (3, 5, 0.1, 99.0)])
+
+
 @pytest.fixture
 def triangle_three(triangle_capped):
     """``triangle_capped`` plus k2: b->c demand 0.5. Three path rows on
@@ -121,7 +127,8 @@ class TestAddColumn:
         # then one batch that repeats pooled columns and its own columns.
         calls.clear()
         m = new_master(inst, formulation)
-        assert m.add_column(pool[:3]) == [0, 1, 2]
+        k = len(m.owners)
+        assert m.add_column(pool[:k]) == list(range(k))
         m.solve_rmp()
         ids = list(range(len(pool)))
         assert m.add_column(pool + pool[::-1]) == ids + ids[::-1]
@@ -129,6 +136,21 @@ class TestAddColumn:
         assert m.active_column_ids == ids
         assert len(calls) == m.pool_size == len(pool)
         assert len(set(calls)) == len(calls)
+
+    def test_column_of_the_other_kind_raises(self, triangle):
+        # Node 1 owns no tree row, and source 3 is no commodity of the
+        # two-commodity path master: the kind is what is wrong.
+        tree_m = new_master(triangle, "tree")
+        with pytest.raises(InputError, match="tree master only accepts tree columns"):
+            tree_m.add_column(Column(owner=1, kind="path", edges=(0,), coefs=(1.0,),
+                                     cost=1.0))
+        inst = Instance.build(two_source_net(), [Commodity(0, 1, 1.0),
+                                                 Commodity(3, 4, 1.0)])
+        path_m = new_master(inst, "path")
+        with pytest.raises(InputError, match="path master only accepts path columns"):
+            path_m.add_column(Column(owner=3, kind="tree", edges=(2,), coefs=(1.0,),
+                                     cost=0.1))
+        assert tree_m.pool_size == path_m.pool_size == 0
 
     def test_malformed_column_with_new_key_raises(self, triangle):
         m = new_master(triangle, "path")
@@ -262,25 +284,24 @@ class TestSolveRmp:
         assert sol.slack.max() == pytest.approx(1.0)
 
     @pytest.mark.parametrize("backend", ["builtin", "highs"])
-    def test_artificials_cost_ten_slack_prices_of_their_row(self, backend):
+    def test_demand_row_without_column_raises_under_edge_slack(self, backend):
         # Two multi-member sources, so edge slack and no demand slack. Source
-        # 0 sends 21 units over 0->1 and 20 over 1->2: its only tree costs
-        # 41, more than 10 x big-M = 10 x 2.2. Source 3 has no column, so its
-        # row needs an artificial; source 0's row must keep its tree.
-        net = Network(6, [(0, 1, 1.0, 99.0), (1, 2, 1.0, 99.0), (3, 4, 0.1, 99.0),
-                          (3, 5, 0.1, 99.0)])
-        inst = Instance.build(net, [Commodity(0, 1, 1.0), Commodity(0, 2, 20.0),
-                                    Commodity(3, 4, 1.0), Commodity(3, 5, 1.0)])
+        # 0 sends 21 units over 0->1 and 20 over 1->2 on its only tree.
+        # Source 3 has no column, so its row cannot be met.
+        inst = Instance.build(two_source_net(), [
+            Commodity(0, 1, 1.0), Commodity(0, 2, 20.0),
+            Commodity(3, 4, 1.0), Commodity(3, 5, 1.0)])
         m = new_master(inst, "tree")
         assert m.slack_policy == "edge"
         m.add_column(Column(owner=0, kind="tree", edges=(0, 1), coefs=(21.0, 20.0),
                             cost=41.0))
-        assert 41.0 > 10.0 * m.big_m
+        with pytest.raises(InputError, match=r"owners \[3\]"):
+            m.solve_rmp(backend)
+        m.add_column(Column(owner=3, kind="tree", edges=(2, 3), coefs=(1.0, 1.0),
+                            cost=0.2))
         sol = m.solve_rmp(backend)
-        assert sol.x.tolist() == pytest.approx([1.0])
-        assert sol.artificial == pytest.approx(1.0)
-        # Source 3's artificial: 10 x its row's slack price, 2.2 x demand 2.
-        assert sol.objective == pytest.approx(41.0 + 10.0 * 2.2 * 2.0)
+        assert sol.x.tolist() == pytest.approx([1.0, 1.0])
+        assert sol.objective == pytest.approx(41.2)
 
     def test_path_mode_two_columns(self, triangle):
         m = new_master(triangle, "path")
@@ -347,7 +368,7 @@ class TestSeedSolve:
         m.add_column(initial_columns(inst, mode))
         sol = m.solve_rmp(backend)
         assert m._model is None
-        assert sol.simplex_iterations == 0 and sol.artificial == 0.0
+        assert sol.simplex_iterations == 0
         cold = HighsBackend().solve(m.build_lp()[0])
         n, rows = m.pool_size, len(m.owners)
         assert sol.objective == pytest.approx(cold.objective, rel=1e-12)
@@ -458,16 +479,11 @@ class TestLiveModel:
         assert m._model is model
 
     def test_updates_match_cold_solves(self, triangle_three):
-        # Edge slack and no columns: the demand rows are infeasible until
-        # artificials are injected.
+        # Edge slack: every demand row needs a column before the first solve.
         m = new_master(triangle_three, "path")
         assert m.slack_policy == "edge"
-        sol = m.solve_rmp()
-        assert sol.artificial > 0.0
-        assert_matches_cold(m, sol)
-        for col in (PATH_ABC, PATH_AB, PATH_BC):
-            m.add_column(col)
-            assert_matches_cold(m, m.solve_rmp())
+        m.add_column([PATH_ABC, PATH_AB, PATH_BC])
+        assert_matches_cold(m, m.solve_rmp())
         # b->c carries 2.5 units on capacity 1 until a->c is pooled.
         m.add_capacity_rows([1])
         sol = m.solve_rmp()
@@ -484,12 +500,18 @@ class TestLiveModel:
         m.add_capacity_rows([0, 2])
         assert_matches_cold(m, m.solve_rmp())
 
-    def test_escalation_reprices_slacks(self, triangle):
-        m = new_master(triangle, "tree")
+    def test_escalation_reprices_slacks(self, triangle_three):
+        # b->c carries 2.5 units on capacity 1, so 1.5 units of its row's
+        # slack cost big-M each on top of the columns' 5.5.
+        m = new_master(triangle_three, "path")
+        assert m.slack_policy == "edge"
+        m.add_column([PATH_ABC, PATH_AB, PATH_BC])
+        m.add_capacity_rows([1])
         before = m.solve_rmp().objective
+        assert before == pytest.approx(5.5 + 1.5 * m.big_m)
         m.escalate_big_m()
         sol = m.solve_rmp()
-        assert sol.objective == pytest.approx(100.0 * before)
+        assert sol.objective - 5.5 == pytest.approx(100.0 * (before - 5.5))
         assert_matches_cold(m, sol)
 
     def test_builtin_and_highs_masters_agree(self):
