@@ -27,13 +27,18 @@ log = logging.getLogger(__name__)
 CSV_HEADER = [
     "instance", "formulation", "strategy", "status", "objective",
     "lower_bound", "gap", "wall_time_s", "peak_memory_bytes", "iterations",
-    "columns_generated", "rows_activated", "commodities", "sources",
+    "simplex_iterations", "columns_generated", "rows_activated",
+    "commodities", "sources",
 ]
 
 
 @dataclass
 class RunRecord:
-    """One benchmark run, as written to the suite CSV."""
+    """One benchmark run, as written to the suite CSV.
+
+    ``simplex_iterations`` sums the LP pivots of every iteration's master
+    solve (0 on the builtin backend and for direct LPs).
+    """
 
     instance: str
     formulation: str
@@ -45,6 +50,7 @@ class RunRecord:
     wall_time_s: float
     peak_memory_bytes: int
     iterations: int
+    simplex_iterations: int
     columns_generated: int
     rows_activated: int
     commodities: int
@@ -68,8 +74,9 @@ class RunRecord:
             objective=opt_float(row[4]), lower_bound=opt_float(row[5]),
             gap=opt_float(row[6]), wall_time_s=float(row[7]),
             peak_memory_bytes=int(row[8]), iterations=int(row[9]),
-            columns_generated=int(row[10]), rows_activated=int(row[11]),
-            commodities=int(row[12]), sources=int(row[13]),
+            simplex_iterations=int(row[10]), columns_generated=int(row[11]),
+            rows_activated=int(row[12]), commodities=int(row[13]),
+            sources=int(row[14]),
         )
 
     def to_json(self) -> str:
@@ -105,6 +112,7 @@ def record_from_report(instance: Instance, config: SolverConfig,
         wall_time_s=report.wall_time,
         peak_memory_bytes=peak_memory_bytes(),
         iterations=report.iteration_count,
+        simplex_iterations=sum(it.simplex_iterations for it in report.iterations),
         columns_generated=columns,
         rows_activated=report.active_rows,
         commodities=instance.commodity_count,

@@ -53,12 +53,16 @@ its first iteration therefore solves no LP.
 
 On the ``highs`` backend the master keeps one :class:`HighsModel` for
 its whole life, created on the first solve that needs an LP. That first
-solve starts without a basis. Each solve first brings that
-model up to date (new capacity rows with the entries of the columns
-already in it, new pool columns in one batch, escalated slack costs)
-and then lets HiGHS re-solve from the basis it kept. Other backends get
-the whole restriction rebuilt by :meth:`RestrictedMaster.build_lp` and
-solved cold. Both get the same coefficients in the same order.
+solve starts without a basis and lets HiGHS choose its simplex. Each
+later solve first brings the model up to date (new capacity rows with
+the entries of the columns already in it, new pool columns in one
+batch, escalated slack costs) and then re-solves from the basis HiGHS
+kept, with the primal simplex: after new columns, and often new rows,
+that basis is neither primal nor dual feasible, and primal simplex
+re-optimizes it in fewer pivots than HiGHS's choice (see
+:mod:`mcflow.lp`). Other backends get the whole restriction rebuilt by
+:meth:`RestrictedMaster.build_lp` and solved cold. Both get the same
+coefficients in the same order.
 """
 
 from __future__ import annotations

@@ -354,12 +354,12 @@ class TestFaultCases:
 class TestRunRecordCsv:
     def test_round_trip(self):
         rec = RunRecord("x", "tree", "auto", "optimal", 5.0, 5.0, 0.0, 0.12,
-                        12345678, 3, 17, 2, 10, 4)
+                        12345678, 3, 41, 17, 2, 10, 4)
         assert RunRecord.from_csv_row(rec.to_csv_row()) == rec
 
     def test_none_fields_round_trip(self):
         rec = RunRecord("x", "tree", "auto", "timeout", None, 4.5, None, 1.0,
-                        1, 1, 1, 0, 5, 2)
+                        1, 1, 0, 1, 0, 5, 2)
         assert RunRecord.from_csv_row(rec.to_csv_row()) == rec
 
     def test_header_stability(self, tmp_path):
@@ -370,6 +370,16 @@ class TestRunRecordCsv:
 
 
 class TestRecordFromReport:
+    def test_sums_the_master_pivots(self):
+        inst = generate_random(20, 100, 80, 5, seed=0, tightness="tight")
+        config = SolverConfig(formulation="path")
+        report = solve(inst, config)
+        record = record_from_report(inst, config, report)
+        assert record.simplex_iterations == sum(
+            it.simplex_iterations for it in report.iterations) > 0
+        assert json.loads(record.to_json())["simplex_iterations"] \
+            == record.simplex_iterations
+
     def test_auto_records_the_resolved_strategy(self):
         # More and fewer commodities than nodes: both run the one loop.
         many = generate_random(10, 30, 50, 8, seed=0)

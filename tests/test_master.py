@@ -7,7 +7,7 @@ from mcflow.engine import ColGenSolver, SolverConfig
 from mcflow.errors import InputError, LpTimeLimit
 from mcflow.graph import Network
 from mcflow.instance import Commodity, Instance, generate_random
-from mcflow.lp import HighsBackend
+from mcflow.lp import HighsBackend, HighsModel
 from mcflow.master import (Column, ColumnBatch, RestrictedMaster, new_master,
                            validate_columns)
 from mcflow.pricing import initial_columns
@@ -460,6 +460,21 @@ def assert_matches_cold(master, sol):
     assert sol.objective == pytest.approx(cold_objective(master), rel=1e-9)
 
 
+class StrategyLog:
+    """A HiGHS handle that records ``simplex_strategy`` at every run."""
+
+    def __init__(self, highs):
+        self._highs = highs
+        self.strategies = []
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def run(self):
+        self.strategies.append(self._highs.getOptionValue("simplex_strategy")[1])
+        return self._highs.run()
+
+
 class TestLiveModel:
     """The kept HiGHS model must always equal the rebuilt restriction."""
 
@@ -513,6 +528,44 @@ class TestLiveModel:
         sol = m.solve_rmp()
         assert sol.objective - 5.5 == pytest.approx(100.0 * (before - 5.5))
         assert_matches_cold(m, sol)
+
+    def test_first_solve_chooses_later_solves_run_primal(self):
+        model = HighsModel()
+        highs = model._h = StrategyLog(model._h)
+        # min x0 + 2 x1  s.t.  x0 + x1 = 1.
+        model.add_rows(["E"], [1.0])
+        model.add_cols([1.0, 2.0], [0, 1, 2], [0, 0], [1.0, 1.0])
+        assert model.solve().objective == pytest.approx(1.0)
+        # A cheaper column, then a row that caps it at 0.25.
+        model.add_cols([0.5], [0, 1], [0], [1.0])
+        assert model.solve().objective == pytest.approx(0.5)
+        model.add_rows(["L"], [0.25], [0, 1], [2], [1.0])
+        assert model.solve().objective == pytest.approx(0.125 + 0.75)
+        # 0 is HiGHS's choice, 4 its primal simplex.
+        assert highs.strategies == [0, 4, 4]
+
+    def test_primal_re_solves_take_fewer_pivots(self, monkeypatch):
+        inst = generate_random(20, 100, 80, 5, seed=0, tightness="tight")
+
+        def run(mode):
+            report = ColGenSolver(inst, SolverConfig(formulation=mode)).run()
+            assert report.status == "optimal"
+            return (report.objective,
+                    sum(it.simplex_iterations for it in report.iterations))
+
+        primal = {mode: run(mode) for mode in ("tree", "path")}
+        solve = HighsModel.solve
+
+        def keep_choose(model, time_limit=None):
+            model._h.setOptionValue("simplex_strategy", 0)
+            return solve(model, time_limit)
+
+        monkeypatch.setattr(HighsModel, "solve", keep_choose)
+        for mode, (objective, pivots) in primal.items():
+            choose_objective, choose_pivots = run(mode)
+            assert objective == pytest.approx(choose_objective, rel=1e-9)
+            # Measured: tree 1,276 against 1,475, path 518 against 828.
+            assert pivots < choose_pivots
 
     def test_builtin_and_highs_masters_agree(self):
         inst = generate_random(12, 30, 10, 3, seed=2, tightness="tight")
