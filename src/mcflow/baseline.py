@@ -83,9 +83,12 @@ def _node_arc_lp(kind: str, instance: Instance, owners: list[int],
 
 @dataclass
 class DirectSolution:
+    """``simplex_iterations`` counts the LP's pivots (0 on ``builtin``)."""
+
     status: str
     objective: float
     flows: dict[int, np.ndarray]
+    simplex_iterations: int = 0
 
 
 def solve_direct(direct: DirectLp, backend: str | LpBackend = "highs",
@@ -99,10 +102,10 @@ def solve_direct(direct: DirectLp, backend: str | LpBackend = "highs",
     backend = get_backend(backend)
     sol = backend.solve(direct.lp, time_limit=time_limit)
     if sol.status == INFEASIBLE:
-        return DirectSolution(INFEASIBLE, np.inf, {})
+        return DirectSolution(INFEASIBLE, np.inf, {}, sol.simplex_iterations)
     if sol.status != OPTIMAL:
-        return DirectSolution(sol.status, np.nan, {})
+        return DirectSolution(sol.status, np.nan, {}, sol.simplex_iterations)
     E = direct.instance.network.edge_count
     flows = {owner: np.asarray(sol.x[i * E:(i + 1) * E])
              for i, owner in enumerate(direct.owners)}
-    return DirectSolution(OPTIMAL, float(sol.objective), flows)
+    return DirectSolution(OPTIMAL, float(sol.objective), flows, sol.simplex_iterations)

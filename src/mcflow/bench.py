@@ -36,8 +36,8 @@ CSV_HEADER = [
 class RunRecord:
     """One benchmark run, as written to the suite CSV.
 
-    ``simplex_iterations`` sums the LP pivots of every iteration's master
-    solve (0 on the builtin backend and for direct LPs).
+    ``simplex_iterations`` sums the LP pivots of the run's master solves,
+    or of its direct LP (0 on the builtin backend).
     """
 
     instance: str
@@ -67,17 +67,11 @@ class RunRecord:
 
     @classmethod
     def from_csv_row(cls, row: list[str]) -> "RunRecord":
-        def opt_float(s):
-            return None if s == "" else float(s)
-        return cls(
-            instance=row[0], formulation=row[1], strategy=row[2], status=row[3],
-            objective=opt_float(row[4]), lower_bound=opt_float(row[5]),
-            gap=opt_float(row[6]), wall_time_s=float(row[7]),
-            peak_memory_bytes=int(row[8]), iterations=int(row[9]),
-            simplex_iterations=int(row[10]), columns_generated=int(row[11]),
-            rows_activated=int(row[12]), commodities=int(row[13]),
-            sources=int(row[14]),
-        )
+        """The record of a :meth:`to_csv_row` row: each cell is read by
+        its field's declared type, ``""`` as None for the optional ones."""
+        read = {"str": str, "int": int, "float": float,
+                "float | None": lambda s: None if s == "" else float(s)}
+        return cls(*(read[f.type](s) for f, s in zip(fields(cls), row, strict=True)))
 
     def to_json(self) -> str:
         payload = asdict(self)

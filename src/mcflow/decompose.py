@@ -54,7 +54,7 @@ class CommodityPathFlow:
 def columns_to_source_flows(instance: Instance, columns, primal) -> SourceEdgeFlow:
     """Aggregate solution columns into per-source edge flows.
 
-    ``columns`` (a :class:`ColumnBatch` or a sequence of columns) and
+    ``columns`` (a :class:`ColumnBatch` or a list of one kind) and
     ``primal`` must have the same length, else :class:`InputError` is
     raised. Tree columns contribute their demand-weighted coefficients
     times the convexity weight, path columns their path indicator times
@@ -67,9 +67,7 @@ def columns_to_source_flows(instance: Instance, columns, primal) -> SourceEdgeFl
         raise InputError(f"{len(columns)} columns but {x.size} primal values")
     keep = x > 0.0
     used, x = columns.take(keep), x[keep]
-    source = used.owner.copy()
-    path = used.kind != TREE
-    source[path] = instance.source[used.owner[path]]
+    source = used.owner if used.kind == TREE else instance.source[used.owner]
     E = instance.network.edge_count
     keys, key_of = np.unique(source[used.col_of] * E + used.edges, return_inverse=True)
     totals = np.bincount(key_of, weights=used.coefs * x[used.col_of])

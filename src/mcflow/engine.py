@@ -417,7 +417,8 @@ def solve_direct_formulation(instance: Instance, config: SolverConfig
     if sol.status != LP_OPTIMAL:
         return SolveReport(INFEASIBLE, np.nan, np.nan, np.inf, wall_time=wall,
                            message=f"direct LP returned {sol.status}"), sol
-    it = IterationStat(sol.objective, elapsed=wall)
+    it = IterationStat(sol.objective, elapsed=wall,
+                       simplex_iterations=sol.simplex_iterations)
     return SolveReport(OPTIMAL, sol.objective, sol.objective, 0.0,
                        iterations=[it], active_rows=instance.network.edge_count,
                        wall_time=wall), sol

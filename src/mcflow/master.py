@@ -17,26 +17,26 @@ solve.
 Capacity duals are normalized to be nonpositive after every solve, so
 the adjusted pricing weights ``cost - mu`` stay nonnegative.
 
-Columns move from pricing to the master as a :class:`ColumnBatch`:
-per-column ``kind``, ``owner``, ``lengths`` and ``cost`` arrays and
-per-entry ``edges`` and ``coefs`` arrays, with no Python object per
-column. :class:`Column` is only a one-column view of a batch, built on
-demand when a batch (or the pool, :attr:`RestrictedMaster.columns`) is
-indexed or iterated. :meth:`RestrictedMaster.add_column` takes a batch;
+Columns move from pricing to the master as a :class:`ColumnBatch` of
+one ``kind``, path or tree: per-column ``owner``, ``lengths`` and
+``cost`` arrays and per-entry ``edges`` and ``coefs`` arrays, with no
+Python object per column. :class:`Column` is only a one-column view of
+a batch, built on demand when a batch (or the pool,
+:attr:`RestrictedMaster.columns`) is indexed or iterated.
+:meth:`RestrictedMaster.add_column` takes a batch of the master's kind;
 one column or a list of them is first converted into one. Duplicates,
 of pooled columns or within the batch, are found by a vectorized hash of
-(kind, owner, edge set), each hash hit confirmed by comparing the edge
-sets exactly. The new columns are then checked together by
+(owner, edge set), each hash hit confirmed by comparing the edge sets
+exactly. The new columns are then checked together by
 :func:`validate_columns`, which raises for the first bad column in batch
 order, and a batch with a bad column changes nothing. Every pooled
 column stays in the restriction for the whole solve, so the
-restriction's columns are the pool ids ``0 .. pool_size - 1``. The
-coefficients of all pooled columns live in one flat entry store:
-parallel ``(edge, coef, column)`` arrays in pool order, each column's
-entries in its own edge order, to which each batch's arrays are
-appended as they are. Every reader uses array operations on that store:
-edge flows are one weighted ``bincount``, and the LP coefficients are
-the entries whose edge has a capacity row, found through an edge ->
+restriction's columns are the pool ids ``0 .. pool_size - 1``. The pool
+is one batch of the master's kind, to which each batch's arrays are
+appended as they are: a pooled entry is an ``(edge, coef)`` pair, and
+no per-entry column id is stored. Every reader uses array operations on
+it: edge flows are one weighted ``bincount``, and the LP coefficients
+are the entries whose edge has a capacity row, found through an edge ->
 capacity-row index array.
 
 A solve's demand duals ``RmpSolution.pi`` are an owner-indexed array
@@ -113,55 +113,64 @@ class Column:
 
 
 class ColumnBatch(Sequence):
-    """Columns as flat arrays.
+    """Columns of one ``kind`` (str) as flat arrays.
 
-    Per column: ``kind`` (str), ``owner``, ``lengths`` (its entry count)
-    and ``cost``; per entry: ``edges`` and ``coefs``, every column's
-    entries in its own edge order and the columns in batch order. A
-    batch is read-only. ``len()``, indexing and iteration give
-    :class:`Column` views; a slice or :meth:`take` gives a batch.
+    Per column: ``owner``, ``lengths`` (its entry count) and ``cost``;
+    per entry: ``edges`` and ``coefs``, every column's entries in its own
+    edge order and the columns in batch order. A batch is read-only.
+    ``len()``, indexing and iteration give :class:`Column` views; a
+    slice or :meth:`take` gives a batch.
     """
 
     __slots__ = ("kind", "owner", "lengths", "edges", "coefs", "cost",
                  "_starts", "_col_of")
 
-    def __init__(self, kind, owner, lengths, edges, coefs, cost):
+    def __init__(self, kind: str, owner, lengths, edges, coefs, cost):
+        self.kind = kind
         self.owner = np.asarray(owner, dtype=np.int64)
-        self.kind = np.full(self.owner.size, kind) if isinstance(kind, str) \
-            else np.asarray(kind, dtype=str)
         self.lengths = np.asarray(lengths, dtype=np.int64)
         self.edges = np.asarray(edges, dtype=np.int64)
         self.coefs = np.asarray(coefs, dtype=np.float64)
         self.cost = np.asarray(cost, dtype=np.float64)
         n = self.owner.size
-        if not (self.kind.size == self.lengths.size == self.cost.size == n) or \
+        if not (self.lengths.size == self.cost.size == n) or \
                 not self.edges.size == self.coefs.size == int(self.lengths.sum()):
             raise InputError("column batch arrays disagree in size")
         self._starts = self._col_of = None
 
     @classmethod
     def from_columns(cls, cols) -> ColumnBatch:
-        """The batch of one :class:`Column` or a sequence of them."""
+        """The batch of one :class:`Column` or a sequence of them, all
+        path or all tree columns; the first column of an unknown kind raises."""
         cols = [cols] if isinstance(cols, Column) else list(cols)
         for col in cols:
             if len(col.coefs) != len(col.edges):
                 raise InputError(f"column has {len(col.edges)} edges but "
                                  f"{len(col.coefs)} coefficients")
-        return cls([c.kind for c in cols], [c.owner for c in cols],
-                   [len(c.edges) for c in cols],
+            if col.kind not in (PATH, TREE):
+                raise InputError(f"unknown column kind {col.kind!r}")
+        kind = cols[0].kind if cols else ""
+        if any(c.kind != kind for c in cols):
+            raise InputError("a column batch holds path or tree columns, not both")
+        return cls(kind, [c.owner for c in cols], [len(c.edges) for c in cols],
                    [e for c in cols for e in c.edges],
                    [x for c in cols for x in c.coefs], [c.cost for c in cols])
 
     @classmethod
     def concat(cls, batches) -> ColumnBatch:
-        """The columns of the given batches, in order, as one batch."""
+        """The columns of the given batches, in order, as one batch; the
+        nonempty batches must have one kind."""
         batches = list(batches)
         if len(batches) == 1:
             return batches[0]
         if not batches:
             return cls("", [], [], [], [], [])
-        return cls(*(np.concatenate([getattr(b, name) for b in batches])
-                     for name in ("kind", "owner", "lengths", "edges", "coefs", "cost")))
+        kinds = {b.kind for b in batches if len(b)}
+        if len(kinds) > 1:
+            raise InputError(f"cannot concatenate {' and '.join(sorted(kinds))} columns")
+        return cls(next(iter(kinds), batches[0].kind),
+                   *(np.concatenate([getattr(b, name) for b in batches])
+                     for name in ("owner", "lengths", "edges", "coefs", "cost")))
 
     @property
     def starts(self) -> np.ndarray:
@@ -185,7 +194,7 @@ class ColumnBatch(Sequence):
         lengths = self.lengths[index]
         entries = np.repeat(self.starts[index] - (lengths.cumsum() - lengths),
                             lengths) + np.arange(int(lengths.sum()))
-        return ColumnBatch(self.kind[index], self.owner[index], lengths,
+        return ColumnBatch(self.kind, self.owner[index], lengths,
                            self.edges[entries], self.coefs[entries], self.cost[index])
 
     def __len__(self) -> int:
@@ -197,7 +206,7 @@ class ColumnBatch(Sequence):
         i = range(len(self))[i]
         lo = int(self.starts[i])
         hi = lo + int(self.lengths[i])
-        return Column(int(self.owner[i]), str(self.kind[i]),
+        return Column(int(self.owner[i]), self.kind,
                       tuple(self.edges[lo:hi].tolist()),
                       tuple(self.coefs[lo:hi].tolist()), float(self.cost[i]))
 
@@ -205,16 +214,16 @@ class ColumnBatch(Sequence):
         edges, coefs = self.edges.tolist(), self.coefs.tolist()
         cut = self.lengths.cumsum().tolist()
         lo = 0
-        for kind, owner, hi, cost in zip(self.kind.tolist(), self.owner.tolist(),
-                                         cut, self.cost.tolist()):
-            yield Column(owner, kind, tuple(edges[lo:hi]), tuple(coefs[lo:hi]), cost)
+        for owner, hi, cost in zip(self.owner.tolist(), cut, self.cost.tolist()):
+            yield Column(owner, self.kind, tuple(edges[lo:hi]), tuple(coefs[lo:hi]), cost)
             lo = hi
 
     def __eq__(self, other):
         if not isinstance(other, ColumnBatch):
             return NotImplemented
-        return all(np.array_equal(getattr(self, name), getattr(other, name))
-                   for name in ("kind", "owner", "lengths", "edges", "coefs", "cost"))
+        return self.kind == other.kind and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("owner", "lengths", "edges", "coefs", "cost"))
 
     __hash__ = None
 
@@ -233,7 +242,7 @@ _MIX = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9),
 
 
 def _support_hash(batch: ColumnBatch) -> np.ndarray:
-    """Per column, a uint64 hash of its kind, owner and edge set.
+    """Per column, a uint64 hash of its owner and edge set.
 
     The edge set enters as the wrapping sum of its mixed edge ids, which
     does not depend on the column's edge order. Equal hashes only make
@@ -245,8 +254,7 @@ def _support_hash(batch: ColumnBatch) -> np.ndarray:
     mixed.cumsum(out=summed[1:])
     starts = batch.starts
     edge_set = summed[starts + batch.lengths] - summed[starts]
-    kind = (batch.kind != PATH).astype(np.uint64) + (batch.kind == TREE)  # 0, 2, other 1
-    return (edge_set ^ (batch.owner.astype(np.uint64) * _MIX[1] + kind)) * _MIX[2]
+    return (edge_set ^ (batch.owner.astype(np.uint64) * _MIX[1])) * _MIX[2]
 
 
 class _Checks:
@@ -264,14 +272,14 @@ class _Checks:
         if np.count_nonzero(bad):
             self.failed.append((bad, message))
 
-    def check_entries(self, entries: np.ndarray, message, among=None) -> None:
+    def check_entries(self, entries: np.ndarray, message) -> None:
         """Fail the columns with any of the given entries (a mask or
-        indices), only those flagged by ``among`` if given."""
+        indices)."""
         hits = np.count_nonzero(entries) if entries.dtype == bool else entries.size
         if hits:
             bad = np.zeros(self.n, dtype=bool)
             bad[self.batch.col_of[entries]] = True
-            self.check(bad if among is None else bad & among, message)
+            self.check(bad, message)
 
     def first_entry(self, mask: np.ndarray, i: int) -> int:
         """Position in column ``i`` of its first entry flagged by ``mask``."""
@@ -290,11 +298,13 @@ def validate_columns(cols, instance: Instance) -> None:
     """Check the structural invariants of a batch of columns.
 
     ``cols`` is a :class:`ColumnBatch`, or columns that are converted
-    into one (which raises if a column's coefficient count differs from
-    its edge count). Raises :class:`InputError` for the first bad column
-    in batch order, with the message of the first check it fails. Every
-    column must have no repeated and no unknown edge, and a cost equal
-    to its coefficients times the edge costs. A path column must walk
+    into one, which checks their kinds before their structure (see
+    :meth:`ColumnBatch.from_columns`). Raises :class:`InputError` for
+    the first bad column in batch order, with the message of the first
+    check it fails. Every column must have no repeated and no unknown
+    edge, and a cost equal to its coefficients times the edge costs. The
+    batch's kind selects the path or the tree checks, run once for the
+    whole batch. A path column must walk
     from its commodity's source to its sink with unit coefficients and
     no node twice. A tree column must be owned by a source, have
     positive coefficients, enter every node at most once, never enter
@@ -332,29 +342,28 @@ def validate_columns(cols, instance: Instance) -> None:
     c.check(np.abs(recomputed - b.cost) > 1e-9 * (1.0 + np.abs(recomputed)),
             lambda i: f"column cost {float(b.cost[i])} differs from recomputed "
                       f"{float(recomputed[i])}")
-    is_path = b.kind == PATH
-    is_tree = b.kind == TREE
-    c.check(~(is_path | is_tree), lambda i: f"unknown column kind {str(b.kind[i])!r}")
     head, tail = net.head[edges], net.tail[edges]
-    if np.count_nonzero(is_path):
-        _check_paths(c, is_path, head, tail, instance)
-    if np.count_nonzero(is_tree):
-        _check_trees(c, is_tree, head, tail, instance)
+    if b.kind == PATH:
+        _check_paths(c, head, tail, instance)
+    elif b.kind == TREE:
+        _check_trees(c, head, tail, instance)
+    else:
+        c.check(np.ones(n, dtype=bool), lambda i: f"unknown column kind {b.kind!r}")
     c.raise_first()
 
 
-def _check_paths(c: _Checks, is_path: np.ndarray, head: np.ndarray,
-                 tail: np.ndarray, instance: Instance) -> None:
+def _check_paths(c: _Checks, head: np.ndarray, tail: np.ndarray,
+                 instance: Instance) -> None:
     """Path checks. The walk starts at the source; entry j must leave the
     node the walk is at (the source, or the head of entry j - 1) and
     reach a node the walk has not visited."""
     b = c.batch
     n, starts, col_of = c.n, b.starts, b.col_of
     known = (b.owner >= 0) & (b.owner < len(instance.commodities))
-    c.check(is_path & ~known,
+    c.check(~known,
             lambda i: f"path column owner {int(b.owner[i])} is not a commodity")
-    c.check_entries(b.coefs != 1.0, lambda i: "path column coefficients must all "
-                    "equal 1", is_path)
+    c.check_entries(b.coefs != 1.0,
+                    lambda i: "path column coefficients must all equal 1")
     k = np.where(known, b.owner, 0)
     source, sink = instance.source[k], instance.sink[k]
     nonempty = b.lengths > 0
@@ -378,15 +387,15 @@ def _check_paths(c: _Checks, is_path: np.ndarray, head: np.ndarray,
             return f"path column edges are not contiguous at edge {b[i].edges[j]}"
         return f"path column revisits node {int(head[starts[i] + j])}"
 
-    c.check_entries(stray, walk_message, is_path)
+    c.check_entries(stray, walk_message)
     last = head[np.maximum(starts + b.lengths - 1, 0)]
-    c.check(is_path & (last != sink),
+    c.check(last != sink,
             lambda i: f"path column ends at {int(last[i])}, expected sink "
                       f"{int(instance.sink[b.owner[i]])}")
 
 
-def _check_trees(c: _Checks, is_tree: np.ndarray, head: np.ndarray,
-                 tail: np.ndarray, instance: Instance) -> None:
+def _check_trees(c: _Checks, head: np.ndarray, tail: np.ndarray,
+                 instance: Instance) -> None:
     """Tree checks; connectivity follows parent entries by pointer jumping."""
     b = c.batch
     col_of, total = b.col_of, b.edges.size
@@ -394,19 +403,16 @@ def _check_trees(c: _Checks, is_tree: np.ndarray, head: np.ndarray,
     is_source = np.zeros(nodes, dtype=bool)
     is_source[instance.group_arrays.source] = True
     owner_ok = (b.owner >= 0) & (b.owner < nodes)
-    c.check(is_tree & ~(owner_ok & is_source[np.where(owner_ok, b.owner, 0)]),
+    c.check(~(owner_ok & is_source[np.where(owner_ok, b.owner, 0)]),
             lambda i: f"tree column owner {int(b.owner[i])} is not a source")
-    c.check_entries(b.coefs <= 0, lambda i: "tree column coefficients must be "
-                    "positive", is_tree)
+    c.check_entries(b.coefs <= 0, lambda i: "tree column coefficients must be positive")
     key = col_of * nodes + head
     order = stable_argsort(key)
     key = key[order]
     c.check_entries(order[1:][key[1:] == key[:-1]],
-                    lambda i: "tree column support has a node with in-degree > 1",
-                    is_tree)
+                    lambda i: "tree column support has a node with in-degree > 1")
     root = b.owner[col_of]
-    c.check_entries(head == root, lambda i: "tree column support re-enters the root",
-                    is_tree)
+    c.check_entries(head == root, lambda i: "tree column support re-enters the root")
     # An entry's parent is the entry of its column whose head is its tail;
     # slots total and total + 1 stand for the root and a missing parent.
     # After r rounds of pointer jumping every entry has followed 2^r
@@ -419,8 +425,7 @@ def _check_trees(c: _Checks, is_tree: np.ndarray, head: np.ndarray,
         up = up[up]
     loose = up[:total] != total
     c.check_entries(loose, lambda i: "tree column support is disconnected or cyclic "
-                    f"at node {int(head[b.starts[i] + c.first_entry(loose, i)])}",
-                    is_tree)
+                    f"at node {int(head[b.starts[i] + c.first_entry(loose, i)])}")
 
 
 @dataclass
@@ -474,15 +479,10 @@ class RestrictedMaster:
         # Demand row per owner id (commodity, or node in tree mode), -1 if none.
         self._row_of = np.full(net.node_count if mode == TREE else len(self.owners), -1)
         self._row_of[self.owners] = np.arange(len(self.owners))
-        # Per pool column: cost, demand row and support hash.
-        self._cost = np.zeros(0)
+        # The pool, and per pool column its demand row and support hash.
+        self._pool = ColumnBatch(mode, [], [], [], [], [])
         self._row = np.zeros(0, dtype=np.int64)
         self._hash = np.zeros(0, dtype=np.uint64)
-        # The entry store: one (edge, coef, column) triple per column edge.
-        self._edge = np.zeros(0, dtype=np.int64)
-        self._coef = np.zeros(0)
-        self._col = np.zeros(0, dtype=np.int64)
-        self._view: ColumnBatch | None = None
 
         self.active_edges: list[int] = []
         # Per edge: its position in active_edges, or -1 without a row.
@@ -502,15 +502,21 @@ class RestrictedMaster:
     def add_column(self, cols: ColumnBatch | Column | list[Column]) -> int | list[int]:
         """Add a batch of columns to the pool.
 
-        ``cols`` is a :class:`ColumnBatch`; one :class:`Column` or a
-        sequence of them is converted into one first. Returns the pool
+        ``cols`` is a :class:`ColumnBatch` of the master's kind; one
+        :class:`Column` or a sequence of them is converted into one
+        first, which checks their kinds before their structure. A batch
+        of the other kind raises its first column's structural error, or
+        else that the master only accepts its own kind. Returns the pool
         id of each column, one int for one column. A column with the
-        kind, owner and edge set of a pooled or earlier column gets that
+        owner and edge set of a pooled or earlier column gets that
         column's id and changes nothing, so each pool column is
         validated exactly once. The new columns are validated together;
         if one is bad, nothing is added.
         """
         batch = as_batch(cols)
+        if len(batch) and batch.kind != self.mode:
+            validate_columns(batch[:1], self.instance)
+            raise InputError(f"{self.mode} master only accepts {self.mode} columns")
         ids, new, hashes = self._match(batch)
         fresh = np.count_nonzero(new)
         if fresh:
@@ -525,7 +531,7 @@ class RestrictedMaster:
 
         Columns whose hash equals that of a pooled or earlier column are
         compared with each such column, in pool and batch order, and
-        repeat the first one with the same kind, owner and edge set.
+        repeat the first one with the same owner and edge set.
         """
         n, first = len(batch), self.pool_size
         hashes = _support_hash(batch)
@@ -557,59 +563,34 @@ class RestrictedMaster:
         return ids, new, hashes
 
     def _same_support(self, j: int, batch: ColumnBatch, i: int) -> bool:
-        """Whether column ``i`` of ``batch`` has the kind, owner and edge
-        set of pool column ``j`` (batch column ``j - pool_size`` when
-        ``j`` is not in the pool)."""
+        """Whether column ``i`` of ``batch`` has the owner and edge set of
+        pool column ``j`` (batch column ``j - pool_size`` when ``j`` is
+        not in the pool)."""
         first = self.pool_size
-        if j < first:
-            kind, owner = self.mode, self.owners[self._row[j]]
-            edges = self._edge[slice(*np.searchsorted(self._col, [j, j + 1]))]
-        else:
-            j -= first
-            kind, owner = batch.kind[j], batch.owner[j]
-            edges = batch.edges[batch.starts[j]:batch.starts[j] + batch.lengths[j]]
-        lo = batch.starts[i]
-        return (kind == batch.kind[i] and owner == batch.owner[i]
-                and np.array_equal(np.sort(edges),
-                                   np.sort(batch.edges[lo:lo + batch.lengths[i]])))
+        other, j = (self._pool, j) if j < first else (batch, j - first)
+        at_j, at_i = other.starts[j], batch.starts[i]
+        return (other.owner[j] == batch.owner[i]
+                and np.array_equal(np.sort(other.edges[at_j:at_j + other.lengths[j]]),
+                                   np.sort(batch.edges[at_i:at_i + batch.lengths[i]])))
 
     def _append(self, batch: ColumnBatch, hashes: np.ndarray) -> None:
-        """Validate new columns and append their arrays to the pool.
-
-        A valid column of the master's kind has a demand row: path owners
-        are commodities and tree owners are sources.
-        """
-        wrong = batch.kind != self.mode
-        if np.count_nonzero(wrong):
-            # A column's kind is checked after its structure: the first
-            # column of another kind ends the batch the validator sees, so
-            # the error raised is always the first bad column's first failure.
-            i = int(np.argmax(wrong))
-            validate_columns(batch.take(np.arange(i + 1)), self.instance)
-            raise InputError(f"{self.mode} master only accepts {self.mode} columns")
+        """Validate new columns of the master's kind and append them to
+        the pool. A valid column has a demand row: path owners are
+        commodities and tree owners are sources."""
         validate_columns(batch, self.instance)
-        first = self.pool_size
-        self._cost = np.concatenate([self._cost, batch.cost])
+        self._pool = ColumnBatch.concat([self._pool, batch])
         self._row = np.concatenate([self._row, self._row_of[batch.owner]])
         self._hash = np.concatenate([self._hash, hashes])
-        self._edge = np.concatenate([self._edge, batch.edges])
-        self._coef = np.concatenate([self._coef, batch.coefs])
-        self._col = np.concatenate([self._col, first + batch.col_of])
-        self._view = None
 
     @property
     def pool_size(self) -> int:
-        return self._cost.size
+        return len(self._pool)
 
     @property
     def columns(self) -> ColumnBatch:
-        """The pool as a read-only batch in pool-id order; indexing or
-        iterating it builds :class:`Column` views."""
-        if self._view is None:
-            self._view = ColumnBatch(self.mode, self.owners[self._row],
-                                     np.bincount(self._col, minlength=self.pool_size),
-                                     self._edge, self._coef, self._cost)
-        return self._view
+        """The pool: a read-only batch of the master's kind in pool-id
+        order; indexing or iterating it builds :class:`Column` views."""
+        return self._pool
 
     @property
     def active_column_ids(self) -> list[int]:
@@ -635,9 +616,9 @@ class RestrictedMaster:
         _, first = np.unique(self._row[order], return_index=True)
         best = np.zeros(self.pool_size, dtype=bool)
         best[order[first]] = True
-        take = best[self._col]
-        edges = self._edge[take]
-        parents[self._row[self._col[take]], net.head[edges]] = edges
+        pool = self._pool
+        edges = pool.edges[np.repeat(best, pool.lengths)]
+        parents[np.repeat(self._row[best], pool.lengths[best]), net.head[edges]] = edges
         return parents
 
     # -- capacity rows ------------------------------------------------------
@@ -662,7 +643,8 @@ class RestrictedMaster:
         if x is None:
             x = self._require_solution().x
         flow = np.where(x > 0.0, x, 0.0)
-        return np.bincount(self._edge, weights=self._coef * flow[self._col],
+        pool = self._pool
+        return np.bincount(pool.edges, weights=pool.coefs * np.repeat(flow, pool.lengths),
                            minlength=self.instance.network.edge_count)
 
     def violated_capacities(self, x: np.ndarray | None = None) -> list[int]:
@@ -690,11 +672,12 @@ class RestrictedMaster:
         ``(starts, indices, values)`` over the demand rows and the active
         capacity rows: per column its demand row, then its entries on
         edges with a row, in the column's edge order."""
+        pool = self._pool
         n = self.pool_size - first
-        lo = np.searchsorted(self._col, first)
-        row = self._cap_pos[self._edge[lo:]]
+        lo = int(pool.lengths[:first].sum())
+        row = self._cap_pos[pool.edges[lo:]]
         keep = row >= 0
-        j = self._col[lo:][keep] - first
+        j = np.repeat(np.arange(n), pool.lengths[first:])[keep]
         counts = np.bincount(j, minlength=n)
         starts = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts + 1, out=starts[1:])
@@ -706,7 +689,7 @@ class RestrictedMaster:
         rank = np.arange(j.size) - (np.cumsum(counts) - counts)[j]
         at = starts[j] + 1 + rank
         indices[at] = len(self.owners) + row[keep]
-        values[at] = self._coef[lo:][keep]
+        values[at] = pool.coefs[lo:][keep]
         return starts, indices, values
 
     def build_lp(self) -> tuple[SparseLp, list[int]]:
@@ -728,7 +711,7 @@ class RestrictedMaster:
         n = n_pool + slack_rows.size
         lp = SparseLp(
             num_cols=n,
-            objective=np.concatenate([self._cost, slack_costs]),
+            objective=np.concatenate([self._pool.cost, slack_costs]),
             senses=["E"] * n_demand + ["L"] * n_cap,
             rhs=np.concatenate([self.demand_rhs,
                                 self.instance.network.capacity[self.active_edges]]),
@@ -801,16 +784,16 @@ class RestrictedMaster:
         zero.
         """
         n = len(self.owners)
-        row = self._row
+        row, cost = self._row, self._pool.cost
         if self.active_edges or self.pool_size != n \
                 or not np.all(np.bincount(row, minlength=n) == 1) \
-                or not np.all(self._cost <= self.demand_slack_costs[row]):
+                or not np.all(cost <= self.demand_slack_costs[row]):
             return None
         x = self.demand_rhs[row]
         pi = np.full(self._row_of.size, np.nan)
-        pi[self.owners[row]] = self._cost
+        pi[self.owners[row]] = cost
         slack = np.zeros(n if self.slack_policy == "demand" else 0)
-        return RmpSolution(float(self._cost @ x), x, pi,
+        return RmpSolution(float(cost @ x), x, pi,
                            np.zeros(self.instance.network.edge_count), slack)
 
     # -- live HiGHS model ---------------------------------------------------
@@ -844,16 +827,17 @@ class RestrictedMaster:
         if new_edges:
             # Entries of the columns already in the model, per new row in
             # row order and within a row in pool order.
-            end = np.searchsorted(self._col, synced)
-            pos = self._cap_pos[self._edge[:end]]
+            pool = self._pool
+            pos = self._cap_pos[pool.edges[:int(pool.lengths[:synced].sum())]]
             keep = np.flatnonzero(pos >= self._cap_rows)
             keep = keep[np.argsort(pos[keep], kind="stable")]
             starts = np.searchsorted(pos[keep], np.arange(self._cap_rows,
                                                           len(self.active_edges) + 1))
+            # The pool column of each kept entry (no pooled column is empty).
+            col = pool.starts.searchsorted(keep, side="right") - 1
             first_row = model.add_rows(["L"] * len(new_edges),
                                        self.instance.network.capacity[new_edges],
-                                       starts, self._col_vars[self._col[keep]],
-                                       self._coef[keep])
+                                       starts, self._col_vars[col], pool.coefs[keep])
             self._cap_rows = len(self.active_edges)
             if self.slack_policy == "edge":
                 n = len(new_edges)
@@ -863,7 +847,7 @@ class RestrictedMaster:
 
         if synced < self.pool_size:
             self._col_vars = np.concatenate(
-                [self._col_vars, model.add_cols(self._cost[synced:],
+                [self._col_vars, model.add_cols(self._pool.cost[synced:],
                                                 *self._column_matrix(synced))])
 
         if self._costs_changed:

@@ -121,6 +121,13 @@ class TestSolveBasics:
             assert r.status == "optimal"
             assert r.objective == pytest.approx(6.0)
 
+    def test_direct_lp_records_its_pivots(self):
+        inst = generate_random(20, 100, 80, 5, seed=0, tightness="tight")
+        pivots = HighsBackend().solve(build_source_lp(inst).lp).simplex_iterations
+        r = solve(inst, cfg(formulation="source-lp"))
+        assert r.status == "optimal"
+        assert sum(it.simplex_iterations for it in r.iterations) == pivots > 0
+
     @pytest.mark.parametrize("field,value", [("timeout_seconds", float("nan")),
                                              ("timeout_seconds", -1.0),
                                              ("rel_tol", float("nan")),

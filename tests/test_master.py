@@ -150,6 +150,14 @@ class TestAddColumn:
         with pytest.raises(InputError, match="path master only accepts path columns"):
             path_m.add_column(Column(owner=3, kind="tree", edges=(2,), coefs=(1.0,),
                                      cost=0.1))
+        # A batch of the other kind whose first column is malformed (it
+        # repeats an edge) raises that column's error, and pools nothing.
+        batch = [Column(owner=0, kind="path", edges=(2, 2), coefs=(1.0, 1.0), cost=6.0),
+                 PATH_ABC]
+        with pytest.raises(InputError, match="repeats edges"):
+            tree_m.add_column(batch)
+        with pytest.raises(InputError, match="tree master only accepts tree columns"):
+            tree_m.add_column(batch[::-1])
         assert tree_m.pool_size == path_m.pool_size == 0
 
     def test_malformed_column_with_new_key_raises(self, triangle):
@@ -162,7 +170,10 @@ class TestAddColumn:
 
 
 def pool_arrays(m):
-    return {name: getattr(m, name) for name in ("_edge", "_coef", "_col", "_cost", "_row")}
+    pool = m.columns
+    arrays = {name: getattr(pool, name) for name in ("owner", "lengths", "edges",
+                                                       "coefs", "cost")}
+    return {**arrays, "_row": m._row}
 
 
 def offered_batches(inst, mode):
@@ -240,6 +251,35 @@ class TestColumnBatch:
             m.add_column(bad)
         with pytest.raises(InputError, match="disagree in size"):
             ColumnBatch("path", [0], [2], [0, 1], [1.0], [2.0])
+
+    def test_a_batch_has_one_kind(self):
+        with pytest.raises(InputError, match="path or tree columns, not both"):
+            ColumnBatch.from_columns([PATH_ABC, TREE_COL])
+        bogus = Column(owner=0, kind="bogus", edges=(0,), coefs=(1.0,), cost=1.0)
+        with pytest.raises(InputError, match="unknown column kind 'bogus'"):
+            ColumnBatch.from_columns([PATH_ABC, bogus])
+        paths = ColumnBatch.from_columns([PATH_ABC, PATH_AB])
+        assert paths.kind == "path" and paths[1].kind == "path"
+        with pytest.raises(InputError, match="cannot concatenate path and tree"):
+            ColumnBatch.concat([paths, ColumnBatch.from_columns(TREE_COL)])
+        for kind in ("tree", "path", ""):
+            empty = ColumnBatch(kind, [], [], [], [], [])
+            assert ColumnBatch.concat([empty, paths, empty]) == paths
+        assert ColumnBatch.concat([ColumnBatch("tree", [], [], [], [], []),
+                                   ColumnBatch.from_columns(TREE_COL)]).kind == "tree"
+
+    @pytest.mark.parametrize("mode", ["tree", "path"])
+    def test_the_pool_is_one_batch(self, mode):
+        inst = generate_random(12, 36, 14, 4, seed=1, tightness="tight")
+        m = new_master(inst, mode)
+        assert m.columns is m.columns and m.columns.kind == mode
+        fresh = []                  # each new column where its id first occurs
+        for cols in offered_batches(inst, mode):
+            for col, i in zip(cols, m.add_column(cols)):
+                if i == len(fresh):
+                    fresh.append(col)
+        assert m.columns is m.columns and len(fresh) == m.pool_size
+        assert m.columns == ColumnBatch.from_columns(fresh)
 
 
 class TestIncumbentTrees:

@@ -82,6 +82,11 @@ def verdict(check, cols, instance):
     return None
 
 
+def converted(cols, instance):
+    """``validate_columns`` of the batch converted from ``cols``."""
+    validate_columns(ColumnBatch.from_columns(cols), instance)
+
+
 def reference_verdict(cols, instance):
     """The first bad column's message, checking one column at a time."""
     for col in cols:
@@ -169,8 +174,7 @@ class TestBatchedValidatorAgreesWithReference:
                     batch = rng.sample(valid, 3) + [mutant] + [valid[0]]
                     expected = reference_verdict(batch, inst)
                     assert verdict(validate_columns, batch, inst) == expected, mutant
-                    assert verdict(validate_columns, ColumnBatch.from_columns(batch),
-                                   inst) == expected, mutant
+                    assert verdict(converted, batch, inst) == expected, mutant
                     checked += 1
                     bad += expected is not None
         assert checked >= 150
