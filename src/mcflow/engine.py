@@ -37,7 +37,10 @@ run with status ``timeout`` and the bounds found so far. A kernel
 pricing round gets the budget's deadline and starts no block of sources
 after it, which leaves the round incomplete (no Lagrangian bound, no
 optimality claim). The budget is also checked before every iteration,
-which ends such a run; either way the report's message says why.
+which ends such a run, and before a round's columns are added: a round
+whose batch arrives past the deadline adds nothing and ends the run with
+status ``timeout``, never as optimal. Either way the report's message
+says why.
 
 Direct solves of the edge-based and source-based LPs are routed through
 the same entry point for convenience; HiGHS stops them at the time left
@@ -263,10 +266,19 @@ class ColGenSolver:
             it.rows_added = len(viol)
         columns, min_rc, stats, complete = self._price_round()
         it.pricing_runs, it.early_stops = stats.runs, stats.early_stops
-        it.columns_added = self._add_columns(columns)
         if complete:
             self.best_lb = max(self.best_lb, lagrangian_bound(
                 sol.objective, min_rc, self.owner_weights))
+        if len(columns) and self._time_left() < 0.0:
+            # Validating and pooling a paper-size batch takes seconds; a
+            # round that adds nothing must not be read as optimal.
+            self.status = TIMEOUT
+            self.message = (f"the time budget of {self.config.timeout_seconds:g} s "
+                            f"ran out before the round's {len(columns)} columns "
+                            "were added")
+            self._push(it)
+            return
+        it.columns_added = self._add_columns(columns)
         if it.columns_added == 0 and complete and not viol:
             self._finish(sol, slack_ok, it)
             return

@@ -37,6 +37,11 @@ from .errors import InputError, InternalError
 
 INF = math.inf
 
+# Upper bound on the entries of one dense (rows x nodes) working array:
+# a pricing kernel call's labels (one row per source) and the column
+# validator's (column, node) slot table (one row per column).
+SOURCE_BLOCK_ENTRIES = 1 << 22
+
 
 class Network:
     """Immutable directed network with per-edge cost and capacity.

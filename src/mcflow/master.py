@@ -32,11 +32,14 @@ exactly. The new columns are then checked together by
 order, and a batch with a bad column changes nothing. Every pooled
 column stays in the restriction for the whole solve, so the
 restriction's columns are the pool ids ``0 .. pool_size - 1``. The pool
-is one batch of the master's kind, to which each batch's arrays are
-appended as they are: a pooled entry is an ``(edge, coef)`` pair, and
-no per-entry column id is stored. Every reader uses array operations on
-it: edge flows are one weighted ``bincount``, and the LP coefficients
-are the entries whose edge has a capacity row, found through an edge ->
+is one batch of the master's kind whose arrays are read-only views of
+the filled prefix of buffers; each batch's arrays are written after
+that prefix, and a full buffer is moved to one of twice its capacity,
+so a batch costs its own size plus an amortized constant per pooled
+entry. A pooled entry is an ``(edge, coef)`` pair, and no per-entry
+column id is stored. Every reader uses array operations on the pool:
+edge flows are one weighted ``bincount``, and the LP coefficients are
+the entries whose edge has a capacity row, found through an edge ->
 capacity-row index array.
 
 A solve's demand duals ``RmpSolution.pi`` are an owner-indexed array
@@ -73,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InternalError, LpTimeLimit
-from .graph import stable_argsort
+from .graph import SOURCE_BLOCK_ENTRIES, stable_argsort
 from .instance import Instance
 from .lp import (OPTIMAL, TIME_LIMIT, HighsBackend, HighsModel, LpBackend,
                  LpSolution, SparseLp, get_backend)
@@ -396,7 +399,15 @@ def _check_paths(c: _Checks, head: np.ndarray, tail: np.ndarray,
 
 def _check_trees(c: _Checks, head: np.ndarray, tail: np.ndarray,
                  instance: Instance) -> None:
-    """Tree checks; connectivity follows parent entries by pointer jumping."""
+    """Tree checks, in linear time per pointer-jumping round.
+
+    A dense (column, node) slot table, built for a chunk of columns at a
+    time so that it holds at most ``SOURCE_BLOCK_ENTRIES`` entries, maps
+    each slot to the column's first entry that enters that node. An entry
+    that is not its own slot's entry repeats a node, and an entry's
+    parent is the table at (its column, its tail). Connectivity then
+    follows parent entries by pointer jumping.
+    """
     b = c.batch
     col_of, total = b.col_of, b.edges.size
     nodes = instance.network.node_count
@@ -406,22 +417,36 @@ def _check_trees(c: _Checks, head: np.ndarray, tail: np.ndarray,
     c.check(~(owner_ok & is_source[np.where(owner_ok, b.owner, 0)]),
             lambda i: f"tree column owner {int(b.owner[i])} is not a source")
     c.check_entries(b.coefs <= 0, lambda i: "tree column coefficients must be positive")
-    key = col_of * nodes + head
-    order = stable_argsort(key)
-    key = key[order]
-    c.check_entries(order[1:][key[1:] == key[:-1]],
+    # Parent entries; slots total and total + 1 stand for the root and a
+    # missing parent.
+    up = np.empty(total + 2, dtype=np.int64)
+    repeat = np.empty(total, dtype=bool)        # not the first entry of its slot
+    chunk = max(1, SOURCE_BLOCK_ENTRIES // nodes)
+    table = np.empty(min(chunk, c.n) * nodes, dtype=np.int64)
+    cut = np.append(b.starts, total)
+    for lo in range(0, c.n, chunk):
+        hi = min(lo + chunk, c.n)
+        s, t = cut[lo], cut[hi]
+        row = (col_of[s:t] - lo) * nodes
+        slot = row + head[s:t]
+        entries = np.arange(s, t)
+        table[:(hi - lo) * nodes] = total + 1
+        # Written in reverse entry order, so each slot keeps its first entry.
+        table[slot[::-1]] = entries[::-1]
+        repeat[s:t] = table[slot] != entries
+        up[s:t] = table[row + tail[s:t]]
+    c.check_entries(repeat,
                     lambda i: "tree column support has a node with in-degree > 1")
     root = b.owner[col_of]
     c.check_entries(head == root, lambda i: "tree column support re-enters the root")
-    # An entry's parent is the entry of its column whose head is its tail;
-    # slots total and total + 1 stand for the root and a missing parent.
     # After r rounds of pointer jumping every entry has followed 2^r
-    # parent steps, and no chain to the root is longer than its column.
-    want = col_of * nodes + tail
-    found = np.minimum(key.searchsorted(want), total - 1)
-    up = np.where(key[found] == want, order[found], total + 1)
-    up = np.concatenate([np.where(tail == root, total, up), [total, total + 1]])
+    # parent steps, and no chain to the root is longer than its column;
+    # the rounds stop once every entry has reached the root or a gap.
+    up[:total][tail == root] = total
+    up[total:] = total, total + 1
     for _ in range(int(b.lengths.max()).bit_length()):
+        if up[:total].min() >= total:
+            break
         up = up[up]
     loose = up[:total] != total
     c.check_entries(loose, lambda i: "tree column support is disconnected or cyclic "
@@ -442,6 +467,20 @@ class RmpSolution:
     mu: np.ndarray
     slack: np.ndarray
     simplex_iterations: int = 0
+
+
+def _extend(buffer: np.ndarray, used: int, values: np.ndarray) -> np.ndarray:
+    """``buffer`` with ``values`` written after its first ``used`` items;
+    when they do not fit, a new buffer of twice the capacity (or more)
+    that starts with those items. The items are never written again, so
+    a view of them stays unchanged."""
+    end = used + values.size
+    if end > buffer.size:
+        grown = np.empty(max(end, 2 * buffer.size), dtype=buffer.dtype)
+        grown[:used] = buffer[:used]
+        buffer = grown
+    buffer[used:end] = values
+    return buffer
 
 
 class RestrictedMaster:
@@ -479,7 +518,10 @@ class RestrictedMaster:
         # Demand row per owner id (commodity, or node in tree mode), -1 if none.
         self._row_of = np.full(net.node_count if mode == TREE else len(self.owners), -1)
         self._row_of[self.owners] = np.arange(len(self.owners))
-        # The pool, and per pool column its demand row and support hash.
+        # The pool, and per pool column its demand row and support hash:
+        # read-only views of the filled prefix of the buffers that _append
+        # writes and doubles when full.
+        self._buffers: dict[str, np.ndarray] = {}
         self._pool = ColumnBatch(mode, [], [], [], [], [])
         self._row = np.zeros(0, dtype=np.int64)
         self._hash = np.zeros(0, dtype=np.uint64)
@@ -576,11 +618,25 @@ class RestrictedMaster:
     def _append(self, batch: ColumnBatch, hashes: np.ndarray) -> None:
         """Validate new columns of the master's kind and append them to
         the pool. A valid column has a demand row: path owners are
-        commodities and tree owners are sources."""
+        commodities and tree owners are sources. The pool arrays, ``_row``
+        and ``_hash`` become new views of their buffers; views handed out
+        before keep their columns."""
         validate_columns(batch, self.instance)
-        self._pool = ColumnBatch.concat([self._pool, batch])
-        self._row = np.concatenate([self._row, self._row_of[batch.owner]])
-        self._hash = np.concatenate([self._hash, hashes])
+        new = dict(owner=batch.owner, lengths=batch.lengths, cost=batch.cost,
+                   row=self._row_of[batch.owner], hash=hashes,
+                   edges=batch.edges, coefs=batch.coefs)
+        n, size = self.pool_size, self._pool.edges.size
+        view = {}
+        for name, values in new.items():
+            used = size if name in ("edges", "coefs") else n
+            # The first batch starts from an empty buffer of its own dtype.
+            buffer = _extend(self._buffers.get(name, values[:0]), used, values)
+            self._buffers[name] = buffer
+            view[name] = buffer[:used + values.size]
+            view[name].flags.writeable = False
+        self._pool = ColumnBatch(self.mode, view["owner"], view["lengths"],
+                                 view["edges"], view["coefs"], view["cost"])
+        self._row, self._hash = view["row"], view["hash"]
 
     @property
     def pool_size(self) -> int:

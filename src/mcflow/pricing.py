@@ -47,14 +47,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasibleError, InputError
-from .graph import (HeuristicBounds, Network, SptResult, astar, dijkstra,
-                    dijkstra_bounded, tree_levels)
+from .graph import (SOURCE_BLOCK_ENTRIES, HeuristicBounds, Network, SptResult,
+                    astar, dijkstra, dijkstra_bounded, tree_levels)
 from .instance import GroupArrays, Instance, SourceGroup
 from .master import PATH, TREE, ColumnBatch
-
-# Upper bound on (sources in one kernel call) x (nodes): each call's dense
-# labels (distances, parent edges, flags) hold this many entries per array.
-SOURCE_BLOCK_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)

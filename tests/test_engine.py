@@ -479,6 +479,32 @@ class TestLpTimeLimit:
         assert r.lower_bound <= oracle + 1e-6 * abs(oracle)
         assert r.objective >= oracle - 1e-6 * abs(oracle)
 
+    @pytest.mark.parametrize("formulation", ["tree", "path"])
+    def test_batch_past_the_deadline_is_not_added(self, formulation):
+        # The deadline passes while the second round is priced: its
+        # columns must not be pooled, and the run must end in timeout, not
+        # in the empty round that reads as optimal.
+        inst = generate_random(12, 36, 12, 4, seed=6, tightness="tight")
+        solver = ColGenSolver(inst, cfg(formulation=formulation, timeout_seconds=50.0))
+        real = solver._price_round
+        pool_sizes = []
+
+        def slow_round():
+            out = real()
+            pool_sizes.append(solver.master.pool_size)
+            if len(pool_sizes) == 2:
+                assert len(out[0]) > 0
+                solver._t0 -= 100.0         # as if pricing took 100 s
+            return out
+
+        solver._price_round = slow_round
+        r = solver.run()
+        assert r.status == "timeout"
+        assert "ran out before the round's" in r.message
+        assert solver.master.pool_size == pool_sizes[-1] == r.peak_columns
+        assert len(pool_sizes) == r.iteration_count == 2
+        assert r.iterations[-1].columns_added == 0
+
     def test_limit_counts_from_this_solve(self):
         # A live model's earlier warm solves add up to more than the limit
         # of the next one, which needs far less than that limit: it must

@@ -282,6 +282,63 @@ class TestColumnBatch:
         assert m.columns == ColumnBatch.from_columns(fresh)
 
 
+def engine_batches(inst, mode):
+    """Every batch a solve hands its master, in order, and the solve."""
+    solver = ColGenSolver(inst, SolverConfig(formulation=mode, rel_tol=1e-7))
+    batches, real = [], solver.master.add_column
+
+    def recording(cols):
+        batches.append(cols)
+        return real(cols)
+
+    solver.master.add_column = recording
+    solver.run()
+    return batches, solver
+
+
+class TestPoolGrowth:
+    @pytest.mark.parametrize("mode", ["tree", "path"])
+    def test_batch_by_batch_equals_one_batch(self, mode):
+        inst = generate_random(20, 100, 80, 5, seed=3, tightness="tight")
+        batches, solver = engine_batches(inst, mode)
+        assert len(batches) > 10
+        by_batch, at_once = new_master(inst, mode), new_master(inst, mode)
+        views = []                  # (view, copy) of the pool after each batch
+        for batch in batches:
+            by_batch.add_column(batch)
+            views.append((by_batch.columns, by_batch.columns[:]))
+        at_once.add_column(ColumnBatch.concat(batches))
+        assert by_batch.pool_size == solver.master.pool_size
+        for m in (by_batch, at_once):
+            m.add_capacity_rows(solver.master.active_edges)
+        arrays = (pool_arrays(by_batch), pool_arrays(at_once), pool_arrays(solver.master))
+        for name in arrays[0]:
+            assert len({(a[name].dtype, a[name].tobytes()) for a in arrays}) == 1, name
+        assert by_batch._hash.tobytes() == at_once._hash.tobytes()
+        lps = [m.build_lp()[0] for m in (by_batch, at_once)]
+        for name in ("objective", "rhs", "rows", "cols", "vals"):
+            a, b = (getattr(lp, name) for lp in lps)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert lps[0].senses == lps[1].senses and lps[0].num_cols == lps[1].num_cols
+        x = np.random.default_rng(4).integers(0, 3, by_batch.pool_size) / 2.0
+        assert np.array_equal(by_batch.incumbent_trees(x), at_once.incumbent_trees(x))
+        # A view taken earlier keeps its columns through later appends.
+        for view, copy in views:
+            assert view == copy and not view.edges.flags.writeable
+
+    def test_rejected_batch_leaves_the_buffers(self, triangle):
+        m = new_master(triangle, "path")
+        m.add_column([PATH_ABC, PATH_AC])
+        pool = m.columns
+        bad = Column(owner=1, kind="path", edges=(1,), coefs=(1.0,), cost=1.0)
+        with pytest.raises(InputError, match="contiguous"):
+            m.add_column([PATH_AB, bad])
+        assert m.columns is pool and m.pool_size == 2
+        assert m.add_column(PATH_AB) == 2
+        assert list(m.columns) == [PATH_ABC, PATH_AC, PATH_AB]
+        assert list(pool) == [PATH_ABC, PATH_AC]
+
+
 class TestIncumbentTrees:
     def test_matches_a_loop_over_the_pool(self):
         rng = np.random.default_rng(5)

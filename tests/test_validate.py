@@ -180,6 +180,42 @@ class TestBatchedValidatorAgreesWithReference:
         assert checked >= 150
         assert bad >= 0.75 * checked
 
+    @pytest.mark.parametrize("per_chunk", [1, 2])
+    def test_tree_chunks_of_one_or_two_columns(self, monkeypatch, per_chunk):
+        # The tree checks build their (column, node) slot table for a
+        # chunk of columns at a time; a budget of one or two columns puts
+        # chunk boundaries between every few columns of a batch.
+        import mcflow.master
+        rng = random.Random(11 + per_chunk)
+        messages = []
+        for seed in range(4):
+            inst = generate_random(14, 44, 24, 4, seed=seed, tightness="mixed")
+            net = inst.network
+            monkeypatch.setattr(mcflow.master, "SOURCE_BLOCK_ENTRIES",
+                                per_chunk * net.node_count)
+            valid = initial_columns(inst, "tree")
+            for col in valid:
+                mutants = mutations(col, inst, rng)
+                # A second edge into a node of the tree, not a repeated edge.
+                heads = {int(net.head[e]) for e in col.edges}
+                into = [e for e in range(net.edge_count)
+                        if int(net.head[e]) in heads and e not in col.edges]
+                if into:
+                    mutants.append(recosted(col, inst, edges=col.edges + (rng.choice(into),),
+                                            coefs=col.coefs + (1.0,)))
+                batches = [rng.sample(valid, rng.randrange(4)) + [mutant] + [valid[0]]
+                           for mutant in mutants]
+                batches.append(list(valid) + [m for m in mutants if m.kind == "tree"])
+                for batch in batches:
+                    expected = reference_verdict(batch, inst)
+                    assert verdict(validate_columns, batch, inst) == expected, batch
+                    assert verdict(converted, batch, inst) == expected, batch
+                    messages.append(expected)
+        for part in ("unknown edge", "cyclic", "in-degree", "re-enters the root",
+                     "repeats edges"):
+            assert any(part in (m or "") for m in messages), part
+        assert None in messages
+
     def test_valid_batches_pass(self):
         for seed in range(4):
             inst = generate_random(14, 44, 24, 4, seed=seed, tightness="mixed")
