@@ -28,7 +28,7 @@ CSV_HEADER = [
     "instance", "formulation", "strategy", "status", "objective",
     "lower_bound", "gap", "wall_time_s", "peak_memory_bytes", "iterations",
     "simplex_iterations", "columns_generated", "rows_activated",
-    "commodities", "sources",
+    "commodities", "sources", "slack_policy",
 ]
 
 
@@ -37,7 +37,10 @@ class RunRecord:
     """One benchmark run, as written to the suite CSV.
 
     ``simplex_iterations`` sums the LP pivots of the run's master solves,
-    or of its direct LP (0 on the builtin backend).
+    or of its direct LP (0 on the builtin backend). ``slack_policy`` is
+    the master's slack rule, ``"demand"`` or ``"edge"``, and ``""`` for
+    a direct LP; it is the last field and defaults to ``""``, so a record
+    built positionally without it still works.
     """
 
     instance: str
@@ -55,6 +58,7 @@ class RunRecord:
     rows_activated: int
     commodities: int
     sources: int
+    slack_policy: str = ""
 
     def to_csv_row(self) -> list[str]:
         def fmt(v):
@@ -111,6 +115,7 @@ def record_from_report(instance: Instance, config: SolverConfig,
         rows_activated=report.active_rows,
         commodities=instance.commodity_count,
         sources=instance.source_count,
+        slack_policy=report.slack_policy,
     )
 
 

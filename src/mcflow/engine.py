@@ -138,11 +138,17 @@ class IterationStat:
 class SolveReport:
     """Outcome of one solve: bounds, status, and the iteration trace.
 
+    ``slack_policy`` is the master's slack rule, ``"demand"`` or
+    ``"edge"`` (see :class:`~mcflow.master.RestrictedMaster`), and ``""``
+    for a direct LP. It says what ``IterationStat.slack_mass`` sums:
+    uncovered demand under ``"demand"``, excess flow on capacity rows
+    under ``"edge"``.
+
     ``infeasible_owners`` names commodity ids: those with an unreachable
     sink, or whose demand row (in tree mode, their source's, which then
     holds that one commodity) keeps slack after big-M escalation. It is
-    empty when capacity rows keep the slack, which is always the case in
-    tree mode when some source has several commodities; the message then
+    empty when capacity rows keep the slack, which is the case in both
+    modes when some source has several commodities; the message then
     names the edges.
     """
 
@@ -156,6 +162,7 @@ class SolveReport:
     wall_time: float = 0.0
     message: str = ""
     infeasible_owners: tuple = ()
+    slack_policy: str = ""
 
     @property
     def iteration_count(self) -> int:
@@ -391,6 +398,7 @@ class ColGenSolver:
             wall_time=wall,
             message=self.message,
             infeasible_owners=self.infeasible_owners,
+            slack_policy=self.master.slack_policy,
         )
 
 

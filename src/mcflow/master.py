@@ -4,16 +4,16 @@ The master keeps a pool of priced columns, the demand rows (one per
 commodity in path mode, one per source in tree mode), and a lazily
 grown set of capacity rows. Slack variables at big-M cost keep every
 restriction feasible before enough columns and rows exist. Which rows
-get slack follows the slack rule: demand rows when every demand row
-holds exactly one commodity and there are fewer of them than edges,
-capacity rows otherwise. So a tree master whose source rows aggregate
-several commodities prices an overloaded edge per unit of excess flow,
-not as the loss of a whole source's demand. Big-M is one price per unit
-of flow in both modes, the total edge cost: slack that covers a demand
-row's whole demand costs big-M times that demand. Under capacity-row
-slack each demand row needs a pooled column before the master can be
-solved; the engine pools one seed column per row before its first
-solve.
+get slack follows one slack rule for both modes, read off the instance:
+demand rows when every source has exactly one commodity and there are
+fewer commodities than edges, capacity rows otherwise. So a master on an
+instance whose sources carry several commodities, path or tree, prices
+an overloaded edge per unit of excess flow, not as the loss of a whole
+demand. Big-M is one price per unit of flow in both modes, the total
+edge cost: slack that covers a demand row's whole demand costs big-M
+times that demand. Under capacity-row slack each demand row needs a
+pooled column before the master can be solved; the engine pools one
+seed column per row before its first solve.
 Capacity duals are normalized to be nonpositive after every solve, so
 the adjusted pricing weights ``cost - mu`` stay nonnegative.
 
@@ -269,11 +269,12 @@ class _Checks:
         self.n = len(batch)
         self.failed = []            # (column mask, message) per failed check
 
-    def check(self, bad: np.ndarray, message) -> None:
+    def check(self, bad: np.ndarray, message, first: bool = False) -> None:
         """``bad`` flags the columns failing this check; ``message(i)``
-        is the error text for column ``i``."""
+        is the error text for column ``i``. A ``first`` check goes before
+        every check made so far."""
         if np.count_nonzero(bad):
-            self.failed.append((bad, message))
+            self.failed.insert(0 if first else len(self.failed), (bad, message))
 
     def check_entries(self, entries: np.ndarray, message) -> None:
         """Fail the columns with any of the given entries (a mask or
@@ -321,17 +322,25 @@ def validate_columns(cols, instance: Instance) -> None:
     c = _Checks(b)
     edges, col_of, lengths = b.edges, b.col_of, b.lengths
     unknown = (edges < 0) | (edges >= net.edge_count)
-    # Entries come column by column, so sorting the single key
-    # column * span + edge rank brings each column's equal edges together.
-    # Edge ids are their own ranks unless some are unknown.
-    span, rank = net.edge_count, edges
-    if np.count_nonzero(unknown):
-        ids, rank = np.unique(edges, return_inverse=True)
-        span = ids.size
-    key = np.sort(col_of * span + rank)
-    repeated = np.zeros(n, dtype=bool)
-    repeated[key[1:][key[1:] == key[:-1]] // span] = True
-    c.check(repeated, lambda i: f"column repeats edges: {b[i].edges}")
+
+    def check_repeated_edges(first: bool = False) -> None:
+        # Entries come column by column, so sorting the single key
+        # column * span + edge rank brings each column's equal edges
+        # together. Edge ids are their own ranks unless some are unknown.
+        # It reads b.edges: ``edges`` maps unknown ids to 0 further down.
+        span, rank = net.edge_count, b.edges
+        if np.count_nonzero(unknown):
+            ids, rank = np.unique(b.edges, return_inverse=True)
+            span = ids.size
+        key = np.sort(col_of * span + rank)
+        repeated = np.zeros(n, dtype=bool)
+        repeated[key[1:][key[1:] == key[:-1]] // span] = True
+        c.check(repeated, lambda i: f"column repeats edges: {b[i].edges}", first)
+
+    # A tree column's repeated edge also repeats its head, which the tree
+    # checks find without a sort; the sort then runs only if they do.
+    if b.kind != TREE:
+        check_repeated_edges()
     c.check(lengths == 0, lambda i: "column has empty support")
     if np.count_nonzero(unknown):
         c.check_entries(unknown, lambda i: "column references unknown edge "
@@ -349,7 +358,8 @@ def validate_columns(cols, instance: Instance) -> None:
     if b.kind == PATH:
         _check_paths(c, head, tail, instance)
     elif b.kind == TREE:
-        _check_trees(c, head, tail, instance)
+        if _check_trees(c, head, tail, instance):
+            check_repeated_edges(first=True)
     else:
         c.check(np.ones(n, dtype=bool), lambda i: f"unknown column kind {b.kind!r}")
     c.raise_first()
@@ -398,8 +408,9 @@ def _check_paths(c: _Checks, head: np.ndarray, tail: np.ndarray,
 
 
 def _check_trees(c: _Checks, head: np.ndarray, tail: np.ndarray,
-                 instance: Instance) -> None:
-    """Tree checks, in linear time per pointer-jumping round.
+                 instance: Instance) -> bool:
+    """Tree checks, in linear time per pointer-jumping round; returns
+    whether some entry repeats a node.
 
     A dense (column, node) slot table, built for a chunk of columns at a
     time so that it holds at most ``SOURCE_BLOCK_ENTRIES`` entries, maps
@@ -451,6 +462,7 @@ def _check_trees(c: _Checks, head: np.ndarray, tail: np.ndarray,
     loose = up[:total] != total
     c.check_entries(loose, lambda i: "tree column support is disconnected or cyclic "
                     f"at node {int(head[b.starts[i] + c.first_entry(loose, i)])}")
+    return bool(np.count_nonzero(repeat))
 
 
 @dataclass
@@ -487,6 +499,14 @@ class RestrictedMaster:
     """Mutable restricted master problem. Single-threaded by contract."""
 
     def __init__(self, instance: Instance, mode: str):
+        """An empty master of ``instance`` in ``mode``, path or tree.
+
+        ``slack_policy`` is ``"demand"`` only when every source has
+        exactly one commodity and there are fewer commodities than edges,
+        and ``"edge"`` otherwise, the same in both modes. Under
+        ``"edge"``, solving a master with a demand row that has no pooled
+        column raises :class:`InputError`.
+        """
         if mode not in (PATH, TREE):
             raise InputError(f"unknown master mode {mode!r}")
         self.instance = instance
@@ -498,17 +518,20 @@ class RestrictedMaster:
         else:
             self.owners = np.array([g.source for g in instance.groups], dtype=np.int64)
             self.demand_rhs = np.ones(len(instance.groups))
-        # Every demand row holds exactly one commodity when there are as many
-        # rows as commodities (a group has at least one member).
-        self.slack_policy = ("demand" if len(self.owners) == len(instance.commodities)
-                             and len(self.owners) < net.edge_count else "edge")
+        # One rule for both modes, read off the instance: demand slack only
+        # when every source has exactly one commodity (a group has at least
+        # one member) and there are fewer commodities than edges. The tree
+        # and path masters of such an instance are then the same LP.
+        k = len(instance.commodities)
+        self.slack_policy = ("demand" if len(instance.groups) == k < net.edge_count
+                             else "edge")
         total_cost = float(net.cost.sum())
         # The price of one unit of flow on a capacity row's slack.
         self.big_m = max(1.0, total_cost)
         # Demand-row slack prices: one unit of convexity slack stands for the
         # whole group's demand, so its penalty scales with that demand. This
         # keeps the tree and path masters exactly equivalent LPs when every
-        # group has a single member, the only tree masters with demand slack.
+        # group has a single member, the only instances with demand slack.
         if mode == TREE:
             self.demand_slack_costs = np.array(
                 [max(1.0, total_cost * g.total_demand) for g in instance.groups])

@@ -84,23 +84,34 @@ class TestSolveBasics:
             assert "capacity rows of edges [0, 1]" in r.message
 
     def test_infeasible_multi_member_tree_names_edges(self):
-        # 3 path rows and 2 tree rows on 4 edges, but source 0's tree row
-        # holds commodities 0 and 1, so the tree master puts its slack on
-        # capacity rows: commodity 0's 5 units overload edge 0->1.
+        # 3 path rows and 2 tree rows on 4 edges, but source 0 holds
+        # commodities 0 and 1, so both masters put their slack on capacity
+        # rows: commodity 0's 5 units overload edge 0->1.
         net = Network(4, [(0, 1, 1.0, 1.0), (0, 2, 1.0, 9.0), (2, 3, 1.0, 9.0),
                           (3, 0, 1.0, 9.0)])
         inst = Instance.build(net, [Commodity(0, 1, 5.0), Commodity(0, 2, 1.0),
                                     Commodity(2, 3, 1.0)])
-        tree = ColGenSolver(inst, cfg(formulation="tree"))
-        assert tree.master.slack_policy == "edge"
-        r = tree.run()
+        for form in ("tree", "path"):
+            solver = ColGenSolver(inst, cfg(formulation=form))
+            assert solver.master.slack_policy == "edge"
+            r = solver.run()
+            assert r.status == "infeasible"
+            assert r.infeasible_owners == ()
+            assert "capacity rows of edges [0]" in r.message
+
+    @pytest.mark.parametrize("kernel", ["full", "bounded", "astar"])
+    def test_infeasible_shared_source_path_names_edges(self, kernel):
+        # Commodities 0 -> 2 and 0 -> 1 need 4 units, but the edges leaving
+        # node 0 carry at most 2, so edge slack remains on their rows.
+        net = Network(3, [(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0), (0, 2, 4.0, 1.0)])
+        inst = Instance.build(net, [Commodity(0, 2, 2.0), Commodity(0, 1, 2.0)])
+        solver = ColGenSolver(inst, cfg(formulation="path", pricing_strategy=kernel))
+        assert solver.master.slack_policy == "edge"
+        r = solver.run()
         assert r.status == "infeasible"
         assert r.infeasible_owners == ()
-        assert "capacity rows of edges [0]" in r.message
-        # The path master keeps demand slack and names commodity 0.
-        path = ColGenSolver(inst, cfg(formulation="path"))
-        assert path.master.slack_policy == "demand"
-        assert path.run().infeasible_owners == (0,)
+        assert r.slack_policy == "edge"
+        assert "slack remains on the capacity rows of edges [" in r.message
 
     def test_capacity_infeasible_detected(self):
         net = Network(2, [(0, 1, 1.0, 1.0)])
@@ -388,8 +399,8 @@ EDGE_SLACK_SIZE = (8, 16, 20, 4)
 class TestLiveMaster:
     @pytest.mark.parametrize("form", ["tree", "path"])
     @pytest.mark.parametrize("options", [
-        # Multi-member groups: edge slack in tree mode only.
-        {"tree": "edge", "path": "demand"},
+        # Multi-member groups: edge slack in both modes.
+        {"tree": "edge", "path": "edge"},
         # 20 path rows on 16 edges: edge slack in both modes.
         {"size": EDGE_SLACK_SIZE, "tree": "edge", "path": "edge"},
         # One commodity per source: demand slack in both modes.

@@ -45,16 +45,19 @@ class TestNewMaster:
         assert list(m.demand_rhs) == [2.0, 1.0]
 
     def test_slack_policy_rule(self, triangle, triangle_three):
-        # 2 path rows < 3 edges -> demand slack; 3 path rows on 3 edges ->
-        # edge slack; 2 tree rows on 3 edges, but source a's row holds k0
-        # and k1 -> edge slack.
-        assert new_master(triangle, "path").slack_policy == "demand"
-        assert new_master(triangle_three, "path").slack_policy == "edge"
-        assert new_master(triangle_three, "tree").slack_policy == "edge"
+        # Source a holds k0 and k1 -> edge slack in both modes, though the
+        # triangle's 2 path rows are fewer than its 3 edges. A triangle
+        # whose two commodities leave distinct sources -> demand slack.
+        for mode in ("path", "tree"):
+            assert new_master(triangle, mode).slack_policy == "edge"
+            assert new_master(triangle_three, mode).slack_policy == "edge"
+            unique = Instance.build(triangle.network, [Commodity(0, 2, 2.0),
+                                                       Commodity(1, 2, 1.0)])
+            assert new_master(unique, mode).slack_policy == "demand"
 
     @pytest.mark.parametrize("mode,commodities,policy", [
-        # 2 path rows < 3 edges.
-        ("path", [(0, 2, 2.0), (0, 1, 1.0)], "demand"),
+        # 2 single-member path rows < 3 edges.
+        ("path", [(0, 2, 2.0), (1, 2, 0.5)], "demand"),
         # 3 path rows on 3 edges.
         ("path", [(0, 2, 2.0), (0, 1, 1.0), (1, 2, 0.5)], "edge"),
         # 2 single-member tree rows < 3 edges.
@@ -64,10 +67,29 @@ class TestNewMaster:
         # 2 tree rows < 3 edges, but source a's row holds two commodities
         # on one (source, sink) pair.
         ("tree", [(0, 2, 2.0), (0, 2, 1.0), (1, 2, 0.5)], "edge"),
+        # 2 path rows < 3 edges, but source a holds both commodities.
+        ("path", [(0, 2, 2.0), (0, 1, 1.0)], "edge"),
     ])
     def test_slack_policy_table(self, triangle_net, mode, commodities, policy):
         inst = Instance.build(triangle_net, [Commodity(*c) for c in commodities])
         assert new_master(inst, mode).slack_policy == policy
+
+    @pytest.mark.parametrize("size,policy", [
+        ((12, 36, 4, 4), "demand"),         # one commodity per source, |K| < |E|
+        ((8, 8, 8, 8), "edge"),             # one commodity per source, |K| = |E|
+        ((12, 36, 14, 4), "edge"),          # shared sources, |K| < |E|
+        ((8, 16, 20, 4), "edge"),           # shared sources, |K| > |E|
+        ((250, 1000, 5000, 100), "edge"),   # the benchmark's bulk-loose size
+        ((20, 100, 80, 5), "edge"),         # tight-master
+        ((100, 400, 60, 10), "edge"),       # few-commodities
+    ])
+    def test_tree_and_path_masters_share_the_slack_rule(self, size, policy):
+        inst = generate_random(*size, seed=271828, tightness="mixed")
+        single = len(inst.groups) == len(inst.commodities)
+        assert single == (size[2] == size[3])
+        assert policy == ("demand" if single and size[2] < size[1] else "edge")
+        assert new_master(inst, "tree").slack_policy == policy
+        assert new_master(inst, "path").slack_policy == policy
 
     def test_big_m_values(self, triangle):
         path_m = new_master(triangle, "path")
@@ -452,10 +474,11 @@ class TestSeedSolve:
     is solved in closed form; it must equal a cold LP solve."""
 
     @pytest.mark.parametrize("mode,size,policy", [
-        ("path", (12, 36, 14, 4), "demand"),
+        ("path", (12, 36, 4, 4), "demand"),
         ("path", (8, 16, 20, 4), "edge"),
         ("tree", (12, 36, 4, 4), "demand"),
         ("tree", (12, 36, 14, 4), "edge"),
+        ("path", (12, 36, 14, 4), "edge"),
     ])
     @pytest.mark.parametrize("backend", ["builtin", "highs"])
     def test_equals_a_cold_solve(self, mode, size, policy, backend):
@@ -477,11 +500,16 @@ class TestSeedSolve:
         assert cold.duals.size == rows and not sol.mu.any()
         assert sol.mu.size == inst.network.edge_count
 
-    def test_dearer_than_slack_takes_the_lp(self, triangle):
-        # k0's only path costs 2 per unit, more than its slack price of 1.5,
-        # so k0 ships on slack at the LP optimum.
-        m = new_master(triangle, "path")
-        m.add_column([PATH_ABC, PATH_AB])
+    def test_dearer_than_slack_takes_the_lp(self, triangle_net):
+        # k0: a->c demand 2 and k1: b->c demand 1 leave distinct sources, so
+        # the master keeps demand slack. k0's only path costs 2 per unit,
+        # more than its slack price of 1.5, so k0 ships on slack at the LP
+        # optimum.
+        inst = Instance.build(triangle_net, [Commodity(0, 2, 2.0), Commodity(1, 2, 1.0)])
+        m = new_master(inst, "path")
+        assert m.slack_policy == "demand"
+        m.add_column([PATH_ABC, Column(owner=1, kind="path", edges=(1,), coefs=(1.0,),
+                                       cost=1.0)])
         m.demand_slack_costs = np.array([1.5, 5.0])
         sol = m.solve_rmp()
         assert m._model is not None
