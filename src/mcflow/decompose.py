@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DecompositionError, InputError
 from .graph import Network
 from .instance import Instance, SourceGroup
-from .master import TREE, as_batch
+from .master import as_batch, column_owners
 
 
 @dataclass
@@ -56,18 +56,23 @@ def columns_to_source_flows(instance: Instance, columns, primal) -> SourceEdgeFl
 
     ``columns`` (a :class:`ColumnBatch` or a list of one kind) and
     ``primal`` must have the same length, else :class:`InputError` is
-    raised. Tree columns contribute their demand-weighted coefficients
-    times the convexity weight, path columns their path indicator times
-    the path flow. Only columns with a positive value contribute, and
-    each total is summed in entry order.
+    raised, as it is for a column whose owner owns no demand row. A
+    column adds its coefficients times its value to its owner's root
+    (see :func:`mcflow.master.column_owners`): a tree its flows times its
+    convexity weight, a path its edges times its flow. Only columns with
+    a positive value contribute, and each total is summed in entry order.
     """
     x = np.asarray(primal, dtype=np.float64)
     columns = as_batch(columns)
     if x.shape != (len(columns),):
         raise InputError(f"{len(columns)} columns but {x.size} primal values")
+    if not len(columns):
+        return SourceEdgeFlow({})
     keep = x > 0.0
     used, x = columns.take(keep), x[keep]
-    source = used.owner if used.kind == TREE else instance.source[used.owner]
+    known, source, _ = column_owners(used.kind, used.owner, instance)
+    if not known.all():
+        raise InputError(f"column owner {used.owner[np.argmin(known)]} owns no demand row")
     E = instance.network.edge_count
     keys, key_of = np.unique(source[used.col_of] * E + used.edges, return_inverse=True)
     totals = np.bincount(key_of, weights=used.coefs * x[used.col_of])

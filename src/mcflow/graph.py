@@ -37,9 +37,8 @@ from .errors import InputError, InternalError
 
 INF = math.inf
 
-# Upper bound on the entries of one dense (rows x nodes) working array:
-# a pricing kernel call's labels (one row per source) and the column
-# validator's (column, node) slot table (one row per column).
+# Upper bound on the entries of one dense (rows x nodes) working array of
+# pricing: a kernel call's labels or a chunk of candidate trees' parents.
 SOURCE_BLOCK_ENTRIES = 1 << 22
 
 

@@ -27,20 +27,21 @@ a batch, built on demand when a batch (or the pool,
 one column or a list of them is first converted into one. Duplicates,
 of pooled columns or within the batch, are found by a vectorized hash of
 (owner, edge set), each hash hit confirmed by comparing the edge sets
-exactly. The new columns are then checked together by
-:func:`validate_columns`, which raises for the first bad column in batch
-order, and a batch with a bad column changes nothing. Every pooled
-column stays in the restriction for the whole solve, so the
-restriction's columns are the pool ids ``0 .. pool_size - 1``. The pool
-is one batch of the master's kind whose arrays are read-only views of
-the filled prefix of buffers; each batch's arrays are written after
-that prefix, and a full buffer is moved to one of twice its capacity,
-so a batch costs its own size plus an amortized constant per pooled
-entry. A pooled entry is an ``(edge, coef)`` pair, and no per-entry
-column id is stored. Every reader uses array operations on the pool:
-edge flows are one weighted ``bincount``, and the LP coefficients are
-the entries whose edge has a capacity row, found through an edge ->
-capacity-row index array.
+exactly. A valid column's owner and edge set fix its coefficients, so
+equal keys mean equal columns. The new columns are then checked
+together by :func:`validate_columns`, one check for both kinds, which
+raises for the first bad column in batch order, and a batch with a bad
+column changes nothing. Every pooled column stays in the restriction
+for the whole solve, so the restriction's columns are the pool ids
+``0 .. pool_size - 1``. The pool is one batch of the master's kind
+whose arrays are read-only views of the filled prefix of buffers; each
+batch's arrays are written after that prefix, and a full buffer is
+moved to one of twice its capacity, so a batch costs its own size plus
+an amortized constant per pooled entry. A pooled entry is an
+``(edge, coef)`` pair, and no per-entry column id is stored. Every
+reader uses array operations on the pool: edge flows are one weighted
+``bincount``, and the LP coefficients are the entries whose edge has a
+capacity row, found through an edge -> capacity-row index array.
 
 A solve's demand duals ``RmpSolution.pi`` are an owner-indexed array
 (see :mod:`mcflow.pricing`), NaN at ids that own no row.
@@ -76,7 +77,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InternalError, LpTimeLimit
-from .graph import SOURCE_BLOCK_ENTRIES, stable_argsort
 from .instance import Instance
 from .lp import (OPTIMAL, TIME_LIMIT, HighsBackend, HighsModel, LpBackend,
                  LpSolution, SparseLp, get_backend)
@@ -92,16 +92,23 @@ VIOLATION_REL = 1e-9
 # Each big-M escalation multiplies every slack price by this factor.
 BIG_M_FACTOR = 100.0
 
+# Slots of validate_columns's (column, node) table.
+SLOT_TABLE_SIZE = 1 << 18
+
+# Flow conservation tolerance of a column, relative to a node's inflow.
+CONSERVATION_REL = 1e-9
+
 
 @dataclass(frozen=True)
 class Column:
     """One column of a :class:`ColumnBatch`: a commodity path or a
     source-rooted tree.
 
-    ``edges`` lists the support (in path order for path columns);
-    ``coefs`` holds the per-edge flow coefficient, identically 1 for a
-    path and the demand-weighted edge flow for a tree. ``cost`` is the
-    dot product of the coefficients with the original edge costs.
+    ``edges`` lists the support in any order; ``coefs`` holds the
+    per-edge flow that delivers the owner's loads (see
+    :func:`column_owners`), identically 1 for a path and the
+    demand-weighted edge flow for a tree. ``cost`` is the dot product of
+    the coefficients with the original edge costs.
     """
 
     owner: int
@@ -298,6 +305,38 @@ class _Checks:
                                   if bad[i])(i))
 
 
+def column_owners(kind: str, owner: np.ndarray, instance: Instance):
+    """The roots and loads of the owners of ``kind`` columns.
+
+    A column is a flow from its owner's root that delivers its owner's
+    loads. A path owner k is a commodity, rooted at ``source[k]`` with a
+    load of 1 at ``sink[k]``; a tree owner s is a source, rooted at s
+    with its group's summed demand at each of its sinks. Returns
+    ``known`` (whether each ``owner`` owns a demand row of this kind),
+    ``root`` (0 for an unknown owner) and the loads as ``(index, node,
+    amount)`` arrays, ``index`` into ``owner`` and nondecreasing. An
+    unknown kind raises :class:`InputError`.
+    """
+    if kind == PATH:
+        known = (owner >= 0) & (owner < len(instance.commodities))
+        k = owner[known]
+        root = np.zeros(owner.size, dtype=np.int64)
+        root[known] = instance.source[k]
+        return known, root, (np.flatnonzero(known), instance.sink[k], np.ones(k.size))
+    if kind != TREE:
+        raise InputError(f"unknown column kind {kind!r}")
+    flat = instance.group_arrays
+    # Groups are in ascending source order.
+    g = np.searchsorted(flat.source, owner)
+    known = (g < flat.source.size) & (np.append(flat.source, 0)[g] == owner)
+    g = g[known]
+    lo = flat.load_start[g]
+    sizes = flat.load_start[g + 1] - lo
+    at = np.arange(int(sizes.sum())) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
+    return known, np.where(known, owner, 0), \
+        (np.repeat(np.flatnonzero(known), sizes), flat.sink[at], flat.demand[at])
+
+
 def validate_columns(cols, instance: Instance) -> None:
     """Check the structural invariants of a batch of columns.
 
@@ -306,28 +345,108 @@ def validate_columns(cols, instance: Instance) -> None:
     :meth:`ColumnBatch.from_columns`). Raises :class:`InputError` for
     the first bad column in batch order, with the message of the first
     check it fails. Every column must have no repeated and no unknown
-    edge, and a cost equal to its coefficients times the edge costs. The
-    batch's kind selects the path or the tree checks, run once for the
-    whole batch. A path column must walk
-    from its commodity's source to its sink with unit coefficients and
-    no node twice. A tree column must be owned by a source, have
-    positive coefficients, enter every node at most once, never enter
-    the root, and connect every node to the root.
+    edge, and a cost equal to its coefficients times the edge costs.
+    It must then be a flow that delivers its owner's demands, one check
+    for both kinds (only :func:`column_owners` reads the kind): its owner
+    owns a demand row, its coefficients are positive, and its support is
+    an arborescence at the owner's root (no node entered twice, the root
+    never, every node connected to the root). At each node it enters,
+    the inflow minus the outflow is the owner's load there, within
+    ``CONSERVATION_REL`` of the inflow, and every load's node is
+    entered. A path column thus passes exactly when it is a unit flow
+    along a simple path from source to sink, in any edge order.
+
+    A dense (column, node) slot table, allocated once per call with at
+    most ``SLOT_TABLE_SIZE`` slots and serving a chunk of columns at a
+    time, maps each slot to the column's first entry into that node. It
+    gives each entry's parent entry and each load's entry; connectivity
+    follows parent entries by pointer jumping.
     """
     b = as_batch(cols)
     n = len(b)
     if not n:
         return
     net = instance.network
+    known, root, (load_col, load_node, load) = column_owners(b.kind, b.owner, instance)
     c = _Checks(b)
-    edges, col_of, lengths = b.edges, b.col_of, b.lengths
+    edges, col_of, coefs, total = b.edges, b.col_of, b.coefs, b.edges.size
     unknown = (edges < 0) | (edges >= net.edge_count)
+    c.check(b.lengths == 0, lambda i: "column has empty support")
+    if np.count_nonzero(unknown):
+        c.check_entries(unknown, lambda i: "column references unknown edge "
+                        f"{b[i].edges[c.first_entry(unknown, i)]}")
+        # Unknown edges read as edge 0 where an edge's data is looked up.
+        edges = np.where(unknown, 0, edges)
+    if not total:
+        c.raise_first()             # every column is empty
+    # Summed in entry order, as the column's own sum would be.
+    recomputed = np.bincount(col_of, weights=coefs * net.cost[edges], minlength=n)
+    c.check(np.abs(recomputed - b.cost) > 1e-9 * (1.0 + np.abs(recomputed)),
+            lambda i: f"column cost {float(b.cost[i])} differs from recomputed "
+                      f"{float(recomputed[i])}")
+    c.check(~known,
+            lambda i: f"{b.kind} column owner {int(b.owner[i])} owns no demand row")
+    c.check_entries(~(coefs > 0), lambda i: "column coefficients must be positive")
 
-    def check_repeated_edges(first: bool = False) -> None:
-        # Entries come column by column, so sorting the single key
-        # column * span + edge rank brings each column's equal edges
-        # together. Edge ids are their own ranks unless some are unknown.
-        # It reads b.edges: ``edges`` maps unknown ids to 0 further down.
+    head, tail = net.head[edges], net.tail[edges]
+    nodes = net.node_count
+    # Parent entries; slots total and total + 1 stand for the root and a
+    # missing parent.
+    missing = total + 1
+    up = np.empty(total + 2, dtype=np.int64)
+    repeat = np.empty(total, dtype=bool)        # not the first entry of its slot
+    reached = np.empty(load_col.size, dtype=np.int64)   # the entry into each load's node
+    chunk = max(1, SLOT_TABLE_SIZE // nodes)
+    table = np.full(min(chunk, n) * nodes, missing, dtype=np.int64)
+    cut = np.append(b.starts, total)
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        s, t = cut[lo], cut[hi]
+        row = (col_of[s:t] - lo) * nodes
+        slot = row + head[s:t]
+        entries = np.arange(s, t)
+        # Written in reverse entry order, so each slot keeps its first entry.
+        table[slot[::-1]] = entries[::-1]
+        repeat[s:t] = table[slot] != entries
+        up[s:t] = table[row + tail[s:t]]
+        u, v = np.searchsorted(load_col, (lo, hi))
+        reached[u:v] = table[(load_col[u:v] - lo) * nodes + load_node[u:v]]
+        if hi < n:
+            table[slot] = missing
+    c.check_entries(repeat, lambda i: "column support has a node with in-degree > 1")
+    entry_root = root[col_of]
+    c.check_entries(head == entry_root, lambda i: "column support re-enters the root")
+    up[:total][tail == entry_root] = total
+    up[total:] = total, missing
+    # Outflow plus load minus inflow at each entry's head.
+    excess = np.bincount(up[:total], weights=coefs, minlength=total + 2)
+    np.add.at(excess, reached, load)
+    excess[:total] -= coefs
+    # After r rounds of pointer jumping every entry has followed 2^r
+    # parent steps, and no chain to the root is longer than its column;
+    # the rounds stop once every entry has reached the root or a gap.
+    for _ in range(int(b.lengths.max()).bit_length()):
+        if up[:total].min() >= total:
+            break
+        up = up[up]
+    loose = up[:total] != total
+    c.check_entries(loose, lambda i: "column support is disconnected or cyclic "
+                    f"at node {int(head[b.starts[i] + c.first_entry(loose, i)])}")
+    tolerance = coefs * CONSERVATION_REL
+    tolerance += CONSERVATION_REL
+    leak = ~(np.abs(excess[:total], out=excess[:total]) <= tolerance)
+    c.check_entries(leak, lambda i: "column does not conserve flow at node "
+                    f"{int(head[b.starts[i] + c.first_entry(leak, i)])}")
+    unreached = reached == missing
+    if np.count_nonzero(unreached):
+        short = np.zeros(n, dtype=bool)
+        short[load_col[unreached]] = True
+        c.check(short, lambda i: "column does not reach load node "
+                f"{int(load_node[unreached & (load_col == i)][0])}")
+    if np.count_nonzero(repeat):
+        # Only a column that enters a node twice can repeat an edge; that
+        # message comes first. Sorting column * span + edge rank groups each
+        # column's equal edges; edge ids are their own ranks unless some are unknown.
         span, rank = net.edge_count, b.edges
         if np.count_nonzero(unknown):
             ids, rank = np.unique(b.edges, return_inverse=True)
@@ -335,134 +454,8 @@ def validate_columns(cols, instance: Instance) -> None:
         key = np.sort(col_of * span + rank)
         repeated = np.zeros(n, dtype=bool)
         repeated[key[1:][key[1:] == key[:-1]] // span] = True
-        c.check(repeated, lambda i: f"column repeats edges: {b[i].edges}", first)
-
-    # A tree column's repeated edge also repeats its head, which the tree
-    # checks find without a sort; the sort then runs only if they do.
-    if b.kind != TREE:
-        check_repeated_edges()
-    c.check(lengths == 0, lambda i: "column has empty support")
-    if np.count_nonzero(unknown):
-        c.check_entries(unknown, lambda i: "column references unknown edge "
-                        f"{b[i].edges[c.first_entry(unknown, i)]}")
-        # Unknown edges read as edge 0 where an edge's data is looked up.
-        edges = np.where(unknown, 0, edges)
-    if not edges.size:
-        c.raise_first()             # every column is empty
-    # Summed in entry order, as the column's own sum would be.
-    recomputed = np.bincount(col_of, weights=b.coefs * net.cost[edges], minlength=n)
-    c.check(np.abs(recomputed - b.cost) > 1e-9 * (1.0 + np.abs(recomputed)),
-            lambda i: f"column cost {float(b.cost[i])} differs from recomputed "
-                      f"{float(recomputed[i])}")
-    head, tail = net.head[edges], net.tail[edges]
-    if b.kind == PATH:
-        _check_paths(c, head, tail, instance)
-    elif b.kind == TREE:
-        if _check_trees(c, head, tail, instance):
-            check_repeated_edges(first=True)
-    else:
-        c.check(np.ones(n, dtype=bool), lambda i: f"unknown column kind {b.kind!r}")
+        c.check(repeated, lambda i: f"column repeats edges: {b[i].edges}", first=True)
     c.raise_first()
-
-
-def _check_paths(c: _Checks, head: np.ndarray, tail: np.ndarray,
-                 instance: Instance) -> None:
-    """Path checks. The walk starts at the source; entry j must leave the
-    node the walk is at (the source, or the head of entry j - 1) and
-    reach a node the walk has not visited."""
-    b = c.batch
-    n, starts, col_of = c.n, b.starts, b.col_of
-    known = (b.owner >= 0) & (b.owner < len(instance.commodities))
-    c.check(~known,
-            lambda i: f"path column owner {int(b.owner[i])} is not a commodity")
-    c.check_entries(b.coefs != 1.0,
-                    lambda i: "path column coefficients must all equal 1")
-    k = np.where(known, b.owner, 0)
-    source, sink = instance.source[k], instance.sink[k]
-    nonempty = b.lengths > 0
-    at = np.empty_like(head)
-    at[1:] = head[:-1]
-    at[starts[nonempty]] = source[nonempty]
-    jump = tail != at
-    # A node is revisited when it occurs earlier in the column's node
-    # sequence: its source, then the head of every edge. The stable sort
-    # keeps that order among equal (column, node) keys.
-    key = np.concatenate([np.arange(n), col_of]) * instance.network.node_count \
-        + np.concatenate([source, head])
-    order = stable_argsort(key)
-    seen = np.zeros(key.size, dtype=bool)
-    seen[order[1:]] = key[order][1:] == key[order][:-1]
-    stray = jump | seen[n:]
-
-    def walk_message(i: int) -> str:
-        j = c.first_entry(stray, i)
-        if jump[starts[i] + j]:
-            return f"path column edges are not contiguous at edge {b[i].edges[j]}"
-        return f"path column revisits node {int(head[starts[i] + j])}"
-
-    c.check_entries(stray, walk_message)
-    last = head[np.maximum(starts + b.lengths - 1, 0)]
-    c.check(last != sink,
-            lambda i: f"path column ends at {int(last[i])}, expected sink "
-                      f"{int(instance.sink[b.owner[i]])}")
-
-
-def _check_trees(c: _Checks, head: np.ndarray, tail: np.ndarray,
-                 instance: Instance) -> bool:
-    """Tree checks, in linear time per pointer-jumping round; returns
-    whether some entry repeats a node.
-
-    A dense (column, node) slot table, built for a chunk of columns at a
-    time so that it holds at most ``SOURCE_BLOCK_ENTRIES`` entries, maps
-    each slot to the column's first entry that enters that node. An entry
-    that is not its own slot's entry repeats a node, and an entry's
-    parent is the table at (its column, its tail). Connectivity then
-    follows parent entries by pointer jumping.
-    """
-    b = c.batch
-    col_of, total = b.col_of, b.edges.size
-    nodes = instance.network.node_count
-    is_source = np.zeros(nodes, dtype=bool)
-    is_source[instance.group_arrays.source] = True
-    owner_ok = (b.owner >= 0) & (b.owner < nodes)
-    c.check(~(owner_ok & is_source[np.where(owner_ok, b.owner, 0)]),
-            lambda i: f"tree column owner {int(b.owner[i])} is not a source")
-    c.check_entries(b.coefs <= 0, lambda i: "tree column coefficients must be positive")
-    # Parent entries; slots total and total + 1 stand for the root and a
-    # missing parent.
-    up = np.empty(total + 2, dtype=np.int64)
-    repeat = np.empty(total, dtype=bool)        # not the first entry of its slot
-    chunk = max(1, SOURCE_BLOCK_ENTRIES // nodes)
-    table = np.empty(min(chunk, c.n) * nodes, dtype=np.int64)
-    cut = np.append(b.starts, total)
-    for lo in range(0, c.n, chunk):
-        hi = min(lo + chunk, c.n)
-        s, t = cut[lo], cut[hi]
-        row = (col_of[s:t] - lo) * nodes
-        slot = row + head[s:t]
-        entries = np.arange(s, t)
-        table[:(hi - lo) * nodes] = total + 1
-        # Written in reverse entry order, so each slot keeps its first entry.
-        table[slot[::-1]] = entries[::-1]
-        repeat[s:t] = table[slot] != entries
-        up[s:t] = table[row + tail[s:t]]
-    c.check_entries(repeat,
-                    lambda i: "tree column support has a node with in-degree > 1")
-    root = b.owner[col_of]
-    c.check_entries(head == root, lambda i: "tree column support re-enters the root")
-    # After r rounds of pointer jumping every entry has followed 2^r
-    # parent steps, and no chain to the root is longer than its column;
-    # the rounds stop once every entry has reached the root or a gap.
-    up[:total][tail == root] = total
-    up[total:] = total, total + 1
-    for _ in range(int(b.lengths.max()).bit_length()):
-        if up[:total].min() >= total:
-            break
-        up = up[up]
-    loose = up[:total] != total
-    c.check_entries(loose, lambda i: "tree column support is disconnected or cyclic "
-                    f"at node {int(head[b.starts[i] + c.first_entry(loose, i)])}")
-    return bool(np.count_nonzero(repeat))
 
 
 @dataclass
@@ -703,15 +696,17 @@ class RestrictedMaster:
     # -- capacity rows ------------------------------------------------------
 
     def add_capacity_rows(self, edges) -> None:
-        """Activate capacity rows for the given edges (no-op if active)."""
-        net = self.instance.network
-        for e in edges:
-            e = int(e)
-            if not 0 <= e < net.edge_count:
-                raise InputError(f"unknown edge {e}")
-            if self._cap_pos[e] < 0:
-                self._cap_pos[e] = len(self.active_edges)
-                self.active_edges.append(e)
+        """Activate capacity rows for the given edges, in order; an active
+        or repeated edge adds nothing. An unknown edge raises
+        :class:`InputError` for the first one, and no row is added."""
+        e = np.asarray(list(edges), dtype=np.int64)
+        bad = (e < 0) | (e >= self.instance.network.edge_count)
+        if np.count_nonzero(bad):
+            raise InputError(f"unknown edge {int(e[np.argmax(bad)])}")
+        new = e[np.sort(np.unique(e, return_index=True)[1])]
+        new = new[self._cap_pos[new] < 0]
+        self._cap_pos[new] = len(self.active_edges) + np.arange(new.size)
+        self.active_edges.extend(new.tolist())
 
     def aggregate_edge_flows(self, x: np.ndarray | None = None) -> np.ndarray:
         """Total flow per edge implied by the given (or last) primal.

@@ -50,6 +50,14 @@ class TestColumnsToSourceFlows:
         with pytest.raises(InputError, match=f"2 columns but {len(primal)} primal"):
             columns_to_source_flows(triangle, [a, b], primal)
 
+    def test_owner_without_a_row_raises(self, triangle):
+        # Commodity 2 and source 1 own no row of the triangle.
+        for col in (Column(owner=2, kind="path", edges=(0,), coefs=(1.0,), cost=1.0),
+                    Column(owner=1, kind="tree", edges=(1,), coefs=(1.0,), cost=1.0)):
+            with pytest.raises(InputError, match="owner . owns no demand row"):
+                columns_to_source_flows(triangle, [col], [1.0])
+        assert columns_to_source_flows(triangle, [], []).flows == {}
+
     @pytest.mark.parametrize("formulation", ["tree", "path"])
     def test_batch_equals_column_list(self, formulation):
         from mcflow.engine import ColGenSolver, SolverConfig

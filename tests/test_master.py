@@ -116,10 +116,13 @@ class TestAddColumn:
             m.add_column(bad)
 
     def test_path_validation(self, triangle):
-        # Edges out of order do not form a contiguous path.
-        bad = Column(owner=0, kind="path", edges=(1, 0), coefs=(1.0, 1.0), cost=2.0)
-        with pytest.raises(InputError, match="contiguous"):
+        # b->c alone leaves a->c's path disconnected from its source; the
+        # edges of a path may come in any order.
+        bad = Column(owner=0, kind="path", edges=(1,), coefs=(1.0,), cost=1.0)
+        with pytest.raises(InputError, match="disconnected or cyclic at node 2"):
             validate_columns([bad], triangle)
+        validate_columns([Column(owner=0, kind="path", edges=(1, 0), coefs=(1.0, 1.0),
+                                 cost=2.0)], triangle)
 
     def test_cost_identity_enforced(self, triangle):
         bad = Column(owner=0, kind="path", edges=(0, 1), coefs=(1.0, 1.0), cost=9.0)
@@ -186,7 +189,7 @@ class TestAddColumn:
         m = new_master(triangle, "path")
         m.add_column(PATH_ABC)
         bad = Column(owner=0, kind="path", edges=(1,), coefs=(1.0,), cost=1.0)
-        with pytest.raises(InputError, match="contiguous"):
+        with pytest.raises(InputError, match="disconnected"):
             m.add_column(bad)
         assert m.pool_size == 1
 
@@ -245,7 +248,8 @@ class TestColumnBatch:
     def test_edge_order_and_coefficients_are_not_the_key(self, triangle, monkeypatch):
         import mcflow.master
         flipped = Column(owner=0, kind="tree", edges=(1, 0), coefs=(2.0, 3.0), cost=5.0)
-        other = Column(owner=0, kind="tree", edges=(2,), coefs=(3.0,), cost=9.0)
+        # a->b carries b's demand of 1 and a->c c's demand of 2.
+        other = Column(owner=0, kind="tree", edges=(2, 0), coefs=(2.0, 1.0), cost=7.0)
         for constant in (False, True):
             if constant:
                 monkeypatch.setattr(mcflow.master, "_support_hash",
@@ -353,7 +357,7 @@ class TestPoolGrowth:
         m.add_column([PATH_ABC, PATH_AC])
         pool = m.columns
         bad = Column(owner=1, kind="path", edges=(1,), coefs=(1.0,), cost=1.0)
-        with pytest.raises(InputError, match="contiguous"):
+        with pytest.raises(InputError, match="disconnected"):
             m.add_column([PATH_AB, bad])
         assert m.columns is pool and m.pool_size == 2
         assert m.add_column(PATH_AB) == 2
@@ -448,6 +452,20 @@ class TestSolveRmp:
         m.add_capacity_rows([1])
         m.add_capacity_rows([1])
         assert m.active_edges == [1]
+        # Rows in the given order, each edge once; an unknown edge adds none.
+        m.add_capacity_rows(np.array([2, 1, 2, 0]))
+        assert m.active_edges == [1, 2, 0]
+        assert m._cap_pos.tolist() == [2, 0, 1]
+        for edges, unknown in (([0, 3, -1], 3), ([-1, 3], -1)):
+            with pytest.raises(InputError, match=f"unknown edge {unknown}$"):
+                m.add_capacity_rows(edges)
+        assert m.active_edges == [1, 2, 0]
+        m.add_capacity_rows([])
+        assert m.active_edges == [1, 2, 0]
+        fresh = new_master(triangle, "tree")
+        with pytest.raises(InputError, match="unknown edge 3"):
+            fresh.add_capacity_rows([0, 3])
+        assert fresh.active_edges == [] and fresh._cap_pos.max() == -1
 
     def test_vacuous_capacity_row(self, triangle):
         m = new_master(triangle, "tree")

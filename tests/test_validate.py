@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from mcflow.engine import ColGenSolver, SolverConfig
 from mcflow.errors import InputError
 from mcflow.graph import Network
 from mcflow.instance import Commodity, Instance, generate_random
@@ -18,9 +19,23 @@ from mcflow.master import Column, ColumnBatch, new_master, validate_columns
 from mcflow.pricing import initial_columns
 
 
+def reference_owner(col, instance):
+    """The root and the ``{node: load}`` of a column's owner, or None if
+    it owns no demand row of the column's kind."""
+    if col.kind == "path" and 0 <= col.owner < len(instance.commodities):
+        com = instance.commodities[col.owner]
+        return com.source, {com.sink: 1.0}
+    for g in instance.groups if col.kind == "tree" else ():
+        if g.source == col.owner:
+            return g.source, dict(g.sink_demands)
+    return None
+
+
 def reference_validate_column(col, instance):
     """Check the structural invariants of one column; raise on violation."""
     net = instance.network
+    if col.kind not in ("path", "tree"):
+        raise InputError(f"unknown column kind {col.kind!r}")
     if len(col.edges) != len(set(col.edges)):
         raise InputError(f"column repeats edges: {col.edges}")
     if not col.edges:
@@ -31,47 +46,35 @@ def reference_validate_column(col, instance):
     recomputed = float(sum(c * net.cost[e] for e, c in zip(col.edges, col.coefs)))
     if abs(recomputed - col.cost) > 1e-9 * (1.0 + abs(recomputed)):
         raise InputError(f"column cost {col.cost} differs from recomputed {recomputed}")
-    if col.kind == "path":
-        k = col.owner
-        if not 0 <= k < len(instance.commodities):
-            raise InputError(f"path column owner {k} is not a commodity")
-        com = instance.commodities[k]
-        if any(c != 1.0 for c in col.coefs):
-            raise InputError("path column coefficients must all equal 1")
-        seen = {com.source}
-        at = com.source
-        for e in col.edges:
-            if net.tail[e] != at:
-                raise InputError(f"path column edges are not contiguous at edge {e}")
-            at = int(net.head[e])
-            if at in seen:
-                raise InputError(f"path column revisits node {at}")
-            seen.add(at)
-        if at != com.sink:
-            raise InputError(f"path column ends at {at}, expected sink {com.sink}")
-    elif col.kind == "tree":
-        sources = {g.source for g in instance.groups}
-        if col.owner not in sources:
-            raise InputError(f"tree column owner {col.owner} is not a source")
-        if any(c <= 0 for c in col.coefs):
-            raise InputError("tree column coefficients must be positive")
-        heads = [int(net.head[e]) for e in col.edges]
-        if len(set(heads)) != len(heads):
-            raise InputError("tree column support has a node with in-degree > 1")
-        if col.owner in heads:
-            raise InputError("tree column support re-enters the root")
-        parent = {int(net.head[e]): int(net.tail[e]) for e in col.edges}
-        for v in heads:
-            chain = set()
-            u = v
-            while u != col.owner:
-                if u in chain or u not in parent:
-                    raise InputError(f"tree column support is disconnected or "
-                                     f"cyclic at node {v}")
-                chain.add(u)
-                u = parent[u]
-    else:
-        raise InputError(f"unknown column kind {col.kind!r}")
+    owner = reference_owner(col, instance)
+    if owner is None:
+        raise InputError(f"{col.kind} column owner {col.owner} owns no demand row")
+    root, loads = owner
+    if any(not c > 0 for c in col.coefs):
+        raise InputError("column coefficients must be positive")
+    heads = [int(net.head[e]) for e in col.edges]
+    if len(set(heads)) != len(heads):
+        raise InputError("column support has a node with in-degree > 1")
+    if root in heads:
+        raise InputError("column support re-enters the root")
+    parent = {int(net.head[e]): int(net.tail[e]) for e in col.edges}
+    for v in heads:
+        chain = set()
+        u = v
+        while u != root:
+            if u in chain or u not in parent:
+                raise InputError(f"column support is disconnected or cyclic at node {v}")
+            chain.add(u)
+            u = parent[u]
+    outflow = {}
+    for e, c in zip(col.edges, col.coefs):
+        outflow[int(net.tail[e])] = outflow.get(int(net.tail[e]), 0.0) + c
+    for v, c in zip(heads, col.coefs):
+        if not abs(c - outflow.get(v, 0.0) - loads.get(v, 0.0)) <= 1e-9 * (1.0 + c):
+            raise InputError(f"column does not conserve flow at node {v}")
+    for t in sorted(loads):
+        if t not in parent:
+            raise InputError(f"column does not reach load node {t}")
 
 
 def verdict(check, cols, instance):
@@ -133,6 +136,23 @@ def mutations(col, instance, rng):
         out.append(recosted(col, instance, coefs=tuple(coefs[:i] + [bad] + coefs[i + 1:])))
     out.append(Column(col.owner, col.kind, col.edges, col.coefs, col.cost + 1.0))
     out.append(Column(col.owner, "bogus", col.edges, col.coefs, col.cost))
+    for scale in (0.5, 2.0):
+        out.append(recosted(col, instance, coefs=tuple(x * scale for x in coefs)))
+    # Drop a leaf edge, which enters a sink: once with the coefficients
+    # left as they are, and once with its flow taken off every edge above
+    # it, which conserves flow but misses that sink (or leaves a zero
+    # coefficient on a path).
+    tails = {int(net.tail[e]) for e in edges}
+    leaf = rng.choice([j for j, e in enumerate(edges) if int(net.head[e]) not in tails])
+    above = {int(net.head[e]): j for j, e in enumerate(edges)}
+    pruned = list(coefs)
+    u = int(net.tail[edges[leaf]])
+    while u in above:
+        pruned[above[u]] -= coefs[leaf]
+        u = int(net.tail[edges[above[u]]])
+    for kept in (coefs, pruned):
+        out.append(recosted(col, instance, edges=tuple(edges[:leaf] + edges[leaf + 1:]),
+                            coefs=tuple(kept[:leaf] + kept[leaf + 1:])))
     if col.kind == "path":
         # Step on from the sink back onto the path: contiguous, but a revisit.
         on_path = {int(net.tail[e]) for e in edges}
@@ -180,23 +200,24 @@ class TestBatchedValidatorAgreesWithReference:
         assert checked >= 150
         assert bad >= 0.75 * checked
 
+    @pytest.mark.parametrize("mode", ["tree", "path"])
     @pytest.mark.parametrize("per_chunk", [1, 2])
-    def test_tree_chunks_of_one_or_two_columns(self, monkeypatch, per_chunk):
-        # The tree checks build their (column, node) slot table for a
-        # chunk of columns at a time; a budget of one or two columns puts
-        # chunk boundaries between every few columns of a batch.
+    def test_chunks_of_one_or_two_columns(self, monkeypatch, mode, per_chunk):
+        # The checks build their (column, node) slot table for a chunk of
+        # columns at a time; a table of one or two columns puts chunk
+        # boundaries between every few columns of a batch.
         import mcflow.master
         rng = random.Random(11 + per_chunk)
         messages = []
         for seed in range(4):
             inst = generate_random(14, 44, 24, 4, seed=seed, tightness="mixed")
             net = inst.network
-            monkeypatch.setattr(mcflow.master, "SOURCE_BLOCK_ENTRIES",
+            monkeypatch.setattr(mcflow.master, "SLOT_TABLE_SIZE",
                                 per_chunk * net.node_count)
-            valid = initial_columns(inst, "tree")
+            valid = initial_columns(inst, mode)
             for col in valid:
                 mutants = mutations(col, inst, rng)
-                # A second edge into a node of the tree, not a repeated edge.
+                # A second edge into a node of the column, not a repeated edge.
                 heads = {int(net.head[e]) for e in col.edges}
                 into = [e for e in range(net.edge_count)
                         if int(net.head[e]) in heads and e not in col.edges]
@@ -205,14 +226,17 @@ class TestBatchedValidatorAgreesWithReference:
                                             coefs=col.coefs + (1.0,)))
                 batches = [rng.sample(valid, rng.randrange(4)) + [mutant] + [valid[0]]
                            for mutant in mutants]
-                batches.append(list(valid) + [m for m in mutants if m.kind == "tree"])
+                batches.append(list(valid) + [m for m in mutants if m.kind == mode])
                 for batch in batches:
                     expected = reference_verdict(batch, inst)
                     assert verdict(validate_columns, batch, inst) == expected, batch
                     assert verdict(converted, batch, inst) == expected, batch
                     messages.append(expected)
-        for part in ("unknown edge", "cyclic", "in-degree", "re-enters the root",
-                     "repeats edges"):
+        parts = ["unknown edge", "cyclic", "in-degree", "re-enters the root",
+                 "repeats edges", "positive", "does not conserve flow"]
+        # A path that conserves flow ends at its sink.
+        parts += ["does not reach load node"] if mode == "tree" else []
+        for part in parts:
             assert any(part in (m or "") for m in messages), part
         assert None in messages
 
@@ -245,10 +269,14 @@ def star():
     return Instance.build(net, [Commodity(0, 2, 1.0), Commodity(3, 1, 1.0)])
 
 
-def tree(owner, edges, coefs=None):
+def tree(owner, edges, coefs=None, kind="tree"):
     coefs = coefs or (1.0,) * len(edges)
-    return Column(owner=owner, kind="tree", edges=tuple(edges), coefs=tuple(coefs),
+    return Column(owner=owner, kind=kind, edges=tuple(edges), coefs=tuple(coefs),
                   cost=float(sum(coefs)))
+
+
+def path(owner, edges, coefs=None):
+    return tree(owner, edges, coefs, kind="path")
 
 
 class TestTreeMessages:
@@ -261,13 +289,23 @@ class TestTreeMessages:
         (tree(0, [3, 1]), "disconnected or cyclic at node 2"),
         (tree(0, [0, 1], (1.0, 0.0)), "coefficients must be positive"),
         (tree(0, [0, 1], (1.0, -1.0)), "coefficients must be positive"),
-        (tree(1, [1]), "owner 1 is not a source"),
+        (tree(1, [1]), "owner 1 owns no demand row"),
         (tree(0, [0, 1, 2]), "in-degree"),
+        (tree(0, [0, 1], (2.0, 1.0)), "does not conserve flow at node 1"),
+        (tree(0, [0], (1.0,)), "does not conserve flow at node 1"),
     ])
     def test_message(self, star, col, message):
         with pytest.raises(InputError, match=message):
             validate_columns([tree(0, [0, 1]), col], star)
         assert message in reference_verdict([col], star)
+
+    def test_missing_sink(self, triangle):
+        # a->c carries c's demand of 2 and conserves flow, but b's demand
+        # of 1 is not delivered.
+        col = recosted(tree(0, [2], (2.0,)), triangle)
+        with pytest.raises(InputError, match="does not reach load node 1"):
+            validate_columns([col], triangle)
+        assert "does not reach load node 1" in reference_verdict([col], triangle)
 
     def test_cycle_below_a_valid_branch(self, star):
         # 0->3 is fine; 1->2 and 2->1 form a cycle that never meets the root.
@@ -284,6 +322,87 @@ class TestTreeMessages:
         assert m.add_column(good) == 0
 
     def test_nan_cost_passes_as_before(self, star):
-        col = Column(owner=0, kind="tree", edges=(0,), coefs=(1.0,), cost=math.nan)
+        col = Column(owner=0, kind="tree", edges=(0, 1), coefs=(1.0, 1.0), cost=math.nan)
         assert reference_verdict([col], star) is None
         validate_columns([col], star)
+
+
+class TestPathMessages:
+    """One case per path message, each also run through the reference.
+    In ``star`` commodity 0 goes 0 -> 2 and commodity 1 goes 3 -> 1."""
+
+    @pytest.mark.parametrize("col,message", [
+        (path(0, [0, 1, 5]), "re-enters the root"),
+        (path(0, [1]), "disconnected or cyclic at node 2"),
+        (path(0, [0, 1], (1.0, math.nan)), "coefficients must be positive"),
+        (path(2, [0, 1]), "path column owner 2 owns no demand row"),
+        (path(0, [0, 1, 2]), "in-degree"),
+        (path(0, [0, 1], (2.0, 2.0)), "does not conserve flow at node 2"),
+        (path(0, [0]), "does not conserve flow at node 1"),
+        (path(1, [4, 0], (1.0, 1.0 + 1e-6)), "does not conserve flow at node 0"),
+    ])
+    def test_message(self, star, col, message):
+        with pytest.raises(InputError, match=message):
+            validate_columns([path(0, [0, 1]), col], star)
+        assert message in reference_verdict([col], star)
+
+    def test_edge_order_is_free(self, star):
+        # A path is a set of edges: the same column in any order.
+        for edges in ([0, 1], [1, 0]):
+            validate_columns([path(0, edges)], star)
+            assert reference_verdict([path(0, edges)], star) is None
+        validate_columns([path(1, [0, 4]), path(1, [4, 0], (1.0, 1.0 + 1e-12))], star)
+
+
+class TestConservation:
+    def test_sink_skipping_tree_is_refused(self):
+        # A seed tree without its leaf edges, whose coefficients and cost
+        # are those of the full tree's remaining edges. Pooled, it let the
+        # master report 930.9 on an instance whose optimum is 1045.5.
+        inst = generate_random(12, 40, 20, 4, seed=0, tightness="loose")
+        seed = initial_columns(inst, "tree")[0]
+        kept = [j for j, e in enumerate(seed.edges) if e in (2, 16, 23, 26)]
+        assert len(kept) == 4 < len(seed.edges)
+        bad = recosted(seed, inst, edges=tuple(seed.edges[j] for j in kept),
+                       coefs=tuple(seed.coefs[j] for j in kept))
+        m = new_master(inst, "tree")
+        m.add_column(initial_columns(inst, "tree"))
+        pool = m.columns
+        with pytest.raises(InputError, match="does not conserve flow"):
+            m.add_column(bad)
+        assert m.columns is pool and m.pool_size == len(inst.groups)
+        assert "does not conserve flow" in reference_verdict([bad], inst)
+
+    def test_structure_with_other_demands_is_refused(self, triangle):
+        # a->b->c is the right arborescence for source a (b needs 1, c
+        # needs 2), but these coefficients deliver 2 to b and 1 to c.
+        col = recosted(tree(0, [0, 1], (3.0, 1.0)), triangle)
+        with pytest.raises(InputError, match="does not conserve flow at node 1"):
+            validate_columns([col], triangle)
+        assert "does not conserve flow at node 1" in reference_verdict([col], triangle)
+        validate_columns([recosted(tree(0, [0, 1], (3.0, 2.0)), triangle)], triangle)
+
+
+# Each benchmark workload's shape, tightness and relative tolerance.
+BENCHMARK_SHAPES = {
+    "bulk-loose": ((250, 1000, 5000, 100), "loose", 1e-4),
+    "tight-master": ((20, 100, 80, 5), "tight", 1e-6),
+    "few-commodities": ((100, 400, 60, 10), "mixed", 1e-4),
+}
+
+
+class TestPools:
+    @pytest.mark.parametrize("workload", sorted(BENCHMARK_SHAPES))
+    def test_every_pooled_column_passes(self, workload):
+        # A pool holds every column pricing made, rerouted trees among
+        # them, whose coefficients are float sums of their sinks' demands.
+        shape, tightness, rel_tol = BENCHMARK_SHAPES[workload]
+        inst = generate_random(*shape, seed=271828, tightness=tightness)
+        for formulation, kernel in (("tree", "full"), ("path", "full"),
+                                    ("path", "bounded"), ("path", "astar")):
+            solver = ColGenSolver(inst, SolverConfig(
+                formulation=formulation, pricing_strategy=kernel, rel_tol=rel_tol))
+            assert solver.run().status == "optimal"
+            pool = solver.master.columns
+            validate_columns(pool, inst)
+            assert reference_verdict(pool, inst) is None
