@@ -23,13 +23,14 @@ Every column the master pools stays in the restriction for the whole
 solve. When pricing finds nothing while slack remains, big-M is
 escalated up to three times before the instance is declared infeasible.
 
-While every capacity dual is zero, the pricing weights are the original
-edge costs the seed columns were priced under, so such a round takes its
-outcome from the seed batch, selected with array operations, instead of
-running a kernel. The master solve before the first such round, of the
-seed columns alone, is solved in closed form (see :mod:`mcflow.master`),
-so a run that ends after its first iteration solves no LP and builds no
-HiGHS model.
+The seed columns come from one ordinary pricing round at zero duals
+(:func:`~mcflow.pricing.initial_columns`). While every capacity dual is
+zero the weights are those original costs, under which each owner's
+cheapest column is its pooled seed, which the optimal master prices
+nonnegative: such a round is proven empty, every owner's minimum is
+zero, and no kernel runs. The master solve of the seeds alone is solved
+in closed form (see :mod:`mcflow.master`), so a run that ends after its
+first iteration solves no LP and builds no HiGHS model.
 
 The time left of ``timeout_seconds`` is passed to every master solve as
 its LP time limit, which HiGHS enforces; a solve stopped there ends the
@@ -64,9 +65,8 @@ from .lp import OPTIMAL as LP_OPTIMAL
 from .lp import TIME_LIMIT as LP_TIME_LIMIT
 from .lp import get_backend
 from .master import PATH, TREE, ColumnBatch, RestrictedMaster, new_master
-from .pricing import (DualSnapshot, PricingOutcome, PricingStats,
-                      initial_columns, lagrangian_bound, price_paths,
-                      price_tree)
+from .pricing import (DualSnapshot, PricingStats, initial_columns,
+                      lagrangian_bound, price_paths, price_tree)
 
 OPTIMAL = "optimal"
 TIMEOUT = "timeout"
@@ -203,9 +203,6 @@ class ColGenSolver:
         self.infeasible_owners: tuple = ()
         self._escalations_left = BIG_M_ESCALATIONS
         self._bounds: HeuristicBounds | None = None
-        # Seed columns, one per owner in group order (the pricing columns
-        # while mu is all zero).
-        self._seeds: ColumnBatch | None = None
         self._t0 = time.perf_counter()     # reset when the run starts
         if self.mode == PATH and config.pricing_strategy == "astar":
             # One bound to every sink, under the original costs: the
@@ -241,8 +238,7 @@ class ColGenSolver:
         return self._report()
 
     def _seed_pool(self) -> None:
-        self._seeds = initial_columns(self.instance, self.mode)
-        self.master.add_column(self._seeds)
+        self.master.add_column(initial_columns(self.instance, self.mode))
 
     def _time_left(self) -> float:
         return self.config.timeout_seconds - (time.perf_counter() - self._t0)
@@ -329,41 +325,28 @@ class ColGenSolver:
         Returns (columns, min_reduced_cost, stats, complete). A kernel
         round starts no block of sources once the time budget has run
         out; owners of groups left unpriced have a NaN minimum, and the
-        round is complete when every group was priced.
+        round is complete when every group was priced. A round at zero
+        capacity duals is empty and complete (see the module docstring).
         """
         sol = self.master.solution
+        if not sol.mu.any():
+            min_rc = np.full(self.owner_weights.size, np.nan)
+            min_rc[self.master.owners] = 0.0
+            return (ColumnBatch(self.mode, [], [], [], [], []), min_rc,
+                    PricingStats(runs=len(self.instance.groups)), True)
+        duals = DualSnapshot(sol.pi, sol.mu)
         tolerance = 1e-9 * (1.0 + abs(sol.objective))
-        price = self._price_kernel if sol.mu.any() else self._price_seeds
-        outcome = price(sol, tolerance)
+        if self.mode == TREE:
+            outcome = price_tree(self.instance, self.instance.groups, duals,
+                                 tolerance=tolerance, deadline=self._deadline(),
+                                 incumbents=self.master.incumbent_trees(sol.x))
+        else:
+            outcome = price_paths(self.instance, self.instance.groups, duals,
+                                  strategy=self.config.pricing_strategy,
+                                  bounds=self._bounds, tolerance=tolerance,
+                                  deadline=self._deadline())
         complete = outcome.stats.runs == len(self.instance.groups)
         return outcome.columns, outcome.min_reduced_cost, outcome.stats, complete
-
-    def _price_kernel(self, sol, tolerance: float) -> PricingOutcome:
-        """One pricing call for all groups."""
-        duals = DualSnapshot(sol.pi, sol.mu)
-        if self.mode == TREE:
-            return price_tree(self.instance, self.instance.groups, duals,
-                              tolerance=tolerance, deadline=self._deadline(),
-                              incumbents=self.master.incumbent_trees(sol.x))
-        return price_paths(self.instance, self.instance.groups, duals,
-                           strategy=self.config.pricing_strategy,
-                           bounds=self._bounds, tolerance=tolerance,
-                           deadline=self._deadline())
-
-    def _price_seeds(self, sol, tolerance: float) -> PricingOutcome:
-        """The kernel's outcome when mu is all zero, without the kernel.
-
-        The weights then equal the original costs the seed columns were
-        priced under, so each owner's cheapest column is its seed and
-        the reduced cost is its cost minus the owner's dual. The seeds
-        that price out are emitted in group order, as the kernels do.
-        """
-        seeds = self._seeds
-        reduced = seeds.cost - sol.pi[seeds.owner]
-        min_rc = np.full(self.owner_weights.size, np.nan)
-        min_rc[seeds.owner] = np.minimum(reduced, 0.0)
-        return PricingOutcome(seeds.take(np.flatnonzero(reduced < -tolerance)), min_rc,
-                              PricingStats(runs=len(self.instance.groups)))
 
     def _add_columns(self, columns) -> int:
         before = self.master.pool_size

@@ -508,9 +508,11 @@ class RestrictedMaster:
         if mode == PATH:
             self.owners = np.arange(len(instance.commodities))
             self.demand_rhs = instance.demand.copy()
+            row_demand = instance.demand
         else:
             self.owners = np.array([g.source for g in instance.groups], dtype=np.int64)
             self.demand_rhs = np.ones(len(instance.groups))
+            row_demand = np.array([g.total_demand for g in instance.groups])
         # One rule for both modes, read off the instance: demand slack only
         # when every source has exactly one commodity (a group has at least
         # one member) and there are fewer commodities than edges. The tree
@@ -521,15 +523,11 @@ class RestrictedMaster:
         total_cost = float(net.cost.sum())
         # The price of one unit of flow on a capacity row's slack.
         self.big_m = max(1.0, total_cost)
-        # Demand-row slack prices: one unit of convexity slack stands for the
-        # whole group's demand, so its penalty scales with that demand. This
-        # keeps the tree and path masters exactly equivalent LPs when every
-        # group has a single member, the only instances with demand slack.
-        if mode == TREE:
-            self.demand_slack_costs = np.array(
-                [max(1.0, total_cost * g.total_demand) for g in instance.groups])
-        else:
-            self.demand_slack_costs = np.full(len(self.owners), self.big_m)
+        # Demand-row slack prices: big-M per unit of the demand a row stands
+        # for (a tree row's unit of slack is its group's whole demand), so
+        # the tree and path masters are the same LP when every group has a
+        # single member, the only instances with demand slack.
+        self.demand_slack_costs = self.big_m * (row_demand / self.demand_rhs)
 
         # Demand row per owner id (commodity, or node in tree mode), -1 if none.
         self._row_of = np.full(net.node_count if mode == TREE else len(self.owners), -1)

@@ -18,7 +18,9 @@ source's stop key, the largest dual among its group's commodities, past
 which no destination can price out. Duals and minimum reduced costs are
 owner-indexed float arrays (one entry per commodity in path mode, per
 node in tree mode), NaN where unknown: no demand row has that owner, or
-pricing did not reach it.
+pricing did not reach it. A sink that a full kernel row leaves unsettled
+is unreachable, and the call raises one ``InfeasibleError`` naming every
+such commodity. The seed columns are one call at zero duals.
 
 Columns leave pricing as one :class:`~mcflow.master.ColumnBatch` per
 call, built straight from the kernel's parent-edge arrays: path columns
@@ -58,8 +60,9 @@ class DualSnapshot:
     """Dual values handed from the master to pricing, which never
     writes them. ``pi`` is the owner-indexed demand-row dual; a mapping
     from owner to dual is converted once, NaN at the ids it does not
-    map. ``mu`` is the per-edge capacity dual, zero for inactive rows
-    and nonpositive everywhere.
+    map, and a negative owner id raises :class:`InputError`. ``mu`` is
+    the per-edge capacity dual, zero for inactive rows and nonpositive
+    everywhere.
     """
 
     pi: np.ndarray
@@ -67,6 +70,8 @@ class DualSnapshot:
 
     def __post_init__(self):
         if isinstance(self.pi, Mapping):
+            if min(self.pi, default=0) < 0:
+                raise InputError(f"owner id {min(self.pi)} is negative")
             pi = np.full(max(self.pi, default=-1) + 1, np.nan)
             pi[list(self.pi)] = list(self.pi.values())
             object.__setattr__(self, "pi", pi)
@@ -124,6 +129,13 @@ def _blocks(items: np.ndarray, node_count: int, deadline: float | None = None):
         yield items[lo:lo + size]
 
 
+def _unreachable(ks: list[int]) -> InfeasibleError:
+    """The error naming the commodities ``ks``, whose sinks are unreachable."""
+    ks = sorted(ks)
+    return InfeasibleError(f"{len(ks)} commodities have unreachable sinks: {ks[:10]}",
+                           owners=tuple(ks))
+
+
 def _group_index(flat: GroupArrays, groups) -> np.ndarray:
     """Positions in the instance's groups of one source group or a
     sequence of them, found by source; raises :class:`InputError` for a
@@ -173,10 +185,13 @@ def _path_columns(net: Network, spt: SptResult, rows: np.ndarray,
             break
         steps.append(e)
         at = np.where(live, base + net.tail[e], at)
+    # Each path's cost, summed from its source end as the path runs.
+    cost = np.zeros(commodities.size)
+    for e in reversed(steps):
+        cost += np.where(e >= 0, net.cost[e], 0.0)
     # One row per path in path order, -1 padding in front of short paths.
     edges = np.array(steps[::-1]).T
     used = edges >= 0
-    cost = np.cumsum(np.where(used, net.cost[edges], 0.0), axis=1)[:, -1]
     flat = edges[used]
     return ColumnBatch(PATH, commodities, used.sum(axis=1), flat, np.ones(flat.size),
                        cost)
@@ -331,7 +346,8 @@ def price_paths(instance: Instance, groups, duals: DualSnapshot,
     The ``bounded`` and ``astar`` strategies stop each group's row at
     the largest dual among its commodities and may leave sinks
     unsettled, but any such sink is then proven to have no negative
-    path, so the clamped reduced-cost map stays exact.
+    path, so the clamped reduced-cost map stays exact. Under ``full``,
+    unreached sinks raise one :class:`InfeasibleError` naming them all.
 
     Args:
         bounds: A* heuristic shared by all groups, admissible for every
@@ -347,7 +363,7 @@ def price_paths(instance: Instance, groups, duals: DualSnapshot,
     w = adjusted_weights(net, duals.mu)
 
     flat = instance.group_arrays
-    parts, stats = [], PricingStats()
+    parts, stats, unreachable = [], PricingStats(), []
     min_rc = np.full(len(instance.commodities), np.nan)
     for block in _blocks(_group_index(flat, groups), net.node_count, deadline):
         sources = flat.source[block]
@@ -366,12 +382,17 @@ def price_paths(instance: Instance, groups, duals: DualSnapshot,
 
         settled = spt.settled[rows, sinks]
         rc = spt.dist[rows, sinks] - pi
-        keep = np.flatnonzero(settled & (rc < -tolerance))
-        parts.append(_path_columns(net, spt, rows[keep], sinks[keep], ks[keep]))
+        keep = settled & (rc < -tolerance)
+        picked = (rows, sinks, ks) if keep.all() else (rows[keep], sinks[keep], ks[keep])
+        parts.append(_path_columns(net, spt, *picked))
         min_rc[ks] = np.where(settled, np.minimum(rc, 0.0), 0.0)
         stats.runs += len(block)
-        if strategy != "full":
+        if strategy == "full":
+            unreachable.extend(ks[~settled].tolist())
+        else:
             stats.early_stops += np.unique(rows[~settled]).size
+    if unreachable:
+        raise _unreachable(unreachable)
     return PricingOutcome(ColumnBatch.concat(parts), min_rc, stats)
 
 
@@ -385,7 +406,8 @@ def price_tree(instance: Instance, groups, duals: DualSnapshot,
     simultaneously, so it minimizes the demand-weighted reduced cost
     over all trees covering the group's sinks; the reported minimum is
     therefore exact. One kernel call covers all groups (per block of
-    sources).
+    sources). Unreached sinks raise one :class:`InfeasibleError` naming
+    them all, as in :func:`price_paths`.
 
     ``incumbents``, one row per group, holds the parent edge of every
     node in the group's incumbent tree (-1 elsewhere). With it, a group
@@ -405,27 +427,22 @@ def price_tree(instance: Instance, groups, duals: DualSnapshot,
     net = instance.network
     w = adjusted_weights(net, duals.mu)
     flat = instance.group_arrays
-    parts, stats, start = [], PricingStats(), 0
+    parts, stats, start, unreachable = [], PricingStats(), 0, []
     min_rc = np.full(net.node_count, np.nan)
     for block in _blocks(_group_index(flat, groups), net.node_count, deadline=deadline):
         sources = flat.source[block]
         pi = duals.of(sources)
         spt = dijkstra(net, w, sources)
+        rows, ks = _members(flat, block)
+        unreachable.extend(ks[~spt.settled[rows, instance.sink[ks]]].tolist())
+        if unreachable:
+            continue
         loads = _sink_loads(flat, block)
-        rows, sinks, _ = loads
-        missing = ~spt.settled[rows, sinks]
-        if missing.any():
-            i = rows[missing.argmax()]
-            lost = sinks[missing & (rows == i)]
-            _, ks = _members(flat, block[i:i + 1])
-            raise InfeasibleError(
-                f"sinks {lost.tolist()} unreachable from source {sources[i]}",
-                owners=tuple(ks[np.isin(instance.sink[ks], lost)].tolist()))
         trees, weighted = _tree_columns(net, sources, spt.parent_edge, loads, w)
         reduced = weighted - pi
         negative = reduced < -tolerance
         group = np.flatnonzero(negative)
-        emitted = trees.take(group)
+        emitted = trees if negative.all() else trees.take(group)
         if incumbents is not None and group.size:
             extra, extra_group, extra_rc = _rerouted_trees(
                 net, spt.parent_edge, incumbents[start:start + len(block)], loads,
@@ -438,6 +455,8 @@ def price_tree(instance: Instance, groups, duals: DualSnapshot,
         min_rc[sources] = np.minimum(reduced, 0.0)
         stats.runs += len(block)
         start += len(block)
+    if unreachable:
+        raise _unreachable(unreachable)
     return PricingOutcome(ColumnBatch.concat(parts), min_rc, stats)
 
 
@@ -458,39 +477,17 @@ def lagrangian_bound(rmp_objective: float, min_reduced_costs: np.ndarray,
 
 
 def initial_columns(instance: Instance, mode: str) -> ColumnBatch:
-    """One pure shortest-path (or tree) column per pricing problem.
-
-    Runs zero-dual pricing under the original costs and emits every
-    column regardless of sign, in group order (members in group order
-    in path mode); this seeds the master so the demand rows are
-    satisfiable without artificial help. Raises
-    :class:`InfeasibleError` naming the commodities whose sink is
-    unreachable from its source.
+    """One pure shortest-path (or tree) column per pricing problem: the
+    columns of one full-kernel :func:`price_tree` or :func:`price_paths`
+    call over every group at zero duals and tolerance -inf, so that every
+    owner prices out, in group order. They seed the master so the demand
+    rows are satisfiable without artificial help; unreachable sinks raise
+    :class:`InfeasibleError` naming their commodities.
     """
     if mode not in (TREE, PATH):
         raise InputError(f"unknown mode {mode!r}")
     net = instance.network
-    flat = instance.group_arrays
-    parts: list[ColumnBatch] = []
-    unreachable: list[int] = []
-    for block in _blocks(np.arange(len(instance.groups)), net.node_count):
-        sources = flat.source[block]
-        spt = dijkstra(net, net.cost, sources)
-        rows, ks = _members(flat, block)
-        sinks = instance.sink[ks]
-        reached = spt.settled[rows, sinks]
-        if not reached.all():
-            unreachable.extend(ks[~reached].tolist())
-        if unreachable:
-            continue
-        if mode == TREE:
-            parts.append(_tree_columns(net, sources, spt.parent_edge,
-                                       _sink_loads(flat, block))[0])
-        else:
-            parts.append(_path_columns(net, spt, rows, sinks, ks))
-    if unreachable:
-        unreachable.sort()
-        raise InfeasibleError(
-            f"{len(unreachable)} commodities have unreachable sinks: "
-            f"{unreachable[:10]}", owners=tuple(unreachable))
-    return ColumnBatch.concat(parts)
+    pi = np.zeros(net.node_count if mode == TREE else len(instance.commodities))
+    duals = DualSnapshot(pi, np.zeros(net.edge_count))
+    price = price_tree if mode == TREE else price_paths
+    return price(instance, instance.groups, duals, tolerance=-np.inf).columns

@@ -18,6 +18,7 @@ from mcflow.errors import InputError
 from mcflow.graph import Network, dijkstra
 from mcflow.instance import Commodity, Instance, generate_random
 from mcflow.lp import OPTIMAL, HighsBackend, HighsModel
+from mcflow.pricing import DualSnapshot, lagrangian_bound, price_paths, price_tree
 
 
 def cfg(**kw):
@@ -305,37 +306,58 @@ class TestReport:
 
 
 class TestSeedRound:
-    """While mu is all zero a round prices from the seed columns; it must
-    give exactly what the kernel gives."""
+    """While mu is all zero a round is proven empty without a kernel: the
+    weights are the original costs, under which each owner's cheapest
+    column is its pooled seed, and the optimal master prices every
+    pooled column nonnegative."""
+
+    @staticmethod
+    def kernel_round(solver):
+        """The pricing call a round makes at nonzero capacity duals."""
+        inst, sol = solver.instance, solver.master.solution
+        duals = DualSnapshot(sol.pi, sol.mu)
+        tolerance = 1e-9 * (1.0 + abs(sol.objective))
+        if solver.mode == "tree":
+            return price_tree(inst, inst.groups, duals, tolerance=tolerance,
+                              incumbents=solver.master.incumbent_trees(sol.x))
+        return price_paths(inst, inst.groups, duals,
+                           strategy=solver.config.pricing_strategy,
+                           bounds=solver._bounds, tolerance=tolerance)
 
     @pytest.mark.parametrize("form,kernel", [
         ("tree", "full"), ("path", "full"), ("path", "bounded"), ("path", "astar")])
-    def test_seed_round_equals_kernel_round(self, monkeypatch, form, kernel):
-        rng = random.Random(11)
-        priced = 0
+    def test_zero_capacity_duals_leave_nothing_to_price(self, form, kernel):
+        loose_rows = 0
         for seed in range(8):
             inst = generate_random(14, 44, 24, 4, seed=seed, tightness="mixed")
             solver = ColGenSolver(inst, cfg(formulation=form, pricing_strategy=kernel))
             solver._seed_pool()
-            sol = solver.master.solve_rmp()
-            assert not sol.mu.any()
-            # Duals around the seed costs, so that some owners price out.
-            seeds = solver._seeds
-            pi = sol.pi.copy()
-            pi[seeds.owner] = seeds.cost * [rng.uniform(0.8, 1.3) for _ in seeds]
-            solver.master.solution = dataclasses.replace(sol, pi=pi)
-            seeded = solver._price_round()
-            with monkeypatch.context() as m:
-                m.setattr(solver, "_price_seeds", solver._price_kernel)
-                kernel_round = solver._price_round()
-            # Early stops are the kernel's own; a seed round has none.
-            assert seeded[2].early_stops == 0
-            runs = lambda r: (r[0], r[2].runs, r[3])  # noqa: E731
-            assert runs(kernel_round) == runs(seeded)
-            # The same minima, unknown (NaN) for the same owners.
-            np.testing.assert_array_equal(kernel_round[1], seeded[1])
-            priced += len(seeded[0])
-        assert priced > 0
+            master = solver.master
+            # The seed state, then a capacity row that does not bind.
+            for state in ("seed", "loose row"):
+                if state == "loose row":
+                    flow, cap = master.aggregate_edge_flows(), inst.network.capacity
+                    e = int(np.argmax(np.where(flow > 0, cap - flow, -np.inf)))
+                    if not flow[e] < cap[e]:
+                        continue
+                    master.add_capacity_rows([e])
+                    loose_rows += 1
+                sol = master.solve_rmp()
+                assert not sol.mu.any()
+                outcome = self.kernel_round(solver)
+                before = master.pool_size
+                master.add_column(outcome.columns)
+                assert master.pool_size == before
+                bound = lagrangian_bound(sol.objective, outcome.min_reduced_cost,
+                                         solver.owner_weights)
+                assert bound == pytest.approx(sol.objective, rel=1e-9)
+                # The engine's round without the kernel says the same.
+                columns, min_rc, stats, complete = solver._price_round()
+                assert len(columns) == 0 and complete
+                assert stats.runs == len(inst.groups)
+                assert lagrangian_bound(sol.objective, min_rc,
+                                        solver.owner_weights) == sol.objective
+        assert loose_rows > 0
 
     @pytest.mark.parametrize("form,kernel", [
         ("tree", "full"), ("path", "full"), ("path", "bounded"), ("path", "astar")])

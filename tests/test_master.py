@@ -99,6 +99,23 @@ class TestNewMaster:
         # A source row's slack drops the group's whole demand of 3.
         assert tree_m.demand_slack_costs.tolist() == pytest.approx([5.0 * 3.0])
 
+    @pytest.mark.parametrize("backend", ["builtin", "highs"])
+    def test_slack_prices_follow_the_demand_below_unit_cost(self, backend):
+        # Edge costs sum to 0.4 < 1, so big-M is 1. Each single-member
+        # source row stands for its commodity's demand and its slack costs
+        # big-M per unit of it, as the path row's does: the two masters
+        # stay the same LP.
+        net = Network(3, [(0, 1, 0.1, 9.0), (1, 2, 0.1, 9.0), (0, 2, 0.2, 9.0)])
+        inst = Instance.build(net, [Commodity(0, 2, 4.0), Commodity(1, 2, 2.0)])
+        path_m, tree_m = new_master(inst, "path"), new_master(inst, "tree")
+        assert tree_m.slack_policy == path_m.slack_policy == "demand"
+        assert tree_m.big_m == path_m.big_m == 1.0
+        assert path_m.demand_slack_costs.tolist() == [1.0, 1.0]
+        np.testing.assert_array_equal(tree_m.demand_slack_costs,
+                                      path_m.demand_slack_costs * inst.demand)
+        assert tree_m.solve_rmp(backend).objective == pytest.approx(6.0)
+        assert path_m.solve_rmp(backend).objective == pytest.approx(6.0)
+
 
 class TestAddColumn:
     def test_insert_and_dedup(self, triangle):
