@@ -138,18 +138,10 @@ class IterationStat:
 class SolveReport:
     """Outcome of one solve: bounds, status, and the iteration trace.
 
-    ``slack_policy`` is the master's slack rule, ``"demand"`` or
-    ``"edge"`` (see :class:`~mcflow.master.RestrictedMaster`), and ``""``
-    for a direct LP. It says what ``IterationStat.slack_mass`` sums:
-    uncovered demand under ``"demand"``, excess flow on capacity rows
-    under ``"edge"``.
-
-    ``infeasible_owners`` names commodity ids: those with an unreachable
-    sink, or whose demand row (in tree mode, their source's, which then
-    holds that one commodity) keeps slack after big-M escalation. It is
-    empty when capacity rows keep the slack, which is the case in both
-    modes when some source has several commodities; the message then
-    names the edges.
+    ``IterationStat.slack_mass`` sums the excess flow that capacity-row
+    slack carries, the only slack a master has. ``infeasible_owners``
+    names the commodity ids with an unreachable sink; slack that remains
+    after big-M escalation names edges in the message instead.
     """
 
     status: str
@@ -162,7 +154,6 @@ class SolveReport:
     wall_time: float = 0.0
     message: str = ""
     infeasible_owners: tuple = ()
-    slack_policy: str = ""
 
     @property
     def iteration_count(self) -> int:
@@ -193,7 +184,9 @@ class ColGenSolver:
         self.owner_weights = np.zeros(instance.network.node_count if self.mode == TREE
                                       else len(instance.commodities))
         self.owner_weights[self.master.owners] = self.master.demand_rhs
-        self._slack_tol = 1e-7 * (1.0 + float(self.master.demand_rhs.max()))
+        # Slack is excess flow in both modes, so the tolerance is read off
+        # the row demands, which the tree and path masters share.
+        self._slack_tol = 1e-7 * (1.0 + float(self.master.row_demand.max()))
 
         self.best_lb = -np.inf
         self.best_ub = np.inf
@@ -292,7 +285,7 @@ class ColGenSolver:
         optimal, or slack remains and big-M was too small (escalate), or
         the instance is infeasible."""
         if slack_ok:
-            self.best_ub = min(self.best_ub, sol.objective)
+            # _solve_and_check already took this objective as best_ub.
             self.best_lb = max(self.best_lb, sol.objective)
             self.status = OPTIMAL
             self._push(it)
@@ -302,18 +295,10 @@ class ColGenSolver:
             self.master.escalate_big_m()
             self._push(it)
             return
-        rows = np.flatnonzero(sol.slack > self._slack_tol)
-        if self.master.slack_policy == "edge":
-            edges = np.array(self.master.active_edges)[rows]
-            where = f"the capacity rows of edges {edges[:10].tolist()}"
-        else:
-            owners = self.master.owners[rows]
-            where = f"the demand rows of owners {owners[:10].tolist()}"
-            if self.mode == TREE:       # a source's row is its commodities'
-                owners = np.flatnonzero(np.isin(self.instance.source, owners))
-            self.infeasible_owners = tuple(owners.tolist())
+        edges = np.array(self.master.active_edges)[sol.slack > self._slack_tol]
         self.status = INFEASIBLE
-        self.message = (f"slack remains on {where} after big-M escalation; "
+        self.message = (f"slack remains on the capacity rows of edges "
+                        f"{edges[:10].tolist()} after big-M escalation; "
                         "demands cannot be routed within capacity")
         self._push(it)
 
@@ -381,7 +366,6 @@ class ColGenSolver:
             wall_time=wall,
             message=self.message,
             infeasible_owners=self.infeasible_owners,
-            slack_policy=self.master.slack_policy,
         )
 
 

@@ -2,20 +2,26 @@
 
 The master keeps a pool of priced columns, the demand rows (one per
 commodity in path mode, one per source in tree mode), and a lazily
-grown set of capacity rows. Slack variables at big-M cost keep every
-restriction feasible before enough columns and rows exist. Which rows
-get slack follows one slack rule for both modes, read off the instance:
-demand rows when every source has exactly one commodity and there are
-fewer commodities than edges, capacity rows otherwise. So a master on an
-instance whose sources carry several commodities, path or tree, prices
-an overloaded edge per unit of excess flow, not as the loss of a whole
-demand. Big-M is one price per unit of flow in both modes, the total
-edge cost: slack that covers a demand row's whole demand costs big-M
-times that demand. Under capacity-row slack each demand row needs a
-pooled column before the master can be solved; the engine pools one
-seed column per row before its first solve.
-Capacity duals are normalized to be nonpositive after every solve, so
-the adjusted pricing weights ``cost - mu`` stay nonnegative.
+grown set of capacity rows. Every master has one slack rule: a big-M
+slack variable on each capacity row, priced per unit of excess flow at
+big-M, the total edge cost. So each demand row needs a pooled column
+before the master can be solved; the engine pools one seed column per
+row before its first solve. Capacity duals are normalized to be
+nonpositive after every solve, so the adjusted pricing weights
+``cost - mu`` stay nonnegative.
+
+The pool and everything outside the master read columns in pool units:
+a path column's ``x`` is its flow, with demand row right-hand side
+``d_k``, and a tree column's ``x`` is its share of the group, with
+right-hand side 1 and coefficients equal to its edge flows. The LP
+holds every demand row at its demand (``d_k``, or the group's total
+demand ``D``) and every column per unit of its row's demand: its
+coefficients divided by the row's unit (1 for a path row, ``D`` for a
+tree row) and its cost summed from those coefficients in entry order.
+:meth:`RestrictedMaster.solve_rmp` converts back, ``x = y / unit`` and
+``pi = pi' * unit``. A one-sink tree listed root first is then its path
+column bit for bit, so on an instance whose every source has one
+commodity the tree and path masters are the same LP.
 
 Columns move from pricing to the master as a :class:`ColumnBatch` of
 one ``kind``, path or tree: per-column ``owner``, ``lengths`` and
@@ -45,15 +51,13 @@ capacity row, found through an edge -> capacity-row index array.
 
 A solve's demand duals ``RmpSolution.pi`` are an owner-indexed array
 (see :mod:`mcflow.pricing`), NaN at ids that own no row.
-``RmpSolution.slack`` is aligned with the slack rows: the demand rows in
-``owners`` order, or the capacity rows of ``active_edges`` under the
-edge slack policy.
+``RmpSolution.slack`` holds the slack of the capacity rows of
+``active_edges``, in that order.
 
 The seed restriction, with no capacity row and one pooled column per
-demand row that is no dearer than the row's slack price, is solved in
-closed form on every backend: each column carries its row's right-hand
-side and each row's dual is its column's cost. A run that ends after
-its first iteration therefore solves no LP.
+demand row, is solved in closed form on every backend: each column
+carries its row's demand and each row's dual is its column's cost. A
+run that ends after its first iteration therefore solves no LP.
 
 On the ``highs`` backend the master keeps one :class:`HighsModel` for
 its whole life, created on the first solve that needs an LP. That first
@@ -494,40 +498,30 @@ class RestrictedMaster:
     def __init__(self, instance: Instance, mode: str):
         """An empty master of ``instance`` in ``mode``, path or tree.
 
-        ``slack_policy`` is ``"demand"`` only when every source has
-        exactly one commodity and there are fewer commodities than edges,
-        and ``"edge"`` otherwise, the same in both modes. Under
-        ``"edge"``, solving a master with a demand row that has no pooled
-        column raises :class:`InputError`.
+        Solving a master with a demand row that has no pooled column
+        raises :class:`InputError`: only capacity rows have slack.
         """
         if mode not in (PATH, TREE):
             raise InputError(f"unknown master mode {mode!r}")
         self.instance = instance
         self.mode = mode
         net = instance.network
+        # Pool units: a path column's x is its flow and a tree column's x
+        # its share of the group's demand. The LP holds each column per
+        # unit of its row's demand (see _column_matrix), in which a
+        # one-sink tree and its path are the same column.
         if mode == PATH:
             self.owners = np.arange(len(instance.commodities))
             self.demand_rhs = instance.demand.copy()
-            row_demand = instance.demand
+            self.row_demand = self.demand_rhs
+            self._unit = np.ones(len(self.owners))
         else:
             self.owners = np.array([g.source for g in instance.groups], dtype=np.int64)
             self.demand_rhs = np.ones(len(instance.groups))
-            row_demand = np.array([g.total_demand for g in instance.groups])
-        # One rule for both modes, read off the instance: demand slack only
-        # when every source has exactly one commodity (a group has at least
-        # one member) and there are fewer commodities than edges. The tree
-        # and path masters of such an instance are then the same LP.
-        k = len(instance.commodities)
-        self.slack_policy = ("demand" if len(instance.groups) == k < net.edge_count
-                             else "edge")
-        total_cost = float(net.cost.sum())
+            self.row_demand = np.array([g.total_demand for g in instance.groups])
+            self._unit = self.row_demand
         # The price of one unit of flow on a capacity row's slack.
-        self.big_m = max(1.0, total_cost)
-        # Demand-row slack prices: big-M per unit of the demand a row stands
-        # for (a tree row's unit of slack is its group's whole demand), so
-        # the tree and path masters are the same LP when every group has a
-        # single member, the only instances with demand slack.
-        self.demand_slack_costs = self.big_m * (row_demand / self.demand_rhs)
+        self.big_m = max(1.0, float(net.cost.sum()))
 
         # Demand row per owner id (commodity, or node in tree mode), -1 if none.
         self._row_of = np.full(net.node_count if mode == TREE else len(self.owners), -1)
@@ -732,24 +726,35 @@ class RestrictedMaster:
         return hits[np.lexsort((hits, -over[hits]))].tolist()
 
     def escalate_big_m(self) -> None:
-        """Raise every slack price (and with it big-M) a hundredfold."""
+        """Raise big-M, the price of every slack, a hundredfold."""
         self.big_m *= BIG_M_FACTOR
-        self.demand_slack_costs = self.demand_slack_costs * BIG_M_FACTOR
         self._costs_changed = True
 
     # -- LP assembly and solve ----------------------------------------------
 
     def _column_matrix(self, first: int = 0):
-        """The LP coefficients of pool columns ``first ..`` in CSC form
-        ``(starts, indices, values)`` over the demand rows and the active
-        capacity rows: per column its demand row, then its entries on
-        edges with a row, in the column's edge order."""
+        """``(costs, starts, indices, values)``: the LP costs of pool
+        columns ``first ..`` and their coefficients in CSC form over the
+        demand rows and the active capacity rows, per column its demand
+        row, then its entries on edges with a row, in the column's edge
+        order.
+
+        A column enters the LP per unit of its row's demand: its
+        coefficients are the pooled ones divided by the row's unit (1 for
+        a path row, the group's demand for a tree row), and its cost is
+        those coefficients times the edge costs, summed in entry order.
+        """
         pool = self._pool
         n = self.pool_size - first
         lo = int(pool.lengths[:first].sum())
-        row = self._cap_pos[pool.edges[lo:]]
+        col = np.repeat(np.arange(n), pool.lengths[first:])
+        edges = pool.edges[lo:]
+        coefs = pool.coefs[lo:] / self._unit[self._row[first:]][col]
+        costs = np.bincount(col, weights=coefs * self.instance.network.cost[edges],
+                            minlength=n)
+        row = self._cap_pos[edges]
         keep = row >= 0
-        j = np.repeat(np.arange(n), pool.lengths[first:])[keep]
+        j = col[keep]
         counts = np.bincount(j, minlength=n)
         starts = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts + 1, out=starts[1:])
@@ -761,36 +766,32 @@ class RestrictedMaster:
         rank = np.arange(j.size) - (np.cumsum(counts) - counts)[j]
         at = starts[j] + 1 + rank
         indices[at] = len(self.owners) + row[keep]
-        values[at] = pool.coefs[lo:][keep]
-        return starts, indices, values
+        values[at] = coefs[keep]
+        return costs, starts, indices, values
 
     def build_lp(self) -> tuple[SparseLp, list[int]]:
-        """Assemble the current restriction as a SparseLp.
+        """Assemble the current restriction as a SparseLp, in LP units
+        (see :meth:`_column_matrix`).
 
         Returns the LP and the pool ids of the LP's column variables in
         order, which are all pool ids. Variable layout: columns, then one
-        slack per slack row in row order, each with a single entry.
+        slack per capacity row in row order, each with a single entry.
         """
         n_demand = len(self.owners)
         n_cap = len(self.active_edges)
         n_pool = self.pool_size
-        starts, indices, values = self._column_matrix()
-        if self.slack_policy == "demand":
-            slack_rows, sign, slack_costs = np.arange(n_demand), 1.0, self.demand_slack_costs
-        else:
-            slack_rows, sign, slack_costs = (n_demand + np.arange(n_cap), -1.0,
-                                             np.full(n_cap, self.big_m))
-        n = n_pool + slack_rows.size
+        costs, starts, indices, values = self._column_matrix()
+        n = n_pool + n_cap
         lp = SparseLp(
             num_cols=n,
-            objective=np.concatenate([self._pool.cost, slack_costs]),
+            objective=np.concatenate([costs, np.full(n_cap, self.big_m)]),
             senses=["E"] * n_demand + ["L"] * n_cap,
-            rhs=np.concatenate([self.demand_rhs,
+            rhs=np.concatenate([self.row_demand,
                                 self.instance.network.capacity[self.active_edges]]),
-            rows=np.concatenate([indices, slack_rows]),
+            rows=np.concatenate([indices, n_demand + np.arange(n_cap)]),
             cols=np.concatenate([np.repeat(np.arange(n_pool), np.diff(starts)),
                                  np.arange(n_pool, n)]),
-            vals=np.concatenate([values, np.full(slack_rows.size, sign)]),
+            vals=np.concatenate([values, np.full(n_cap, -1.0)]),
         )
         return lp, list(range(n_pool))
 
@@ -800,73 +801,72 @@ class RestrictedMaster:
 
         Capacity duals are clipped to be nonpositive (so the adjusted
         costs ``c - mu`` stay nonnegative) and inactive edges expose a
-        zero dual. Slack keeps every restriction feasible, except one
-        under capacity-row slack with a demand row that has no pooled
-        column: that raises :class:`InputError` naming the rows' owners.
+        zero dual. The LP's primal and demand duals are converted from LP
+        units to pool units, ``x = y / unit`` and ``pi = pi' * unit``.
+        Capacity-row slack keeps every restriction feasible that has a
+        pooled column in each demand row; a demand row without one raises
+        :class:`InputError` naming the rows' owners.
 
-        The seed restriction (no capacity row, one pooled column per
-        demand row, each no dearer than its row's slack price) is solved
-        in closed form on every backend, with zero pivots and no LP, and
-        ``time_limit`` does not apply to it. Every other state is solved
-        as one LP. On ``highs`` the live model is then built if it does
-        not exist yet, otherwise updated and re-solved warm, and
-        ``time_limit`` (seconds for the LP solve) is a hard limit: HiGHS
-        stops there and :class:`LpTimeLimit` is raised. Other backends
-        rebuild the LP, solve it cold and ignore ``time_limit``.
+        The seed restriction (no capacity row and one pooled column per
+        demand row) is solved in closed form on every backend, with zero
+        pivots and no LP, and ``time_limit`` does not apply to it. Every
+        other state is solved as one LP. On ``highs`` the live model is
+        then built if it does not exist yet, otherwise updated and
+        re-solved warm, and ``time_limit`` (seconds for the LP solve) is
+        a hard limit: HiGHS stops there and :class:`LpTimeLimit` is
+        raised. Other backends rebuild the LP, solve it cold and ignore
+        ``time_limit``.
         """
         backend = get_backend(backend)
+        n_demand = len(self.owners)
+        bare = self.owners[np.bincount(self._row, minlength=n_demand) == 0]
+        if bare.size:
+            raise InputError(f"the demand rows of owners {bare[:10].tolist()} have "
+                             "no pooled column; under capacity-row slack every "
+                             "demand row needs one")
         seed = self._seed_solution()
         if seed is not None:
             self.solution = seed
             return seed
-        n_demand = len(self.owners)
-        if self.slack_policy == "edge":
-            bare = self.owners[np.bincount(self._row, minlength=n_demand) == 0]
-            if bare.size:
-                raise InputError(f"the demand rows of owners {bare[:10].tolist()} have "
-                                 "no pooled column; under capacity-row slack every "
-                                 "demand row needs one")
         live = isinstance(backend, HighsBackend)
         sol = self._solve_model(time_limit) if live else backend.solve(self.build_lp()[0])
         _check_rmp_solution(sol)
         if live:
-            x, slack = sol.x[self._col_vars], sol.x[self._slack_cols]
+            y, slack = sol.x[self._col_vars], sol.x[self._slack_cols]
         else:
-            # build_lp's layout: columns, then one slack per slack row.
-            x, slack = sol.x[:self.pool_size], sol.x[self.pool_size:]
+            # build_lp's layout: columns, then one slack per capacity row.
+            y, slack = sol.x[:self.pool_size], sol.x[self.pool_size:]
 
         # Both layouts put the demand rows first and the capacity rows of
         # active_edges after them, in order.
         pi = np.full(self._row_of.size, np.nan)
-        pi[self.owners] = sol.duals[:n_demand]
+        pi[self.owners] = sol.duals[:n_demand] * self._unit
         mu = np.zeros(self.instance.network.edge_count)
         mu[self.active_edges] = np.minimum(0.0, sol.duals[n_demand:])
-        self.solution = RmpSolution(sol.objective, x, pi, mu, slack,
-                                    sol.simplex_iterations)
+        self.solution = RmpSolution(sol.objective, y / self._unit[self._row], pi, mu,
+                                    slack, sol.simplex_iterations)
         return self.solution
 
     def _seed_solution(self) -> RmpSolution | None:
         """The optimum of the seed restriction, or None in any other state.
 
         The seed restriction has no capacity row and exactly one pooled
-        column per demand row, each no dearer than its row's slack price
-        (both have coefficient 1 on the row). Its optimum routes each
-        row's right-hand side through the row's column, prices the row at
-        that column's cost and leaves every slack and capacity dual at
-        zero.
+        column per demand row: as many columns as rows, once
+        :meth:`solve_rmp` has found a column in every row. Its optimum
+        routes each row's demand through the row's column, prices the row
+        at that column's LP cost (converted to pool units as
+        :meth:`solve_rmp` does) and leaves every capacity dual at zero;
+        there is no slack.
         """
-        n = len(self.owners)
-        row, cost = self._row, self._pool.cost
-        if self.active_edges or self.pool_size != n \
-                or not np.all(np.bincount(row, minlength=n) == 1) \
-                or not np.all(cost <= self.demand_slack_costs[row]):
+        row = self._row
+        if self.active_edges or self.pool_size != len(self.owners):
             return None
-        x = self.demand_rhs[row]
+        cost = self._column_matrix()[0]
+        y = self.row_demand[row]
         pi = np.full(self._row_of.size, np.nan)
-        pi[self.owners[row]] = cost
-        slack = np.zeros(n if self.slack_policy == "demand" else 0)
-        return RmpSolution(float(cost @ x), x, pi,
-                           np.zeros(self.instance.network.edge_count), slack)
+        pi[self.owners[row]] = cost * self._unit[row]
+        return RmpSolution(float(cost @ y), y / self._unit[row], pi,
+                           np.zeros(self.instance.network.edge_count), np.zeros(0))
 
     # -- live HiGHS model ---------------------------------------------------
 
@@ -885,13 +885,8 @@ class RestrictedMaster:
         columns and slacks interleave and are tracked by index.
         """
         if self._model is None:
-            n_demand = len(self.owners)
             self._model = HighsModel()
-            self._model.add_rows(["E"] * n_demand, self.demand_rhs)
-            if self.slack_policy == "demand":
-                self._slack_cols = self._model.add_cols(
-                    self.demand_slack_costs, np.arange(n_demand + 1),
-                    np.arange(n_demand), np.ones(n_demand))
+            self._model.add_rows(["E"] * len(self.owners), self.row_demand)
         model = self._model
         synced = self._col_vars.size
 
@@ -909,23 +904,20 @@ class RestrictedMaster:
             col = pool.starts.searchsorted(keep, side="right") - 1
             first_row = model.add_rows(["L"] * len(new_edges),
                                        self.instance.network.capacity[new_edges],
-                                       starts, self._col_vars[col], pool.coefs[keep])
+                                       starts, self._col_vars[col],
+                                       pool.coefs[keep] / self._unit[self._row[col]])
             self._cap_rows = len(self.active_edges)
-            if self.slack_policy == "edge":
-                n = len(new_edges)
-                self._slack_cols = np.concatenate([self._slack_cols, model.add_cols(
-                    np.full(n, self.big_m), np.arange(n + 1),
-                    np.arange(first_row, first_row + n), np.full(n, -1.0))])
+            n = len(new_edges)
+            self._slack_cols = np.concatenate([self._slack_cols, model.add_cols(
+                np.full(n, self.big_m), np.arange(n + 1),
+                np.arange(first_row, first_row + n), np.full(n, -1.0))])
 
         if synced < self.pool_size:
             self._col_vars = np.concatenate(
-                [self._col_vars, model.add_cols(self._pool.cost[synced:],
-                                                *self._column_matrix(synced))])
+                [self._col_vars, model.add_cols(*self._column_matrix(synced))])
 
         if self._costs_changed:
-            model.set_costs(self._slack_cols,
-                            self.demand_slack_costs if self.slack_policy == "demand"
-                            else np.full(self._slack_cols.size, self.big_m))
+            model.set_costs(self._slack_cols, np.full(self._slack_cols.size, self.big_m))
             self._costs_changed = False
 
     def _require_solution(self) -> RmpSolution:

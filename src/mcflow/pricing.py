@@ -36,8 +36,10 @@ from its incumbent path, which takes that path from the exact tree and
 every other parent from the incumbent. All rerouted trees of a block are
 costed together by the same level-by-level flow push, on a (candidates
 x nodes) parent matrix, without another kernel call, in chunks; a
-round past its deadline starts no further chunk. The reported minimum
-reduced cost stays the exact tree's, so Lagrangian bounds stay valid.
+round past its deadline, or whose kept rerouted trees already hold
+``SOURCE_BLOCK_ENTRIES`` entries, starts no further chunk. The reported
+minimum reduced cost stays the exact tree's, so Lagrangian bounds stay
+valid.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ import numpy as np
 
 from .errors import InfeasibleError, InputError
 from .graph import (SOURCE_BLOCK_ENTRIES, HeuristicBounds, Network, SptResult,
-                    astar, dijkstra, dijkstra_bounded, tree_levels)
+                    astar, dijkstra, dijkstra_bounded, stable_argsort, tree_levels)
 from .instance import GroupArrays, Instance, SourceGroup
 from .master import PATH, TREE, ColumnBatch
 
@@ -212,8 +214,10 @@ def _tree_flows(net: Network, parent_edge: np.ndarray, loads):
     ``loads`` are ``(row, sink, demand)`` arrays; each sink's demand is
     pushed up its row's parent chain, all rows and all nodes of one depth
     at a time (deepest first). Returns ``(row, edge, flow)`` arrays over
-    the edges that carry flow, sorted by row and then edge id. Every sink
-    must be reached.
+    the edges that carry flow, by row and in each row root first: level
+    by level from the root, the nodes of one level in node order, each
+    node's entry being the edge into it. A one-sink tree thus lists its
+    path from the source. Every sink must be reached.
     """
     n = net.node_count
     rows, sinks, demands = loads
@@ -222,31 +226,29 @@ def _tree_flows(net: Network, parent_edge: np.ndarray, loads):
     acc[rows * n + sinks] = demands
     for level in reversed(levels):
         np.add.at(acc, up[level], acc[level])
-    pe = parent_edge.reshape(-1)
-    carry = np.flatnonzero((pe >= 0) & (acc > 0))
-    row, edge = carry // n, pe[carry]
-    order = np.argsort(row * net.edge_count + edge)     # unique keys
-    return row[order], edge[order], acc[carry[order]]
+    # Shallowest level first, each in flat (row, node) order; a stable
+    # sort by row keeps that order inside each tree.
+    carry = np.concatenate([np.zeros(0, dtype=np.int64), *levels])
+    carry = carry[acc[carry] > 0]
+    carry = carry[stable_argsort(carry // n)]
+    return carry // n, parent_edge.reshape(-1)[carry], acc[carry]
 
 
-def _tree_columns(net: Network, owners, parent_edge: np.ndarray, loads,
-                  w: np.ndarray | None = None):
+def _tree_columns(net: Network, owners, parent_edge: np.ndarray, loads, w: np.ndarray):
     """Tree columns of ``owners`` (one per parent-edge row) under the
-    given sink loads, and each tree's weighted sum of ``w`` (None when
-    ``w`` is None)."""
+    given sink loads, and each tree's weighted sum of ``w``."""
     row, edges, flows = _tree_flows(net, parent_edge, loads)
     count = len(owners)
     columns = ColumnBatch(TREE, owners, np.bincount(row, minlength=count), edges,
                           flows, np.bincount(row, weights=flows * net.cost[edges],
                                              minlength=count))
-    weighted = None if w is None else \
-        np.bincount(row, weights=flows * w[edges], minlength=count)
-    return columns, weighted
+    return columns, np.bincount(row, weights=flows * w[edges], minlength=count)
 
 
 def _rerouted_trees(net: Network, spt_parent: np.ndarray, incumbent: np.ndarray,
                     loads, trees: ColumnBatch, priced: np.ndarray, w: np.ndarray,
-                    pi: np.ndarray, tolerance: float, deadline: float | None = None):
+                    pi: np.ndarray, tolerance: float, room: int,
+                    deadline: float | None = None):
     """The extra tree columns of one block of groups.
 
     Row i of ``spt_parent`` and ``incumbent`` holds the parent edges of
@@ -261,9 +263,11 @@ def _rerouted_trees(net: Network, spt_parent: np.ndarray, incumbent: np.ndarray,
     candidate reroutes its path too. Candidates equal to the exact tree
     are dropped; the others are costed in chunks of at most
     ``SOURCE_BLOCK_ENTRIES`` parent-matrix entries and kept when their
-    reduced cost is below ``-tolerance``. No chunk is started once
-    ``time.perf_counter()`` has passed ``deadline``; the columns kept
-    from earlier chunks are returned.
+    reduced cost is below ``-tolerance``. Candidates come in group order,
+    so when chunks stop early the later groups go without rerouted trees.
+    No chunk is started once the kept columns hold ``room`` entries, nor
+    once ``time.perf_counter()`` has passed ``deadline``; the columns
+    kept from earlier chunks are returned.
 
     Returns the kept columns, their group indices and reduced costs.
     """
@@ -303,7 +307,7 @@ def _rerouted_trees(net: Network, spt_parent: np.ndarray, incumbent: np.ndarray,
     parts, groups, reduced = [], [], []
     chunk = max(1, SOURCE_BLOCK_ENTRIES // n)
     for lo in range(0, load.size, chunk):
-        if deadline is not None and time.perf_counter() > deadline:
+        if room <= 0 or deadline is not None and time.perf_counter() > deadline:
             break
         group = rows[load[lo:lo + chunk]]
         cand = incumbent[group]
@@ -325,6 +329,7 @@ def _rerouted_trees(net: Network, spt_parent: np.ndarray, incumbent: np.ndarray,
         rc = weighted - pi[group]
         keep = np.flatnonzero(rc < -tolerance)
         parts.append(columns.take(keep))
+        room -= parts[-1].edges.size
         groups.append(group[keep])
         reduced.append(rc[keep])
     if not parts:
@@ -420,14 +425,18 @@ def price_tree(instance: Instance, groups, duals: DualSnapshot,
     again, and the reported minimum stays the exact tree's. Columns come
     in group order.
 
-    ``deadline`` is as in :func:`price_paths`, and once it has passed no
-    further chunk of rerouted trees is costed either: a group then keeps
-    its exact tree and the rerouted trees costed so far.
+    The rerouted trees of one call are bounded: once those kept hold
+    ``SOURCE_BLOCK_ENTRIES`` entries, no further chunk of candidates is
+    costed, so the groups after that point (in group order) get only
+    their exact trees. ``deadline`` is as in :func:`price_paths`, and
+    once it has passed no further chunk is costed either: a group then
+    keeps its exact tree and the rerouted trees costed so far.
     """
     net = instance.network
     w = adjusted_weights(net, duals.mu)
     flat = instance.group_arrays
     parts, stats, start, unreachable = [], PricingStats(), 0, []
+    room = SOURCE_BLOCK_ENTRIES         # entries the rerouted trees may still take
     min_rc = np.full(net.node_count, np.nan)
     for block in _blocks(_group_index(flat, groups), net.node_count, deadline=deadline):
         sources = flat.source[block]
@@ -443,10 +452,11 @@ def price_tree(instance: Instance, groups, duals: DualSnapshot,
         negative = reduced < -tolerance
         group = np.flatnonzero(negative)
         emitted = trees if negative.all() else trees.take(group)
-        if incumbents is not None and group.size:
+        if incumbents is not None and group.size and room > 0:
             extra, extra_group, extra_rc = _rerouted_trees(
                 net, spt.parent_edge, incumbents[start:start + len(block)], loads,
-                trees, negative, w, pi, tolerance, deadline)
+                trees, negative, w, pi, tolerance, room, deadline)
+            room -= extra.edges.size
             # Group order; in a group the exact tree, then by reduced cost.
             order = np.lexsort((np.concatenate([np.full(group.size, -np.inf), extra_rc]),
                                 np.concatenate([group, extra_group])))

@@ -18,6 +18,7 @@ from mcflow.bench import (CSV_HEADER, RunRecord, load_instance,
 from mcflow.cli import (EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OPTIMAL, EXIT_TIMEOUT,
                         main)
 from mcflow.engine import SolverConfig, solve
+from mcflow.errors import ParseError
 from mcflow.instance import generate_random, write_native
 
 TRIANGLE_MCF = """\
@@ -134,9 +135,7 @@ class TestSolveCommand:
         records = read_records_csv(csv_file)
         assert len(records) == 2
         assert {r.formulation for r in records} == {"tree", "path"}
-        # Node 1 is the source of both commodities: edge slack in both modes.
-        assert payload["slack_policy"] == "edge"
-        assert [r.slack_policy for r in records] == ["edge", "edge"]
+        assert "slack_policy" not in payload
 
     def test_decompose_flows_output(self, triangle_file, tmp_path):
         flows_file = tmp_path / "flows.txt"
@@ -367,15 +366,13 @@ class TestFaultCases:
 class TestRunRecordCsv:
     def test_round_trip(self):
         rec = RunRecord("x", "tree", "auto", "optimal", 5.0, 5.0, 0.0, 0.12,
-                        12345678, 3, 41, 17, 2, 10, 4, "edge")
+                        12345678, 3, 41, 17, 2, 10, 4)
         assert RunRecord.from_csv_row(rec.to_csv_row()) == rec
         assert len(rec.to_csv_row()) == len(CSV_HEADER)
 
     def test_none_fields_round_trip(self):
-        # Built without the last field, as a direct LP's record is.
         rec = RunRecord("x", "tree", "auto", "timeout", None, 4.5, None, 1.0,
                         1, 1, 0, 1, 0, 5, 2)
-        assert rec.slack_policy == ""
         assert RunRecord.from_csv_row(rec.to_csv_row()) == rec
 
     def test_header_stability(self, tmp_path):
@@ -383,6 +380,15 @@ class TestRunRecordCsv:
         write_records_csv([], path)
         with open(path) as f:
             assert next(csv.reader(f)) == CSV_HEADER
+
+    def test_a_slack_policy_column_is_refused(self, tmp_path):
+        # Suite CSVs that carried the retired slack_policy column as their
+        # last one are refused by their header.
+        path = tmp_path / "r.csv"
+        with open(path, "w", newline="") as f:
+            csv.writer(f).writerow([*CSV_HEADER, "slack_policy"])
+        with pytest.raises(ParseError, match="unexpected CSV header"):
+            read_records_csv(path)
 
 
 class TestRecordFromReport:
@@ -415,21 +421,6 @@ class TestRecordFromReport:
         config = SolverConfig(formulation="source-lp", strategy="auto")
         record = record_from_report(inst, config, solve(inst, config))
         assert record.strategy == "auto"
-
-    def test_records_the_slack_policy(self):
-        # One commodity per source on 36 edges: demand slack; shared
-        # sources: edge slack; a direct LP has no slack rule.
-        for size, policy in (((12, 36, 4, 4), "demand"), ((12, 36, 14, 4), "edge")):
-            inst = generate_random(*size, seed=21, tightness="tight")
-            for formulation in ("tree", "path"):
-                config = SolverConfig(formulation=formulation)
-                report = solve(inst, config)
-                assert report.slack_policy == policy
-                record = record_from_report(inst, config, report)
-                assert record.slack_policy == policy
-                assert json.loads(record.to_json())["slack_policy"] == policy
-        config = SolverConfig(formulation="source-lp")
-        assert record_from_report(inst, config, solve(inst, config)).slack_policy == ""
 
 
 class TestBench:

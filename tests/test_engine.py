@@ -59,43 +59,43 @@ class TestSolveBasics:
         assert 1 in r.infeasible_owners
 
     @pytest.mark.parametrize("form", ["tree", "path"])
-    @pytest.mark.parametrize("policy", ["demand", "edge"])
-    def test_infeasible_owners_are_commodities(self, form, policy):
-        if policy == "demand":
-            # 2 single-commodity rows on 4 edges in both modes. Commodity 0
-            # needs 5 units on edge 0->1 of capacity 1; its tree row is
-            # source 0's, whose group holds only commodity 0.
+    @pytest.mark.parametrize("former", ["demand", "edge"])
+    def test_infeasible_owners_are_commodities(self, form, former):
+        # ``former`` names the slack rows these masters took under the
+        # former two-policy rule; both now keep slack on capacity rows.
+        if former == "demand":
+            # One commodity per source. Commodity 0 needs 5 units on edge
+            # 0->1 of capacity 1; node 1 has no outgoing edge.
             net = Network(4, [(0, 1, 1.0, 1.0), (0, 2, 1.0, 9.0), (2, 3, 1.0, 9.0),
                               (3, 0, 1.0, 9.0)])
             commodities = [Commodity(0, 1, 5.0), Commodity(2, 3, 1.0)]
-            expected = (0,)
+            overloaded, unreachable = [0], Commodity(1, 0, 1.0)
         else:
-            # 3 path rows and 2 tree rows on 2 edges of capacity 1, which
-            # must carry 2 units each: the slack is on capacity rows.
+            # 2 edges of capacity 1, which must carry 2 units each; node 2
+            # has no outgoing edge.
             net = Network(3, [(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0)])
             commodities = [Commodity(0, 1, 1.0), Commodity(0, 2, 1.0),
                            Commodity(1, 2, 1.0)]
-            expected = ()
-        solver = ColGenSolver(Instance.build(net, commodities), cfg(formulation=form))
-        assert solver.master.slack_policy == policy
-        r = solver.run()
+            overloaded, unreachable = [0, 1], Commodity(2, 0, 1.0)
+        # Capacity slack that stays names edges and no owner.
+        r = solve(Instance.build(net, commodities), cfg(formulation=form))
         assert r.status == "infeasible"
-        assert r.infeasible_owners == expected
-        if policy == "edge":
-            assert "capacity rows of edges [0, 1]" in r.message
+        assert r.infeasible_owners == ()
+        assert f"capacity rows of edges {overloaded}" in r.message
+        # An unreachable sink names its commodity's id, in tree mode too.
+        r = solve(Instance.build(net, [*commodities, unreachable]), cfg(formulation=form))
+        assert r.status == "infeasible"
+        assert r.infeasible_owners == (len(commodities),)
 
     def test_infeasible_multi_member_tree_names_edges(self):
-        # 3 path rows and 2 tree rows on 4 edges, but source 0 holds
-        # commodities 0 and 1, so both masters put their slack on capacity
-        # rows: commodity 0's 5 units overload edge 0->1.
+        # Source 0 holds commodities 0 and 1, and both masters put their
+        # slack on capacity rows: commodity 0's 5 units overload edge 0->1.
         net = Network(4, [(0, 1, 1.0, 1.0), (0, 2, 1.0, 9.0), (2, 3, 1.0, 9.0),
                           (3, 0, 1.0, 9.0)])
         inst = Instance.build(net, [Commodity(0, 1, 5.0), Commodity(0, 2, 1.0),
                                     Commodity(2, 3, 1.0)])
         for form in ("tree", "path"):
-            solver = ColGenSolver(inst, cfg(formulation=form))
-            assert solver.master.slack_policy == "edge"
-            r = solver.run()
+            r = solve(inst, cfg(formulation=form))
             assert r.status == "infeasible"
             assert r.infeasible_owners == ()
             assert "capacity rows of edges [0]" in r.message
@@ -106,12 +106,9 @@ class TestSolveBasics:
         # node 0 carry at most 2, so edge slack remains on their rows.
         net = Network(3, [(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0), (0, 2, 4.0, 1.0)])
         inst = Instance.build(net, [Commodity(0, 2, 2.0), Commodity(0, 1, 2.0)])
-        solver = ColGenSolver(inst, cfg(formulation="path", pricing_strategy=kernel))
-        assert solver.master.slack_policy == "edge"
-        r = solver.run()
+        r = solve(inst, cfg(formulation="path", pricing_strategy=kernel))
         assert r.status == "infeasible"
         assert r.infeasible_owners == ()
-        assert r.slack_policy == "edge"
         assert "slack remains on the capacity rows of edges [" in r.message
 
     def test_capacity_infeasible_detected(self):
@@ -415,24 +412,17 @@ def checked_against_cold_solves(solver):
     return count
 
 
-EDGE_SLACK_SIZE = (8, 16, 20, 4)
-
-
 class TestLiveMaster:
     @pytest.mark.parametrize("form", ["tree", "path"])
     @pytest.mark.parametrize("options", [
-        # Multi-member groups: edge slack in both modes.
-        {"tree": "edge", "path": "edge"},
-        # 20 path rows on 16 edges: edge slack in both modes.
-        {"size": EDGE_SLACK_SIZE, "tree": "edge", "path": "edge"},
-        # One commodity per source: demand slack in both modes.
-        {"size": (12, 36, 4, 4), "tree": "demand", "path": "demand"},
+        {},                                 # multi-member groups
+        {"size": (8, 16, 20, 4)},           # 20 path rows on 16 edges
+        {"size": (12, 36, 4, 4)},           # one commodity per source
     ])
     def test_every_solve_matches_a_cold_solve(self, form, options):
         size = options.get("size", (12, 36, 14, 4))
         inst = generate_random(*size, seed=21, tightness="tight")
         solver = ColGenSolver(inst, cfg(formulation=form))
-        assert solver.master.slack_policy == options[form]
         count = checked_against_cold_solves(solver)
         r = solver.run()
         assert r.status == "optimal"
@@ -452,27 +442,49 @@ class TestLiveMaster:
         assert count[0] == r.iteration_count
 
     def test_unique_source_tree_and_path_agree(self):
-        # Acceptance criterion 2 on the live HiGHS master: with one commodity
-        # per source, the tree and path masters take the same slack policy
-        # and the same iteration objectives. The instances are the first 20
-        # of the acceptance suite's stream.
-        rng = random.Random(77)
-        for trial in range(20):
-            n = rng.randint(6, 20)
-            s = rng.randint(2, min(9, n - 1))
-            m = rng.randint(n, 60)
-            inst = generate_random(n, m, s, s, seed=30_000 + trial,
-                                   tightness=("loose", "tight", "mixed")[trial % 3])
-            assert all(len(g.members) == 1 for g in inst.groups)
-            tree, path = (ColGenSolver(inst, cfg(formulation=form, lp_backend="highs"))
-                          for form in ("tree", "path"))
-            assert tree.master.slack_policy == path.master.slack_policy
-            reports = tree.run(), path.run()
-            assert reports[0].status == reports[1].status == "optimal"
-            objectives = [[it.rmp_objective for it in r.iterations] for r in reports]
-            assert len(objectives[0]) == len(objectives[1])
-            assert objectives[0] == pytest.approx(objectives[1], rel=1e-9, abs=1e-9), \
-                f"trial {trial}"
+        # Acceptance criterion 2, by construction: with one commodity per
+        # source, the tree and path masters are one LP at every solve, bit
+        # for bit, so their iteration objectives agree. The instances are
+        # the acceptance suite's stream (suite 2) extended to 100 trials,
+        # solved on both backends.
+        for backend in ("builtin", "highs"):
+            rng = random.Random(77)
+            for trial in range(100):
+                n = rng.randint(6, 20)
+                s = rng.randint(2, min(9, n - 1))
+                m = rng.randint(n, 60)
+                inst = generate_random(n, m, s, s, seed=30_000 + trial,
+                                       tightness=("loose", "tight", "mixed")[trial % 3])
+                assert all(len(g.members) == 1 for g in inst.groups)
+                where = f"{backend} trial {trial}"
+                solvers = [ColGenSolver(inst, cfg(formulation=form, lp_backend=backend))
+                           for form in ("tree", "path")]
+                lps = [recorded_lps(solver) for solver in solvers]
+                reports = [solver.run() for solver in solvers]
+                assert reports[0].status == reports[1].status == "optimal", where
+                assert lps[0] == lps[1], where
+                objectives = [[it.rmp_objective for it in r.iterations] for r in reports]
+                assert len(objectives[0]) == len(objectives[1]), where
+                assert objectives[0] == pytest.approx(objectives[1], rel=1e-9, abs=1e-9), \
+                    where
+
+
+def recorded_lps(solver):
+    """Make every master solve of ``solver`` record the bytes of its
+    rebuilt LP; returns the list they are appended to."""
+    master = solver.master
+    real = master.solve_rmp
+    lps = []
+
+    def recording(*args, **kwargs):
+        lp = master.build_lp()[0]
+        names = ("objective", "rows", "cols", "vals", "rhs")
+        lps.append((*(np.asarray(getattr(lp, name)).tobytes() for name in names),
+                    tuple(lp.senses)))
+        return real(*args, **kwargs)
+
+    master.solve_rmp = recording
+    return lps
 
 
 class TestLpTimeLimit:

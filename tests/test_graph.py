@@ -439,8 +439,8 @@ def int64_tree_levels(net, parent_edge):
 
 
 def lexsort_tree_flows(net, parent_edge, loads):
-    """``pricing._tree_flows`` on the reference levels, ordered by a
-    two-key sort on (row, edge)."""
+    """``pricing._tree_flows`` on the reference levels, ordered root first
+    by a three-key sort on (row, depth, node)."""
     n = net.node_count
     rows, sinks, demands = loads
     up, levels = int64_tree_levels(net, parent_edge)
@@ -448,11 +448,14 @@ def lexsort_tree_flows(net, parent_edge, loads):
     acc[rows * n + sinks] = demands
     for level in reversed(levels):
         np.add.at(acc, up[level], acc[level])
+    depth = np.zeros(parent_edge.size, dtype=np.int64)
+    for d, level in enumerate(levels):
+        depth[level] = d
     pe = parent_edge.reshape(-1)
     carry = np.flatnonzero((pe >= 0) & (acc > 0))
-    row, edge = carry // n, pe[carry]
-    order = np.lexsort((edge, row))
-    return row[order], edge[order], acc[carry[order]]
+    row = carry // n
+    order = np.lexsort((carry % n, depth[carry], row))
+    return row[order], pe[carry[order]], acc[carry[order]]
 
 
 def kernel_runs(net, w, sources, duals):

@@ -45,17 +45,20 @@ class TestNewMaster:
         assert list(m.demand_rhs) == [2.0, 1.0]
 
     def test_slack_policy_rule(self, triangle, triangle_three):
-        # Source a holds k0 and k1 -> edge slack in both modes, though the
-        # triangle's 2 path rows are fewer than its 3 edges. A triangle
-        # whose two commodities leave distinct sources -> demand slack.
-        for mode in ("path", "tree"):
-            assert new_master(triangle, mode).slack_policy == "edge"
-            assert new_master(triangle_three, mode).slack_policy == "edge"
-            unique = Instance.build(triangle.network, [Commodity(0, 2, 2.0),
-                                                       Commodity(1, 2, 1.0)])
-            assert new_master(unique, mode).slack_policy == "demand"
+        # One slack rule: whether sources share commodities (triangle,
+        # triangle_three) or not (unique), path and tree masters put slack
+        # on capacity rows only.
+        unique = Instance.build(triangle.network, [Commodity(0, 2, 2.0),
+                                                   Commodity(1, 2, 1.0)])
+        for inst in (triangle, triangle_three, unique):
+            for mode in ("path", "tree"):
+                assert_capacity_slack_only(seeded(new_master(inst, mode)))
 
-    @pytest.mark.parametrize("mode,commodities,policy", [
+    # The third entry is the slack rows each master took under the former
+    # two-policy rule. On a single-commodity-source instance the tree and
+    # path masters, here unseeded, are one LP. (Sink a of the fourth entry
+    # is unreachable, so no master of it can be seeded.)
+    @pytest.mark.parametrize("mode,commodities,former", [
         # 2 single-member path rows < 3 edges.
         ("path", [(0, 2, 2.0), (1, 2, 0.5)], "demand"),
         # 3 path rows on 3 edges.
@@ -70,11 +73,15 @@ class TestNewMaster:
         # 2 path rows < 3 edges, but source a holds both commodities.
         ("path", [(0, 2, 2.0), (0, 1, 1.0)], "edge"),
     ])
-    def test_slack_policy_table(self, triangle_net, mode, commodities, policy):
+    def test_slack_policy_table(self, triangle_net, mode, commodities, former):
         inst = Instance.build(triangle_net, [Commodity(*c) for c in commodities])
-        assert new_master(inst, mode).slack_policy == policy
+        lp = assert_capacity_slack_only(new_master(inst, mode))
+        if len(inst.groups) == len(inst.commodities):
+            other = assert_capacity_slack_only(
+                new_master(inst, "tree" if mode == "path" else "path"))
+            assert_same_lp(lp, other)
 
-    @pytest.mark.parametrize("size,policy", [
+    @pytest.mark.parametrize("size,former", [
         ((12, 36, 4, 4), "demand"),         # one commodity per source, |K| < |E|
         ((8, 8, 8, 8), "edge"),             # one commodity per source, |K| = |E|
         ((12, 36, 14, 4), "edge"),          # shared sources, |K| < |E|
@@ -83,38 +90,77 @@ class TestNewMaster:
         ((20, 100, 80, 5), "edge"),         # tight-master
         ((100, 400, 60, 10), "edge"),       # few-commodities
     ])
-    def test_tree_and_path_masters_share_the_slack_rule(self, size, policy):
+    def test_tree_and_path_masters_share_the_slack_rule(self, size, former):
+        # ``former`` is as in test_slack_policy_table.
         inst = generate_random(*size, seed=271828, tightness="mixed")
         single = len(inst.groups) == len(inst.commodities)
         assert single == (size[2] == size[3])
-        assert policy == ("demand" if single and size[2] < size[1] else "edge")
-        assert new_master(inst, "tree").slack_policy == policy
-        assert new_master(inst, "path").slack_policy == policy
+        tree = assert_capacity_slack_only(seeded(new_master(inst, "tree")))
+        path = assert_capacity_slack_only(seeded(new_master(inst, "path")))
+        if single:
+            assert_same_lp(tree, path)
 
     def test_big_m_values(self, triangle):
         path_m = new_master(triangle, "path")
         tree_m = new_master(triangle, "tree")
         assert path_m.big_m == pytest.approx(5.0)          # sum of edge costs
         assert tree_m.big_m == pytest.approx(5.0)          # per unit of flow too
-        # A source row's slack drops the group's whole demand of 3.
-        assert tree_m.demand_slack_costs.tolist() == pytest.approx([5.0 * 3.0])
+        # Each demand row's right-hand side in the LP is its demand: the
+        # source row's is its group's total of 3.
+        assert path_m.row_demand.tolist() == [2.0, 1.0]
+        assert tree_m.row_demand.tolist() == [3.0]
+        assert tree_m.demand_rhs.tolist() == [1.0]
 
     @pytest.mark.parametrize("backend", ["builtin", "highs"])
     def test_slack_prices_follow_the_demand_below_unit_cost(self, backend):
-        # Edge costs sum to 0.4 < 1, so big-M is 1. Each single-member
-        # source row stands for its commodity's demand and its slack costs
-        # big-M per unit of it, as the path row's does: the two masters
-        # stay the same LP.
-        net = Network(3, [(0, 1, 0.1, 9.0), (1, 2, 0.1, 9.0), (0, 2, 0.2, 9.0)])
+        # Edge costs sum to 0.35 < 1, so big-M is 1 per unit of excess flow
+        # in both modes. Each source has one commodity, so the seeded tree
+        # and path masters are the same LP: k0's 4 units on a->c, of
+        # capacity 1, put 3 units of slack at price 1 on its row.
+        net = Network(3, [(0, 1, 0.1, 9.0), (1, 2, 0.1, 9.0), (0, 2, 0.15, 1.0)])
         inst = Instance.build(net, [Commodity(0, 2, 4.0), Commodity(1, 2, 2.0)])
         path_m, tree_m = new_master(inst, "path"), new_master(inst, "tree")
-        assert tree_m.slack_policy == path_m.slack_policy == "demand"
         assert tree_m.big_m == path_m.big_m == 1.0
-        assert path_m.demand_slack_costs.tolist() == [1.0, 1.0]
-        np.testing.assert_array_equal(tree_m.demand_slack_costs,
-                                      path_m.demand_slack_costs * inst.demand)
-        assert tree_m.solve_rmp(backend).objective == pytest.approx(6.0)
-        assert path_m.solve_rmp(backend).objective == pytest.approx(6.0)
+        for m in (path_m, tree_m):
+            m.add_column(initial_columns(inst, m.mode))
+            assert m.solve_rmp(backend).objective == pytest.approx(0.8)
+            m.add_capacity_rows([2])
+            sol = m.solve_rmp(backend)
+            assert sol.objective == pytest.approx(0.8 + 3.0)
+            assert sol.slack.tolist() == pytest.approx([3.0])
+        assert_same_lp(path_m.build_lp()[0], tree_m.build_lp()[0])
+
+
+def seeded(master):
+    """``master`` with its seed columns pooled."""
+    master.add_column(initial_columns(master.instance, master.mode))
+    return master
+
+
+def assert_capacity_slack_only(master):
+    """Give every edge of ``master`` a capacity row and check that its LP
+    has one slack column per capacity row and none on a demand row;
+    returns the LP."""
+    inst = master.instance
+    master.add_capacity_rows(range(inst.network.edge_count))
+    lp, ids = master.build_lp()
+    n, rows, caps = len(ids), len(master.owners), len(master.active_edges)
+    assert lp.num_cols == n + caps
+    slack = lp.cols >= n
+    assert np.array_equal(lp.cols[slack], n + np.arange(caps))
+    assert np.array_equal(lp.rows[slack], rows + np.arange(caps))
+    assert (lp.vals[slack] == -1.0).all()
+    assert (lp.objective[n:] == master.big_m).all()
+    assert np.array_equal(lp.rhs[:rows], master.row_demand)
+    return lp
+
+
+def assert_same_lp(a, b):
+    """The two LPs are equal bit for bit."""
+    for name in ("objective", "rhs", "rows", "cols", "vals"):
+        assert np.asarray(getattr(a, name)).tobytes() == \
+            np.asarray(getattr(b, name)).tobytes(), name
+    assert list(a.senses) == list(b.senses)
 
 
 class TestAddColumn:
@@ -414,25 +460,27 @@ class TestSolveRmp:
         assert np.all(sol.mu == 0.0)
 
     def test_slack_only_master(self, triangle_net):
-        # One single-member source row (k0: a->c demand 2) on 3 edges keeps
-        # demand slack, priced at big-M times the demand.
+        # Slack sits on capacity rows only, so a single-member source row
+        # (k0: a->c demand 2) without a column cannot be met and raises.
         m = new_master(Instance.build(triangle_net, [Commodity(0, 2, 2.0)]), "tree")
-        assert m.slack_policy == "demand"
+        with pytest.raises(InputError, match=r"owners \[0\]"):
+            m.solve_rmp()
+        m.add_column(Column(owner=0, kind="tree", edges=(0, 1), coefs=(2.0, 2.0),
+                            cost=4.0))
         sol = m.solve_rmp()
-        assert sol.objective == pytest.approx(m.big_m * 2.0)
-        assert sol.pi[0] == pytest.approx(m.big_m * 2.0)
-        assert sol.slack.max() == pytest.approx(1.0)
+        assert sol.objective == pytest.approx(4.0)
+        assert sol.pi[0] == pytest.approx(4.0)
+        assert sol.slack.size == 0
 
     @pytest.mark.parametrize("backend", ["builtin", "highs"])
     def test_demand_row_without_column_raises_under_edge_slack(self, backend):
-        # Two multi-member sources, so edge slack and no demand slack. Source
-        # 0 sends 21 units over 0->1 and 20 over 1->2 on its only tree.
-        # Source 3 has no column, so its row cannot be met.
+        # Slack sits on capacity rows only. Source 0 sends 21 units over
+        # 0->1 and 20 over 1->2 on its only tree. Source 3 has no column,
+        # so its row cannot be met.
         inst = Instance.build(two_source_net(), [
             Commodity(0, 1, 1.0), Commodity(0, 2, 20.0),
             Commodity(3, 4, 1.0), Commodity(3, 5, 1.0)])
         m = new_master(inst, "tree")
-        assert m.slack_policy == "edge"
         m.add_column(Column(owner=0, kind="tree", edges=(0, 1), coefs=(21.0, 20.0),
                             cost=41.0))
         with pytest.raises(InputError, match=r"owners \[3\]"):
@@ -508,7 +556,9 @@ class TestSeedSolve:
     """The seed restriction (no capacity row, one column per demand row)
     is solved in closed form; it must equal a cold LP solve."""
 
-    @pytest.mark.parametrize("mode,size,policy", [
+    # The last entry is the slack rows under the former two-policy rule
+    # (see TestNewMaster.test_slack_policy_table).
+    @pytest.mark.parametrize("mode,size,former", [
         ("path", (12, 36, 4, 4), "demand"),
         ("path", (8, 16, 20, 4), "edge"),
         ("tree", (12, 36, 4, 4), "demand"),
@@ -516,42 +566,26 @@ class TestSeedSolve:
         ("path", (12, 36, 14, 4), "edge"),
     ])
     @pytest.mark.parametrize("backend", ["builtin", "highs"])
-    def test_equals_a_cold_solve(self, mode, size, policy, backend):
+    def test_equals_a_cold_solve(self, mode, size, former, backend):
         inst = generate_random(*size, seed=21, tightness="tight")
         m = new_master(inst, mode)
-        assert m.slack_policy == policy
         m.add_column(initial_columns(inst, mode))
         sol = m.solve_rmp(backend)
         assert m._model is None
         assert sol.simplex_iterations == 0
         cold = HighsBackend().solve(m.build_lp()[0])
         n, rows = m.pool_size, len(m.owners)
+        # The LP holds each column per unit of its row's demand.
+        unit = lp_units(m)
         assert sol.objective == pytest.approx(cold.objective, rel=1e-12)
-        np.testing.assert_allclose(sol.x, cold.x[:n], rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(sol.slack, cold.x[n:], atol=1e-12)
-        assert sol.slack.size == (rows if policy == "demand" else 0)
-        np.testing.assert_allclose(sol.pi[m.owners], cold.duals[:rows], rtol=1e-12)
+        np.testing.assert_allclose(sol.x, cold.x[:n] / unit, rtol=1e-12, atol=1e-12)
+        assert sol.slack.size == 0 and cold.x.size == n
+        np.testing.assert_allclose(sol.pi[m.owners],
+                                   cold.duals[:rows] * m.row_demand / m.demand_rhs,
+                                   rtol=1e-12)
         assert np.isnan(np.delete(sol.pi, m.owners)).all()
         assert cold.duals.size == rows and not sol.mu.any()
         assert sol.mu.size == inst.network.edge_count
-
-    def test_dearer_than_slack_takes_the_lp(self, triangle_net):
-        # k0: a->c demand 2 and k1: b->c demand 1 leave distinct sources, so
-        # the master keeps demand slack. k0's only path costs 2 per unit,
-        # more than its slack price of 1.5, so k0 ships on slack at the LP
-        # optimum.
-        inst = Instance.build(triangle_net, [Commodity(0, 2, 2.0), Commodity(1, 2, 1.0)])
-        m = new_master(inst, "path")
-        assert m.slack_policy == "demand"
-        m.add_column([PATH_ABC, Column(owner=1, kind="path", edges=(1,), coefs=(1.0,),
-                                       cost=1.0)])
-        m.demand_slack_costs = np.array([1.5, 5.0])
-        sol = m.solve_rmp()
-        assert m._model is not None
-        assert sol.x.tolist() == pytest.approx([0.0, 1.0])
-        assert sol.slack.tolist() == pytest.approx([2.0, 0.0])
-        assert sol.pi[:2].tolist() == pytest.approx([1.5, 1.0])
-        assert sol.objective == pytest.approx(1.5 * 2.0 + 1.0)
 
     @pytest.mark.parametrize("extra", ["row", "column"])
     def test_other_states_take_the_lp(self, triangle_capped, extra):
@@ -564,6 +598,14 @@ class TestSeedSolve:
         sol = m.solve_rmp()
         assert m._model is not None
         assert_matches_cold(m, sol)
+
+
+def lp_units(master):
+    """Per pool column, the LP unit of its demand row: 1 for a path row,
+    the group's demand for a tree row."""
+    row = {int(o): r for r, o in enumerate(master.owners)}
+    at = np.array([row[int(o)] for o in master.columns.owner], dtype=np.int64)
+    return (master.row_demand / master.demand_rhs)[at]
 
 
 class TestDualNormalization:
@@ -654,9 +696,8 @@ class TestLiveModel:
         assert m._model is model
 
     def test_updates_match_cold_solves(self, triangle_three):
-        # Edge slack: every demand row needs a column before the first solve.
+        # Every demand row needs a column before the first solve.
         m = new_master(triangle_three, "path")
-        assert m.slack_policy == "edge"
         m.add_column([PATH_ABC, PATH_AB, PATH_BC])
         assert_matches_cold(m, m.solve_rmp())
         # b->c carries 2.5 units on capacity 1 until a->c is pooled.
@@ -679,7 +720,6 @@ class TestLiveModel:
         # b->c carries 2.5 units on capacity 1, so 1.5 units of its row's
         # slack cost big-M each on top of the columns' 5.5.
         m = new_master(triangle_three, "path")
-        assert m.slack_policy == "edge"
         m.add_column([PATH_ABC, PATH_AB, PATH_BC])
         m.add_capacity_rows([1])
         before = m.solve_rmp().objective

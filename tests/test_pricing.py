@@ -15,7 +15,7 @@ from mcflow.engine import SolverConfig, solve
 from mcflow.errors import InfeasibleError, InputError
 from mcflow.graph import Network
 from mcflow.instance import Commodity, Instance, SourceGroup, generate_random
-from mcflow.master import TREE, RestrictedMaster, validate_columns
+from mcflow.master import TREE, ColumnBatch, RestrictedMaster, validate_columns
 from mcflow.pricing import (DualSnapshot, adjusted_weights, initial_columns,
                             lagrangian_bound, price_paths, price_tree)
 
@@ -417,20 +417,32 @@ def batch_digest(batch) -> str:
 
 # Seed batches of the desk benchmark's three shapes (perfbench/run.py
 # WORKLOADS) at the held-out seed 271828: a seeding change that moves any
-# bit of a seed column alters a digest.
+# bit of a seed column alters a digest. Tree columns list their edges root
+# first (see pricing._tree_flows).
 SEED_DIGESTS = {
     ((250, 1000, 5000, 100), "loose"): {
-        "tree": "2704cda7c538f291a753638b918abcd7443b56d818fcca29939bae55bb40a1ea",
+        "tree": "60a41c98d221e6113b1425172f549620273ad10a5163611a798d9c368aff7828",
         "path": "1d87f1fde9048d07a7d0f0b0bf226eb0d4c2d8591381839284152260f80777ea",
     },
     ((20, 100, 80, 5), "tight"): {
-        "tree": "17069d18f8c96f9bc9ca93135ad231236e8d9765ce4f7d9de077a9c9c7ade5bd",
+        "tree": "209b90387516b633f950ac48b3958ebdc2395a85f84480183131a3be01195450",
         "path": "b9864780bc609e7ccc86bf7ac6691fe7fc05245b63ded25bfcbe85a7eb6c7717",
     },
     ((100, 400, 60, 10), "mixed"): {
-        "tree": "33f3d18179139ae3d4916b4d6495196ceb68d0df0cd496d209344ce34c79de54",
+        "tree": "749a82ca80b0e5301d7db1d7c41548519f1cd66dbb65b7ba49a565e5e5b06e11",
         "path": "977df4995aaf884f1d3104487df47930236959121bb5a90afb0ffbfca3e11bf3",
     },
+}
+
+# The same tree seed batches as built when tree columns listed their
+# edges by edge id, with each cost summed in that order.
+EDGE_ORDER_TREE_DIGESTS = {
+    ((250, 1000, 5000, 100), "loose"):
+        "2704cda7c538f291a753638b918abcd7443b56d818fcca29939bae55bb40a1ea",
+    ((20, 100, 80, 5), "tight"):
+        "17069d18f8c96f9bc9ca93135ad231236e8d9765ce4f7d9de077a9c9c7ade5bd",
+    ((100, 400, 60, 10), "mixed"):
+        "33f3d18179139ae3d4916b4d6495196ceb68d0df0cd496d209344ce34c79de54",
 }
 
 
@@ -439,6 +451,29 @@ def test_seed_batches_match_pinned_digests(size, tightness):
     inst = generate_random(*size, seed=271828, tightness=tightness)
     digests = {mode: batch_digest(initial_columns(inst, mode)) for mode in ("tree", "path")}
     assert digests == SEED_DIGESTS[size, tightness]
+
+
+@pytest.mark.parametrize("size,tightness", list(EDGE_ORDER_TREE_DIGESTS))
+def test_root_first_seed_trees_keep_their_coefficients(size, tightness):
+    # Listing tree edges root first moves no owner and no edge's
+    # coefficient: sorted back by edge id, with costs summed in that
+    # order, each batch is the one built in edge-id order, bit for bit.
+    inst = generate_random(*size, seed=271828, tightness=tightness)
+    net = inst.network
+    trees = initial_columns(inst, "tree")
+    order = np.lexsort((trees.edges, trees.col_of))
+    edges, coefs = trees.edges[order], trees.coefs[order]
+    cost = np.bincount(trees.col_of, weights=coefs * net.cost[edges], minlength=len(trees))
+    by_edge = ColumnBatch("tree", trees.owner, trees.lengths, edges, coefs, cost)
+    assert batch_digest(by_edge) == EDGE_ORDER_TREE_DIGESTS[size, tightness]
+    np.testing.assert_allclose(trees.cost, cost, rtol=1e-12, atol=0.0)
+    # Root first: each edge leaves the root or the head of an earlier
+    # edge of its column.
+    for col in trees:
+        seen = {col.owner}
+        for e in col.edges:
+            assert int(net.tail[e]) in seen
+            seen.add(int(net.head[e]))
 
 
 class TestUnreachableSinks:
@@ -665,6 +700,40 @@ class TestReroutedTrees:
                 assert kept == list(mine)
                 monkeypatch.undo()
         assert cut_extras > 0
+
+    def test_kept_extras_stop_once_they_fill_the_block_budget(self, monkeypatch):
+        # With SOURCE_BLOCK_ENTRIES = |V|, a kernel block holds one group
+        # and a chunk one candidate, and the rerouted trees one call keeps
+        # may hold |V| entries: once they do, no further candidate is
+        # costed and the later groups keep their exact trees alone. What
+        # the exact pricing reports does not move.
+        cut_rounds = 0
+        for inst in tight_instances():
+            n = inst.network.node_count
+            _, rounds = kernel_tree_rounds(monkeypatch, inst)
+            for groups, duals, kw, _ in rounds:
+                args = dict(tolerance=kw["tolerance"], incumbents=kw["incumbents"])
+                free = price_tree(inst, groups, duals, **args)
+                monkeypatch.setattr(mcflow.pricing, "SOURCE_BLOCK_ENTRIES", n)
+                cut = price_tree(inst, groups, duals, **args)
+                monkeypatch.undo()
+                assert np.array_equal(cut.min_reduced_cost, free.min_reduced_cost,
+                                      equal_nan=True)
+                extras = []
+                short = False           # an earlier group lost an extra
+                for g in groups:
+                    mine, all_of = ([c for c in out.columns if c.owner == g.source]
+                                    for out in (cut, free))
+                    assert mine[:1] == all_of[:1]       # the exact tree, if any
+                    assert set(mine[1:]) <= set(all_of[1:])
+                    if short:
+                        assert mine[1:] == []
+                    short = short or len(mine) < len(all_of)
+                    extras += [len(c.edges) for c in mine[1:]]
+                if short:
+                    cut_rounds += 1
+                    assert sum(extras) >= n > sum(extras) - max(extras)
+        assert cut_rounds > 0
 
     def test_no_extras_without_a_priced_exact_tree(self):
         inst = tight_instances()[1]
