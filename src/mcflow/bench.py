@@ -18,17 +18,16 @@ import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .engine import ColGenSolver, SolveReport, SolverConfig, solve
+from .engine import SolveReport, SolverConfig, solve
 from .errors import McflowError, ParseError
 from .instance import TNTP_COEFFICIENTS, Instance, parse_native, parse_tntp
 
 log = logging.getLogger(__name__)
 
 CSV_HEADER = [
-    "instance", "formulation", "strategy", "status", "objective",
-    "lower_bound", "gap", "wall_time_s", "peak_memory_bytes", "iterations",
-    "simplex_iterations", "columns_generated", "rows_activated",
-    "commodities", "sources",
+    "instance", "formulation", "status", "objective", "lower_bound", "gap",
+    "wall_time_s", "peak_memory_bytes", "iterations", "simplex_iterations",
+    "columns_generated", "rows_activated", "commodities", "sources",
 ]
 
 
@@ -36,13 +35,13 @@ CSV_HEADER = [
 class RunRecord:
     """One benchmark run, as written to the suite CSV.
 
-    ``simplex_iterations`` sums the LP pivots of the run's master solves,
-    or of its direct LP (0 on the builtin backend).
+    ``iterations`` counts the run's master solves (one for a direct LP)
+    and ``simplex_iterations`` sums their LP pivots (0 on the builtin
+    backend).
     """
 
     instance: str
     formulation: str
-    strategy: str
     status: str
     objective: float | None
     lower_bound: float | None
@@ -91,14 +90,9 @@ def record_from_report(instance: Instance, config: SolverConfig,
                        report: SolveReport) -> RunRecord:
     def clean(v):
         return None if v is None or not math.isfinite(v) else float(v)
-    columns = report.peak_columns
-    # Tree and path runs all take the one column generation loop.
-    strategy = ColGenSolver.strategy if config.formulation in ("tree", "path") \
-        else config.strategy
     return RunRecord(
         instance=instance.name or "<unnamed>",
         formulation=config.formulation,
-        strategy=strategy,
         status=report.status,
         objective=clean(report.objective),
         lower_bound=clean(report.lower_bound),
@@ -107,7 +101,7 @@ def record_from_report(instance: Instance, config: SolverConfig,
         peak_memory_bytes=peak_memory_bytes(),
         iterations=report.iteration_count,
         simplex_iterations=sum(it.simplex_iterations for it in report.iterations),
-        columns_generated=columns,
+        columns_generated=report.peak_columns,
         rows_activated=report.active_rows,
         commodities=instance.commodity_count,
         sources=instance.source_count,
@@ -150,13 +144,11 @@ def run_suite(manifest: dict, output_dir: str | Path,
           "instances": [{"path": ..., "trips": ..., "coefficient": ...,
                          "name": ...}, ...],
           "formulations": ["tree", "path", ...],
-          "tol": 1e-4, "timeout": 7200.0, "strategy": "auto",
-          "pricing": "full", "backend": "highs"
+          "tol": 1e-4, "timeout": 7200.0, "pricing": "full",
+          "backend": "highs"
         }
 
-    ``strategy`` may be ``auto`` or ``pricing-easy``; both run the one
-    column generation loop, and tree and path records name it
-    ``pricing-easy``. Other keys, such as the ``heuristic`` of older
+    Other keys, such as the ``strategy`` and ``heuristic`` of older
     manifests, are ignored. Missing instance files are listed and
     skipped with a warning.
     """
@@ -183,7 +175,6 @@ def run_suite(manifest: dict, output_dir: str | Path,
                 formulation=formulation,
                 rel_tol=float(manifest.get("tol", 1e-4)),
                 timeout_seconds=timeout,
-                strategy=manifest.get("strategy", "auto"),
                 pricing_strategy=manifest.get("pricing", "full"),
                 lp_backend=manifest.get("backend", "highs"),
             )

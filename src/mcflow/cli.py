@@ -51,9 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="relative optimality tolerance")
     run.add_argument("--timeout", type=float, default=7200.0,
                      help="timeout in seconds")
-    run.add_argument("--strategy", default="auto",
-                     choices=["auto", "pricing-easy"],
-                     help="both values run the one column generation loop")
     run.add_argument("--pricing", default="full",
                      choices=["full", "bounded", "astar"])
     run.add_argument("--backend", default="highs", choices=["highs", "builtin"])
@@ -74,7 +71,6 @@ def _config_from_args(args) -> SolverConfig:
         formulation=args.formulation,
         rel_tol=args.tol,
         timeout_seconds=args.timeout,
-        strategy=args.strategy,
         pricing_strategy=args.pricing,
         lp_backend=args.backend,
     )
@@ -136,7 +132,7 @@ def cmd_solve(args) -> int:
         print(f"instance     {record.instance}  "
               f"(|V|={instance.network.node_count} |E|={instance.network.edge_count} "
               f"|K|={record.commodities} |S|={record.sources})")
-        print(f"formulation  {record.formulation}  strategy {record.strategy}")
+        print(f"formulation  {record.formulation}")
         print(f"status       {record.status}")
         if record.objective is not None:
             print(f"objective    {record.objective:.10g}")

@@ -1,12 +1,17 @@
 """Column generation engine: alternate master solves, lazy capacity row
 separation, and pricing until the relative gap closes.
 
-Every iteration solves the master, adds the violated capacity rows and
-prices every source group, emitting every column that prices out. A
-round that prices every group is complete and refreshes the Lagrangian
-bound; only the time budget's deadline leaves a round incomplete. A
-complete round that adds no column while no row was violated ends the
-run. This is the ``pricing-easy`` loop, the only one; ``strategy``
+Every iteration is one master solve (:meth:`ColGenSolver._iterate`),
+and its :class:`IterationStat` is recorded as soon as the solve returns.
+The iteration then ends the run if the solve has no violated row, no
+slack and closes the gap; that final stat has no pricing round.
+Otherwise it adds the violated capacity rows and prices every source
+group, emitting every column that prices out. A round that prices every
+group is complete and refreshes the Lagrangian bound; only the time
+budget's deadline leaves a round incomplete. A complete round that adds
+no column while no row was violated is optimal if the master has no
+slack; otherwise big-M is escalated, up to three times, before the
+instance is declared infeasible. This is the one loop; ``strategy``
 accepts ``auto`` and ``pricing-easy`` for it. Duals, minimum reduced
 costs and owner weights are owner-indexed arrays (see
 :mod:`mcflow.pricing`), so the Lagrangian bound is one dot product.
@@ -17,11 +22,8 @@ column with the largest value in the last master solve
 whose exact tree prices out then also gets rerouted trees, at most one
 per branch tip of that tree (see :func:`~mcflow.pricing.price_tree`),
 so a round can add more than |S| columns: each group's exact tree, then
-its rerouted trees that price out, most negative first.
-
-Every column the master pools stays in the restriction for the whole
-solve. When pricing finds nothing while slack remains, big-M is
-escalated up to three times before the instance is declared infeasible.
+its rerouted trees that price out, most negative first. Every column
+the master pools stays in the restriction for the whole solve.
 
 The seed columns come from one ordinary pricing round at zero duals
 (:func:`~mcflow.pricing.initial_columns`). While every capacity dual is
@@ -34,14 +36,15 @@ first iteration solves no LP and builds no HiGHS model.
 
 The time left of ``timeout_seconds`` is passed to every master solve as
 its LP time limit, which HiGHS enforces; a solve stopped there ends the
-run with status ``timeout`` and the bounds found so far. A kernel
-pricing round gets the budget's deadline and starts no block of sources
-after it, which leaves the round incomplete (no Lagrangian bound, no
-optimality claim). The budget is also checked before every iteration,
-which ends such a run, and before a round's columns are added: a round
-whose batch arrives past the deadline adds nothing and ends the run with
-status ``timeout``, never as optimal. Either way the report's message
-says why.
+run with status ``timeout`` and the bounds found so far, and records no
+stat, since it has no objective. A kernel pricing round gets the
+budget's deadline and starts no block of sources after it, which leaves
+the round incomplete (no Lagrangian bound, no optimality claim). The
+budget is also checked before every iteration, which ends such a run,
+and before a round's columns are added: a round whose batch arrives
+past the deadline adds nothing and ends the run with status
+``timeout``, never as optimal. Either way the report's message says
+why.
 
 Direct solves of the edge-based and source-based LPs are routed through
 the same entry point for convenience; HiGHS stops them at the time left
@@ -110,17 +113,20 @@ class SolverConfig:
 
 @dataclass
 class IterationStat:
-    """One iteration of a run.
+    """One iteration of a run: one completed master solve.
 
-    ``slack_mass`` is the sum of the master's slack values in the
-    iteration's solve (positive while the run is in its big-M phase);
-    ``pricing_runs`` counts the source groups the round priced, which is
-    every group (|S|) unless the time budget's deadline cut the round;
-    ``early_stops`` counts the groups whose bounded or A* kernel row
-    stopped before settling every sink of its group; ``simplex_iterations``
-    counts the pivots of the iteration's master solve (HiGHS's
-    ``simplex_iteration_count``; 0 on the builtin backend, and 0 for the
-    seed solve, which the master solves in closed form).
+    A run records one stat per master solve that returns, the last one
+    included; a run that ends on the gap stops before pricing, so its
+    last stat has no pricing round. ``slack_mass`` is the sum of the
+    master's slack values in the iteration's solve (positive while the
+    run is in its big-M phase); ``pricing_runs`` counts the source
+    groups the round priced, which is every group (|S|) unless the time
+    budget's deadline cut the round; ``early_stops`` counts the groups
+    whose bounded or A* kernel row stopped before settling every sink of
+    its group; ``simplex_iterations`` counts the pivots of the
+    iteration's master solve (HiGHS's ``simplex_iteration_count``; 0 on
+    the builtin backend, and 0 for the seed solve, which the master
+    solves in closed form).
     """
 
     rmp_objective: float
@@ -138,10 +144,13 @@ class IterationStat:
 class SolveReport:
     """Outcome of one solve: bounds, status, and the iteration trace.
 
-    ``IterationStat.slack_mass`` sums the excess flow that capacity-row
-    slack carries, the only slack a master has. ``infeasible_owners``
-    names the commodity ids with an unreachable sink; slack that remains
-    after big-M escalation names edges in the message instead.
+    ``iterations`` holds one :class:`IterationStat` per completed master
+    solve (a solve stopped at its LP time limit has none), or one for a
+    direct LP. ``IterationStat.slack_mass`` sums the excess flow that
+    capacity-row slack carries, the only slack a master has.
+    ``infeasible_owners`` names the commodity ids with an unreachable
+    sink; slack that remains after big-M escalation names edges in the
+    message instead.
     """
 
     status: str
@@ -224,7 +233,9 @@ class ColGenSolver:
                     self.message = (f"the time budget of {self.config.timeout_seconds:g}"
                                     " s ran out between iterations")
                     break
-                self.run_pricing_easy_iteration()
+                it = self._iterate()
+                it.elapsed = time.perf_counter() - self._t0
+                it.lower_bound = self.best_lb
         except LpTimeLimit as exc:
             self.status = TIMEOUT
             self.message = str(exc)
@@ -240,23 +251,22 @@ class ColGenSolver:
         """The ``time.perf_counter()`` value at which the budget runs out."""
         return self._t0 + self.config.timeout_seconds
 
-    def _solve_and_check(self):
+    def _iterate(self) -> IterationStat:
+        """Solve the master and record that solve's stat, then end the run
+        or separate rows and price (see the module docstring). Returns
+        the stat."""
         sol = self.master.solve_rmp(self.backend,
                                     time_limit=max(0.0, self._time_left()))
+        it = IterationStat(sol.objective, slack_mass=float(sol.slack.sum()),
+                           simplex_iterations=sol.simplex_iterations)
+        self.iterations.append(it)
         viol = self.master.violated_capacities()
         slack_ok = sol.slack.max(initial=0.0) <= self._slack_tol
         if not viol and slack_ok:
             self.best_ub = min(self.best_ub, sol.objective)
             if relative_gap(sol.objective, self.best_lb) <= self.config.rel_tol:
                 self.status = OPTIMAL
-        return sol, viol, slack_ok
-
-    def run_pricing_easy_iteration(self) -> None:
-        """One pricing-easy iteration: separate rows and price together."""
-        sol, viol, slack_ok = self._solve_and_check()
-        if self.status is not None:
-            return
-        it = self._new_stat(sol)
+                return it
         if viol:
             self.master.add_capacity_rows(viol)
             it.rows_added = len(viol)
@@ -272,35 +282,25 @@ class ColGenSolver:
             self.message = (f"the time budget of {self.config.timeout_seconds:g} s "
                             f"ran out before the round's {len(columns)} columns "
                             "were added")
-            self._push(it)
-            return
-        it.columns_added = self._add_columns(columns)
-        if it.columns_added == 0 and complete and not viol:
-            self._finish(sol, slack_ok, it)
-            return
-        self._push(it)
-
-    def _finish(self, sol, slack_ok: bool, it: IterationStat) -> None:
-        """No violated rows and a complete empty pricing round: either
-        optimal, or slack remains and big-M was too small (escalate), or
-        the instance is infeasible."""
+            return it
+        before = self.master.pool_size
+        self.master.add_column(columns)
+        it.columns_added = self.master.pool_size - before
+        if it.columns_added or not complete or viol:
+            return it
         if slack_ok:
-            # _solve_and_check already took this objective as best_ub.
             self.best_lb = max(self.best_lb, sol.objective)
             self.status = OPTIMAL
-            self._push(it)
-            return
-        if self._escalations_left > 0:
+        elif self._escalations_left > 0:
             self._escalations_left -= 1
             self.master.escalate_big_m()
-            self._push(it)
-            return
-        edges = np.array(self.master.active_edges)[sol.slack > self._slack_tol]
-        self.status = INFEASIBLE
-        self.message = (f"slack remains on the capacity rows of edges "
-                        f"{edges[:10].tolist()} after big-M escalation; "
-                        "demands cannot be routed within capacity")
-        self._push(it)
+        else:
+            edges = np.array(self.master.active_edges)[sol.slack > self._slack_tol]
+            self.status = INFEASIBLE
+            self.message = (f"slack remains on the capacity rows of edges "
+                            f"{edges[:10].tolist()} after big-M escalation; "
+                            "demands cannot be routed within capacity")
+        return it
 
     # -- pricing -------------------------------------------------------------
 
@@ -333,23 +333,7 @@ class ColGenSolver:
         complete = outcome.stats.runs == len(self.instance.groups)
         return outcome.columns, outcome.min_reduced_cost, outcome.stats, complete
 
-    def _add_columns(self, columns) -> int:
-        before = self.master.pool_size
-        self.master.add_column(columns)
-        return self.master.pool_size - before
-
     # -- reporting -----------------------------------------------------------
-
-    @staticmethod
-    def _new_stat(sol) -> IterationStat:
-        return IterationStat(sol.objective,
-                             slack_mass=float(sol.slack.sum()),
-                             simplex_iterations=sol.simplex_iterations)
-
-    def _push(self, it: IterationStat) -> None:
-        it.elapsed = time.perf_counter() - self._t0
-        it.lower_bound = self.best_lb
-        self.iterations.append(it)
 
     def _report(self) -> SolveReport:
         wall = time.perf_counter() - self._t0

@@ -101,6 +101,20 @@ class GroupArrays:
             a.setflags(write=False)
         return arrays
 
+    def members_of(self, groups: np.ndarray):
+        """``(row, commodity)`` arrays over the members of the groups at
+        positions ``groups``, in group and member order; ``row`` is the
+        group's place in ``groups``."""
+        row, at = _entries(self.member_start, groups)
+        return row, self.members[at]
+
+    def loads_of(self, groups: np.ndarray):
+        """``(row, sink, demand)`` arrays with one entry per sink of the
+        groups at positions ``groups``, in group and sink order; ``row``
+        is the group's place in ``groups``."""
+        row, at = _entries(self.load_start, groups)
+        return row, self.sink[at], self.demand[at]
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -199,6 +213,14 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     cut = np.ones(keys.size + 1, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=cut[1:-1])
     return np.flatnonzero(cut)
+
+
+def _entries(start: np.ndarray, groups: np.ndarray):
+    """``(row, index)`` of every entry of ``groups``, whose entries lie at
+    ``start[g]:start[g + 1]``, in group order."""
+    lo, sizes = start[groups], start[groups + 1] - start[groups]
+    row = np.repeat(np.arange(groups.size), sizes)
+    return row, np.arange(row.size) + (lo - np.cumsum(sizes) + sizes)[row]
 
 
 def group_by_source(commodities: Iterable[Commodity]) -> list[SourceGroup]:

